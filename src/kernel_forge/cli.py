@@ -43,14 +43,14 @@ def _emit(args, text: str) -> None:
 
 
 def _build_kernel(args) -> kernels.KernelSpec:
-    family = args.kernel
-    if family == "cantor-product":
-        return kernels.cantor_product(trunc=getattr(args, "trunc", 8) or 8)
-    if family == "drury-arveson":
-        return kernels.drury_arveson(dim=getattr(args, "dim", 2) or 2)
-    if family == "overlap":
-        return kernels.overlap(_build_measure(getattr(args, "measure", "lebesgue")))
-    return kernels.KernelSpec(family)
+    fam = kernels.FAMILY_TABLE[args.kernel]
+    if fam.param is None:
+        return kernels.KernelSpec(args.kernel)
+    if fam.param == "measure":
+        value = _build_measure(getattr(args, "measure", "lebesgue"))
+    else:
+        value = getattr(args, fam.param, None) or fam.default
+    return kernels.KernelSpec(args.kernel, **{fam.param: value})
 
 
 def _build_measure(name: str) -> measures.MeasureModel:
@@ -565,7 +565,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("chol", help="Cholesky factor")
     _add_matrix_input_flags(p)
     p.add_argument("--ridge", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=1e-12,
+        help="relative pivot tolerance: a pivot below tol * max|G_ii| fails",
+    )
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_chol)
 
@@ -578,7 +583,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_input_flags(p)
     p.add_argument("--method", required=True, choices=("alt-chol", "jacobi"))
     p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=1e-12,
+        help="relative stop: off-diagonal size below tol * trace(G) (alt-chol) "
+        "or tol * ||G||_F (jacobi)",
+    )
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_eig)
 

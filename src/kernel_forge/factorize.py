@@ -11,6 +11,11 @@ numerically diagonal) and a classical cyclic Jacobi sweep.
 Complex Hermitian matrices are handled throughout by the real block
 embedding [[Re, -Im], [Im, Re]], which is symmetric, positive definite
 exactly when the original is, and carries each eigenvalue twice.
+
+Every tolerance is relative to the matrix it judges: pivots and eigenvalue
+floors are measured in units of `matrix_scale` (the largest |G_ii|), and
+the Jacobi stop in units of the Frobenius norm.  Scaling a matrix by
+c > 0 therefore never changes a verdict.
 """
 
 from __future__ import annotations
@@ -33,10 +38,21 @@ __all__ = [
     "inverse_gram",
     "alt_cholesky_eigs",
     "jacobi_eigs",
+    "matrix_scale",
 ]
 
 _EIG_FLOOR = 1e-10  # negative eigenvalues above -floor*scale are rounding noise
 _MAX_JACOBI_SWEEPS = 60
+
+
+def matrix_scale(arr: np.ndarray) -> float:
+    """Largest |A_ii|: the unit of every relative tolerance in the package.
+
+    It scales linearly with the matrix, so a threshold tol * matrix_scale(A)
+    gives A and c * A the same verdict; for a PSD matrix it bounds every
+    entry, since |A_ij| <= sqrt(A_ii A_jj).  0 for an empty matrix.
+    """
+    return float(np.max(np.abs(np.diagonal(arr)))) if arr.size else 0.0
 
 
 def _as_matrix(g) -> np.ndarray:
@@ -52,9 +68,8 @@ def _as_matrix(g) -> np.ndarray:
 def _check_hermitian(arr: np.ndarray) -> None:
     if arr.size == 0:
         return
-    scale = max(1.0, float(np.max(np.abs(arr))))
     dev = float(np.max(np.abs(arr - arr.conj().T)))
-    if dev > 1e-8 * scale:
+    if dev > 1e-8 * float(np.max(np.abs(arr))):
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
 
 
@@ -72,8 +87,8 @@ def real_embedding(arr: np.ndarray) -> np.ndarray:
 def _chol_lower(a: np.ndarray, tol: float) -> np.ndarray:
     """Right-looking Cholesky column sweep on a real symmetric matrix.
 
-    Raises NotPositiveDefiniteError as soon as a pivot falls below
-    ``tol`` (NaN pivots fail too).
+    Raises NotPositiveDefiniteError as soon as a pivot falls below the
+    absolute threshold ``tol`` or is not positive (NaN pivots fail too).
     """
     n = a.shape[0]
     work = np.array(a, dtype=float)
@@ -116,18 +131,21 @@ def cholesky(g, ridge: float = 0.0, tol: float = 1e-12) -> CholeskyFactor:
     """Cholesky factor of a Hermitian PSD matrix (plus optional ridge).
 
     Complex input is factored through its real block embedding.  A pivot
-    below `tol` raises NotPositiveDefiniteError; a positive `ridge` is
-    added to the diagonal before factoring (and reported in the result).
+    below ``tol * matrix_scale(G)`` (G before the ridge) raises
+    NotPositiveDefiniteError, so the verdict does not depend on the scale
+    of G; a positive `ridge` is added to the diagonal before factoring
+    (and reported in the result).
     """
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     arr = _as_matrix(g)
     _check_hermitian(arr)
+    threshold = tol * matrix_scale(arr)
     if np.iscomplexobj(arr):
         arr = real_embedding(arr)
     if ridge:
         arr = arr + ridge * np.eye(arr.shape[0])
-    return CholeskyFactor(L=_chol_lower(arr, tol), ridge_used=float(ridge))
+    return CholeskyFactor(L=_chol_lower(arr, threshold), ridge_used=float(ridge))
 
 
 def brownian_cholesky_closed_form(points) -> CholeskyFactor:
@@ -160,7 +178,8 @@ def inverse_gram(g) -> np.ndarray:
 
     Complex matrices invert through the real embedding (the embedding of
     the inverse is the inverse of the embedding).  Raises
-    SingularMatrixError when the matrix is not safely invertible.
+    SingularMatrixError when the matrix is not safely invertible: a
+    Cholesky pivot falls below 1e-12 * matrix_scale(G).
     """
     arr = _as_matrix(g)
     was_complex = np.iscomplexobj(arr)
@@ -195,7 +214,7 @@ def _finish_spectrum(values, iterations, converged, scale, deduplicate):
     if deduplicate:
         # embedded spectra carry each eigenvalue twice; average the pairs
         vals = 0.5 * (vals[0::2] + vals[1::2])
-    floor = _EIG_FLOOR * max(1.0, scale)
+    floor = _EIG_FLOOR * scale
     vals = np.where((vals < 0.0) & (vals > -floor), 0.0, vals)
     return SpectralResult(
         eigenvalues=vals, iterations=int(iterations), converged=bool(converged)
@@ -267,7 +286,7 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
     if dedup:
         arr = real_embedding(arr)
     n = arr.shape[0]
-    scale = float(np.max(np.abs(np.diag(arr)))) if n else 0.0
+    scale = matrix_scale(arr)
     if n == 0:
         return _finish_spectrum([], 0, True, scale, False)
     trace = float(np.trace(arr))
@@ -332,11 +351,12 @@ def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
     """Spectrum of a Hermitian matrix by classical cyclic Jacobi sweeps.
 
     Rotations zero one off-diagonal pair at a time; sweeps repeat until
-    the off-diagonal Frobenius norm falls below ``tol`` (`converged`
-    reports whether that threshold was actually reached — an absolute
-    threshold below rounding noise terminates once a full sweep performs
-    no rotations).  Serves as the independent reference oracle for
-    `alt_cholesky_eigs` and for PSD validation.
+    the off-diagonal Frobenius norm falls to ``tol * ||G||_F`` (relative,
+    and invariant under the rotations).  `converged` reports whether that
+    threshold was actually reached: a threshold below rounding noise
+    terminates once a full sweep performs no rotations.  Serves as the
+    independent reference oracle for `alt_cholesky_eigs` and for PSD
+    validation.
     """
     arr = _as_matrix(g)
     _check_hermitian(arr)
@@ -345,9 +365,10 @@ def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
         arr = real_embedding(arr)
     a = np.array(arr, dtype=float)
     n = a.shape[0]
-    scale = float(np.max(np.abs(np.diag(a)))) if n else 0.0
+    scale = matrix_scale(a)
     if n <= 1:
         return _finish_spectrum(np.diag(a), 0, True, scale, dedup)
+    stop = tol * float(np.sqrt(np.sum(a * a)))
 
     def off_frobenius():
         off = a - np.diag(np.diag(a))
@@ -356,7 +377,7 @@ def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
     sweeps = 0
     while sweeps < _MAX_JACOBI_SWEEPS:
         current = off_frobenius()
-        if current < tol:
+        if current <= stop:
             break
         # threshold strategy: early sweeps skip small couplings, later
         # sweeps rotate everything above rounding noise
@@ -384,4 +405,4 @@ def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
         sweeps += 1
         if not rotated:
             break
-    return _finish_spectrum(np.diag(a), sweeps, off_frobenius() < tol, scale, dedup)
+    return _finish_spectrum(np.diag(a), sweeps, off_frobenius() <= stop, scale, dedup)

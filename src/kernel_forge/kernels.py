@@ -15,6 +15,13 @@ drury-arveson(k)    open unit ball of C^k      1 / (1 - sum_j conj(z_j) w_j)
 overlap(mu)         finite unions of intervals mu(A intersect B)
 ==================  =========================  =====================================
 
+Each family is one `Family` record in `FAMILY_TABLE`: its domain, the
+sample-set tags it accepts, a validator that turns a point list into an
+array (one row per point), and one elementwise formula k(X, Y) over
+broadcast point arrays.  `gram`, `cross_gram`, `kernel_diagonal` and
+`eval_kernel` all evaluate that formula, so a matrix of any size costs
+one vectorized call rather than one Python call per entry.
+
 Inner products are conjugate-linear in the FIRST argument throughout the
 package; every family above satisfies eval(x, y) == conj(eval(y, x)).
 
@@ -26,8 +33,8 @@ product at N factors; the neglected tail satisfies
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,20 +44,7 @@ from .errors import (
     DuplicatePointError,
     OutOfDomainError,
 )
-from .measures import MeasureModel, measure_of_intervals
-
-COMPLEX_FAMILIES = ("szego", "cantor-product", "drury-arveson")
-
-FAMILIES = (
-    "brownian-min",
-    "brownian-line",
-    "szego",
-    "cantor-product",
-    "shannon",
-    "drury-arveson",
-    "overlap",
-    "green-1d",
-)
+from .measures import MeasureModel, mu4_cdf
 
 # smallest positive-power magnitude worth multiplying in; below this the
 # factor is 1 to double precision
@@ -83,6 +77,222 @@ class IntervalSet:
         return IntervalSet(tuple(out))
 
 
+# ---------------------------------------------------------------------------
+# point validators: (spec, point list) -> array with one row per point.
+# A point of the wrong shape raises DomainMismatchError, one outside the
+# family's domain OutOfDomainError; a list with several bad points reports
+# its first shape error before any range error.
+
+
+def _real_scalar(p, family):
+    arr = np.asarray(p)
+    if arr.ndim != 0 or np.iscomplexobj(arr) and arr.imag != 0:
+        raise DomainMismatchError(f"{family} expects real scalar points, got {p!r}")
+    return float(arr.real if np.iscomplexobj(arr) else arr)
+
+
+def _complex_scalar(p, family):
+    arr = np.asarray(p)
+    if arr.ndim != 0:
+        raise DomainMismatchError(f"{family} expects complex scalar points, got {p!r}")
+    return complex(arr)
+
+
+def _scalars(points, kinds: str, dtype, check_one) -> np.ndarray:
+    """1-d array of scalar points.
+
+    A list of plain numbers (numpy dtype kind in `kinds`) converts in one
+    call; anything else goes point by point through `check_one`, which
+    raises for the first point of the wrong shape.
+    """
+    try:
+        arr = np.asarray(points)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in kinds:
+        arr = np.array([check_one(p) for p in points], dtype=dtype)
+    return arr.astype(dtype)
+
+
+def _real_line(spec, points) -> np.ndarray:
+    return _scalars(points, "biuf", float, lambda p: _real_scalar(p, spec.family))
+
+
+def _half_line(spec, points) -> np.ndarray:
+    x = _real_line(spec, points)
+    if np.any(x < 0):
+        raise OutOfDomainError("brownian-min requires x, y >= 0")
+    return x
+
+
+def _open_unit_interval(spec, points) -> np.ndarray:
+    x = _real_line(spec, points)
+    if not np.all((0.0 < x) & (x < 1.0)):
+        raise OutOfDomainError("green-1d requires points strictly inside (0, 1)")
+    return x
+
+
+def _disk(spec, points) -> np.ndarray:
+    z = _scalars(points, "biufc", complex, lambda p: _complex_scalar(p, spec.family))
+    outside = np.abs(z) >= 1.0
+    if np.any(outside):
+        mag = abs(z[outside][0])
+        raise OutOfDomainError(f"{spec.family} requires |z| < 1, got |z| = {mag}")
+    return z
+
+
+def _ball(spec, points) -> np.ndarray:
+    vecs = [np.asarray(p, dtype=complex) for p in points]
+    if any(v.shape != (spec.dim,) for v in vecs):
+        raise DomainMismatchError(
+            f"drury-arveson({spec.dim}) expects complex vectors of length {spec.dim}"
+        )
+    z = np.array(vecs, dtype=complex).reshape(len(vecs), spec.dim)
+    if np.any(np.sum(np.abs(z) ** 2, axis=1) >= 1.0):
+        raise OutOfDomainError("drury-arveson requires sum |z_j|^2 < 1")
+    return z
+
+
+def _clipped_cdf(measure: MeasureModel, x: float) -> float:
+    """mu([0, x]) after clipping x into [0, 1]."""
+    x = min(max(x, 0.0), 1.0)
+    return x if measure.kind == "lebesgue" else mu4_cdf(x)
+
+
+def _interval_sets(spec, points) -> np.ndarray:
+    """Rows of (a, b, F(a), F(b)) per interval, F the clipped CDF.
+
+    Sets with fewer intervals than the widest are padded with (inf, -inf,
+    0, 0), an interval that meets nothing.
+    """
+    if not all(isinstance(p, IntervalSet) for p in points):
+        raise DomainMismatchError("overlap expects IntervalSet points")
+    width = max((len(p.intervals) for p in points), default=0)
+    out = np.zeros((len(points), width, 4))
+    out[:, :, 0], out[:, :, 1] = np.inf, -np.inf
+    m = spec.measure
+    for i, p in enumerate(points):
+        for k, (a, b) in enumerate(p.intervals):
+            out[i, k] = a, b, _clipped_cdf(m, a), _clipped_cdf(m, b)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# formulas: k(spec, X, Y) elementwise over broadcast arrays of validated
+# points (vector-valued points keep their coordinates in the last axis)
+
+
+def _min(spec, x, y):
+    return np.minimum(x, y)
+
+
+def _min_same_sign(spec, x, y):
+    return np.where(x * y >= 0, np.minimum(np.abs(x), np.abs(y)), 0.0)
+
+
+def _green(spec, x, y):
+    return np.minimum(x, y) - x * y
+
+
+def _sinc(spec, x, y):
+    d = x - y
+    # exact at integer offsets so that integer Grams are exactly the identity;
+    # those offsets divide by 1 instead of 0 and the quotient is discarded
+    whole = d == np.floor(d)
+    safe = np.where(whole, 1.0, d)
+    ratio = np.sin(np.pi * safe) / (np.pi * safe)
+    return np.where(whole, np.where(d == 0.0, 1.0, 0.0), ratio)
+
+
+def _szego(spec, z, w):
+    return 1.0 / (1.0 - np.conj(z) * w)
+
+
+def _truncated_product(spec, z, w):
+    u = np.conj(z) * w
+    with np.errstate(divide="ignore"):  # u = 0 gives -inf: only the factor 1
+        log_mag = np.log(np.abs(u))
+    prod = np.ones_like(u)
+    power = u  # u^(4^n)
+    for n in range(spec.trunc):
+        # factors below 5e-324 in magnitude are 1 to double precision
+        live = 4.0 ** n * log_mag >= _LOG_TINY
+        if not np.any(live):
+            break
+        prod = np.where(live, prod * (1.0 + power), prod)
+        power = power * power
+        power = power * power
+    return prod
+
+
+def _drury_arveson(spec, z, w):
+    return 1.0 / (1.0 - np.sum(np.conj(z) * w, axis=-1))
+
+
+def _overlap(spec, x, y):
+    # the intervals within a set are disjoint, so mu(A intersect B) sums
+    # mu(I intersect J) over interval pairs, in the order A's, then B's;
+    # for a monotone F, F(max(a, c)) = max(F(a), F(c)) and likewise for min
+    total = 0.0
+    for i in range(x.shape[-2]):
+        a, b, fa, fb = np.moveaxis(x[..., i, :], -1, 0)
+        for j in range(y.shape[-2]):
+            c, d, fc, fd = np.moveaxis(y[..., j, :], -1, 0)
+            meet = np.maximum(a, c) < np.minimum(b, d)
+            total = total + np.where(meet, np.minimum(fb, fd) - np.maximum(fa, fc), 0.0)
+    return total
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the package knows about one kernel family.
+
+    domain: the point domain; "{dim}" is filled in from the spec.
+    tags: SampleSet domain tags the family accepts, formatted the same way.
+    points: validator, (spec, point list) -> array with one row per point.
+    formula: k(spec, X, Y) elementwise over broadcast point arrays.
+    is_complex: whether kernel values are complex.
+    param: the KernelSpec field the family needs, if any, and the CLI's
+        default for it.
+    """
+
+    domain: str
+    tags: tuple
+    points: Callable
+    formula: Callable
+    is_complex: bool = False
+    param: Optional[str] = None
+    default: Optional[int] = None
+
+
+FAMILY_TABLE = {
+    "brownian-min": Family(
+        "real-line", ("real-line", "unit-interval"), _half_line, _min
+    ),
+    "brownian-line": Family("real-line", ("real-line",), _real_line, _min_same_sign),
+    "szego": Family("complex-disk", ("complex-disk",), _disk, _szego, is_complex=True),
+    "cantor-product": Family(
+        "complex-disk", ("complex-disk",), _disk, _truncated_product,
+        is_complex=True, param="trunc", default=8,
+    ),
+    "shannon": Family("real-line", ("real-line",), _real_line, _sinc),
+    "drury-arveson": Family(
+        "complex-vector({dim})", ("complex-vector({dim})",), _ball, _drury_arveson,
+        is_complex=True, param="dim", default=2,
+    ),
+    "overlap": Family(
+        "interval-set", ("interval-set",), _interval_sets, _overlap, param="measure"
+    ),
+    "green-1d": Family(
+        "unit-interval", ("unit-interval", "real-line"), _open_unit_interval, _green
+    ),
+}
+
+FAMILIES = tuple(FAMILY_TABLE)
+
+COMPLEX_FAMILIES = tuple(name for name, fam in FAMILY_TABLE.items() if fam.is_complex)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel family plus its parameters.
@@ -98,32 +308,24 @@ class KernelSpec:
     measure: Optional[MeasureModel] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_TABLE:
             raise ValueError(f"unknown kernel family: {self.family!r}")
-        if self.family == "cantor-product":
-            if self.trunc is None or self.trunc < 1:
-                raise ValueError("cantor-product needs trunc >= 1")
-        if self.family == "drury-arveson":
-            if self.dim is None or self.dim < 1:
-                raise ValueError("drury-arveson needs dim >= 1")
-        if self.family == "overlap" and self.measure is None:
-            raise ValueError("overlap needs a MeasureModel")
+        param = FAMILY_TABLE[self.family].param
+        if param == "measure":
+            if self.measure is None:
+                raise ValueError(f"{self.family} needs a MeasureModel")
+        elif param is not None:
+            value = getattr(self, param)
+            if value is None or value < 1:
+                raise ValueError(f"{self.family} needs {param} >= 1")
 
     @property
     def is_complex(self) -> bool:
-        return self.family in COMPLEX_FAMILIES
+        return FAMILY_TABLE[self.family].is_complex
 
     @property
     def domain(self) -> str:
-        if self.family in ("szego", "cantor-product"):
-            return "complex-disk"
-        if self.family == "drury-arveson":
-            return f"complex-vector({self.dim})"
-        if self.family == "overlap":
-            return "interval-set"
-        if self.family == "green-1d":
-            return "unit-interval"
-        return "real-line"
+        return FAMILY_TABLE[self.family].domain.format(dim=self.dim)
 
 
 def brownian_min() -> KernelSpec:
@@ -214,9 +416,11 @@ def as_sample_set(points, domain: Optional[str] = None) -> SampleSet:
 class GramMatrix:
     """n x n Hermitian kernel matrix over a SampleSet.
 
-    entries is float64 for real families and complex128 otherwise; the
-    upper triangle is computed once and mirrored with conjugation, so
-    Hermitian symmetry is bitwise exact.
+    entries is float64 for real families and complex128 otherwise.  The
+    family formula is evaluated once over the n x n broadcast of the
+    points; the strict lower triangle is then overwritten with the
+    conjugate of the strict upper one and the diagonal of a complex family
+    with its real part, so Hermitian symmetry is bitwise exact.
     """
 
     n: int
@@ -231,141 +435,73 @@ class GramMatrix:
 def _check_tag(spec: KernelSpec, tag: Optional[str]):
     if tag is None:
         return
-    ok = {
-        "brownian-min": ("real-line", "unit-interval"),
-        "brownian-line": ("real-line",),
-        "shannon": ("real-line",),
-        "green-1d": ("unit-interval", "real-line"),
-        "szego": ("complex-disk",),
-        "cantor-product": ("complex-disk",),
-        "overlap": ("interval-set",),
-    }.get(spec.family, (spec.domain,))
-    if tag not in ok:
+    accepted = [t.format(dim=spec.dim) for t in FAMILY_TABLE[spec.family].tags]
+    if tag not in accepted:
         raise DomainMismatchError(
             f"points tagged {tag!r} cannot feed the {spec.family} kernel"
         )
 
 
-def _real_scalar(p, family):
-    arr = np.asarray(p)
-    if arr.ndim != 0 or np.iscomplexobj(arr) and arr.imag != 0:
-        raise DomainMismatchError(f"{family} expects real scalar points, got {p!r}")
-    return float(arr.real if np.iscomplexobj(arr) else arr)
+def _evaluate(spec: KernelSpec, x, y, shape) -> np.ndarray:
+    """The family formula on broadcast point arrays, as a float64 or
+    complex128 array of the given shape."""
+    fam = FAMILY_TABLE[spec.family]
+    out = np.empty(shape, dtype=complex if fam.is_complex else float)
+    out[...] = fam.formula(spec, x, y)
+    return out
 
 
-def _disk_scalar(p, family):
-    arr = np.asarray(p)
-    if arr.ndim != 0:
-        raise DomainMismatchError(f"{family} expects complex scalar points, got {p!r}")
-    z = complex(arr)
-    if abs(z) >= 1.0:
-        raise OutOfDomainError(f"{family} requires |z| < 1, got |z| = {abs(z)}")
-    return z
-
-
-def _sinc_pi(d: float) -> float:
-    # exact at integer offsets so that integer Grams are exactly the identity
-    if d == math.floor(d):
-        return 1.0 if d == 0.0 else 0.0
-    return math.sin(math.pi * d) / (math.pi * d)
-
-
-def _truncated_product(u: complex, trunc: int) -> complex:
-    prod = 1.0 + 0.0j
-    mag = abs(u)
-    if mag == 0.0:
-        return prod
-    for n in range(trunc):
-        if (4 ** n) * math.log(mag) < _LOG_TINY:
-            break  # remaining factors are 1 to double precision
-        prod *= 1.0 + u ** (4 ** n)
-    return prod
+def _points(spec: KernelSpec, points) -> np.ndarray:
+    return FAMILY_TABLE[spec.family].points(spec, list(points))
 
 
 def eval_kernel(spec: KernelSpec, x, y):
     """K(x, y) for the given family; Hermitian in its two arguments."""
-    fam = spec.family
-    if fam == "brownian-min":
-        a, b = _real_scalar(x, fam), _real_scalar(y, fam)
-        if a < 0 or b < 0:
-            raise OutOfDomainError("brownian-min requires x, y >= 0")
-        return min(a, b)
-    if fam == "brownian-line":
-        a, b = _real_scalar(x, fam), _real_scalar(y, fam)
-        return min(abs(a), abs(b)) if a * b >= 0 else 0.0
-    if fam == "green-1d":
-        a, b = _real_scalar(x, fam), _real_scalar(y, fam)
-        if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
-            raise OutOfDomainError("green-1d requires points strictly inside (0, 1)")
-        return min(a, b) - a * b
-    if fam == "shannon":
-        a, b = _real_scalar(x, fam), _real_scalar(y, fam)
-        return _sinc_pi(a - b)
-    if fam == "szego":
-        z, w = _disk_scalar(x, fam), _disk_scalar(y, fam)
-        return 1.0 / (1.0 - z.conjugate() * w)
-    if fam == "cantor-product":
-        z, w = _disk_scalar(x, fam), _disk_scalar(y, fam)
-        return _truncated_product(z.conjugate() * w, spec.trunc)
-    if fam == "drury-arveson":
-        zx, zy = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
-        if zx.shape != (spec.dim,) or zy.shape != (spec.dim,):
-            raise DomainMismatchError(
-                f"drury-arveson({spec.dim}) expects complex vectors of length {spec.dim}"
-            )
-        for v in (zx, zy):
-            if np.sum(np.abs(v) ** 2) >= 1.0:
-                raise OutOfDomainError("drury-arveson requires sum |z_j|^2 < 1")
-        return 1.0 / (1.0 - np.vdot(zx, zy))
-    if fam == "overlap":
-        if not isinstance(x, IntervalSet) or not isinstance(y, IntervalSet):
-            raise DomainMismatchError("overlap expects IntervalSet points")
-        return measure_of_intervals(spec.measure, x.intersect(y).intervals)
-    raise ValueError(f"unknown family {fam!r}")  # pragma: no cover
+    return _evaluate(spec, _points(spec, [x]), _points(spec, [y]), (1,))[0]
 
 
 def gram(spec: KernelSpec, points) -> GramMatrix:
     """Gram matrix K_F over a finite point set F.
 
-    Entry (i, j) with i <= j is evaluated once; (j, i) is its conjugate,
-    so the matrix is Hermitian bitwise.  Diagonal entries of complex
-    families are real by the formulas; any residual rounding in their
-    imaginary parts is dropped.
+    The formula runs once on the n x n broadcast; entry (j, i) with i < j
+    is then replaced by the conjugate of (i, j), so the matrix is
+    Hermitian bitwise.  Diagonal entries of complex families are real by
+    the formulas; any residual rounding in their imaginary parts is
+    dropped.
     """
     ss = as_sample_set(points)
     _check_tag(spec, ss.domain)
     n = len(ss)
-    dtype = complex if spec.is_complex else float
-    g = np.zeros((n, n), dtype=dtype)
-    for i in range(n):
-        for j in range(i, n):
-            v = eval_kernel(spec, ss.points[i], ss.points[j])
-            if i == j:
-                g[i, i] = complex(v).real if spec.is_complex else v
-            else:
-                g[i, j] = v
-                g[j, i] = np.conj(v)
+    x = _points(spec, ss.points)
+    g = _evaluate(spec, x[:, None], x[None, :], (n, n))
+    lower = np.tril_indices(n, -1)
+    g[lower] = g.T[lower].conj()
+    if spec.is_complex:
+        g[np.diag_indices(n)] = g.diagonal().real
     return GramMatrix(n=n, entries=g, points=ss)
 
 
 def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     """Rectangular kernel matrix K(rows_i, cols_j); no symmetry assumed."""
-    rows, cols = list(rows), list(cols)
-    dtype = complex if spec.is_complex else float
-    out = np.zeros((len(rows), len(cols)), dtype=dtype)
-    for i, x in enumerate(rows):
-        for j, y in enumerate(cols):
-            out[i, j] = eval_kernel(spec, x, y)
-    return out
+    x, y = _points(spec, rows), _points(spec, cols)
+    return _evaluate(spec, x[:, None], y[None, :], (len(x), len(y)))
+
+
+def kernel_diagonal(spec: KernelSpec, points) -> np.ndarray:
+    """K(x, x) for every point, in one call; real, since K(x, x) = ||k_x||^2."""
+    x = _points(spec, points)
+    return _evaluate(spec, x, x, (len(x),)).real
 
 
 def validate_psd(g, tol: float = 1e-8):
     """(is_psd, min_eigenvalue) for a Hermitian matrix or GramMatrix.
 
-    Verdict: min eigenvalue >= -tol * max(1, max diagonal).  The
-    eigenvalue comes from the cyclic-Jacobi routine in `factorize`
-    (complex input goes through the real embedding, which preserves the
-    spectrum).  A 0 x 0 matrix is vacuously PSD with sentinel +inf.
+    Verdict: min eigenvalue >= -tol * max|G_ii|, a threshold relative to
+    the matrix (`factorize.matrix_scale`), so c * G gets the verdict of G
+    for every c > 0.  The eigenvalue comes from the cyclic-Jacobi routine
+    in `factorize` (complex input goes through the real embedding, which
+    preserves the spectrum).  A 0 x 0 matrix is vacuously PSD with
+    sentinel +inf.
     """
     from . import factorize
 
@@ -374,8 +510,7 @@ def validate_psd(g, tol: float = 1e-8):
         return True, math.inf
     res = factorize.jacobi_eigs(arr)
     min_eig = float(res.eigenvalues[-1])
-    scale = max(1.0, float(np.max(arr.diagonal().real)))
-    return bool(min_eig >= -tol * scale), min_eig
+    return bool(min_eig >= -tol * factorize.matrix_scale(arr)), min_eig
 
 
 @dataclass(frozen=True)
@@ -429,7 +564,7 @@ def overlap_rkhs_norm(
     # cross-route: <h, K^-1 h> through the finite Gram of the overlap
     # kernel on the cell sets, with h_i = Phi(cell_i).  Built as the full
     # Gram (and solved) when small; for large partitions only the diagonal
-    # is assembled, since disjoint cells make every off-diagonal entry 0.
+    # is evaluated, since disjoint cells make every off-diagonal entry 0.
     cell_sets = [IntervalSet(((float(l), float(r)),)) for l, r in zip(c.lefts, c.rights)]
     spec = overlap(measure)
     h = c.masses * vals
@@ -437,7 +572,7 @@ def overlap_rkhs_norm(
         kf = gram(spec, cell_sets).entries
         gram_norm_sq = float(h @ np.linalg.solve(kf, h))
     else:
-        kdiag = np.array([eval_kernel(spec, s, s) for s in cell_sets])
+        kdiag = kernel_diagonal(spec, cell_sets)
         gram_norm_sq = float(np.sum(np.abs(h) ** 2 / kdiag))
     return OverlapNormReport(
         norm=norm, phi_integrals=integrals, gram_norm_sq=gram_norm_sq, resolution=res

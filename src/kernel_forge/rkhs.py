@@ -212,13 +212,8 @@ def induced_graph(
     weights = inverse_gram(gram(spec, sample))
     if threshold is None:
         threshold = 1e-8 * float(np.max(np.abs(weights))) if weights.size else 0.0
-    n = weights.shape[0]
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if abs(weights[i, j]) > threshold
-    ]
+    rows, cols = np.nonzero(np.triu(np.abs(weights) > threshold, 1))  # row-major
+    edges = list(zip(rows.tolist(), cols.tolist()))
     return InducedGraph(
         vertices=sample, weights=weights, edges=edges, threshold=float(threshold)
     )

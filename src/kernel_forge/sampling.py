@@ -22,8 +22,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import NotIncreasingError, SingularMatrixError
-from .factorize import jacobi_eigs
-from .kernels import KernelSpec, SampleSet, as_sample_set, cross_gram, eval_kernel, gram
+from .factorize import jacobi_eigs, matrix_scale
+from .kernels import KernelSpec, SampleSet, as_sample_set, cross_gram, gram, kernel_diagonal
 
 __all__ = [
     "FrameReport",
@@ -89,7 +89,7 @@ def parseval_check(
     tests = list(test_points)
     sections = cross_gram(spec, tests, pts)  # tests x |S|
     sums = np.sum(np.abs(sections) ** 2, axis=1)
-    diags = np.array([eval_kernel(spec, x, x).real for x in tests], dtype=float)
+    diags = kernel_diagonal(spec, tests)
     deficits = np.abs(diags - sums)
     deficit = float(np.max(deficits)) if len(tests) else 0.0
 
@@ -123,7 +123,10 @@ def frame_bounds(spec: KernelSpec, s) -> tuple:
 
     On the span of the kernel sections at S the sampling-ratio
     sum |f(s)|^2 / ||f||^2 lies exactly in [lambda_min, lambda_max] of
-    K_S; the bounds come from the Jacobi oracle.
+    K_S; the bounds come from the Jacobi oracle.  The Gram counts as
+    numerically singular, and SingularMatrixError is raised, when
+    lambda_min <= 1e-12 * matrix_scale(K_S), a threshold relative to the
+    Gram, so the verdict does not depend on its scale.
     """
     sample = as_sample_set(s) if not isinstance(s, SampleSet) else s
     g = gram(spec, sample)
@@ -131,7 +134,7 @@ def frame_bounds(spec: KernelSpec, s) -> tuple:
         raise ValueError("frame bounds need at least one sample point")
     eigs = jacobi_eigs(g.entries).eigenvalues
     a, b = float(eigs[-1]), float(eigs[0])
-    if a <= 1e-12 * max(1.0, b):
+    if a <= 1e-12 * matrix_scale(g.entries):
         raise SingularMatrixError(
             f"Gram matrix is numerically singular (eigenvalue range [{a:.3e}, {b:.3e}])"
         )

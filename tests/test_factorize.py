@@ -228,3 +228,105 @@ def test_jacobi_matches_lapack(n, seed):
     expected = np.sort(np.linalg.eigvalsh(g))[::-1]
     np.testing.assert_allclose(res.eigenvalues, expected, atol=1e-9 * max(1.0, g.max()))
     assert list(res.eigenvalues) == sorted(res.eigenvalues, reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# scale-free verdicts: every tolerance is relative to the matrix
+
+
+def test_tiny_brownian_gram_is_positive_definite():
+    g = kf.gram(kf.brownian_min(), [1e-14, 2e-14, 3e-14])
+    f = kf.cholesky(g)
+    np.testing.assert_allclose(f.L @ f.L.T, g.entries, rtol=1e-15)
+    ok, min_eig = kf.validate_psd(g)
+    assert ok and min_eig > 0.0
+
+
+def test_tiny_indefinite_matrix_is_not_psd():
+    ok, min_eig = kf.validate_psd(1e-14 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert not ok
+    assert min_eig == pytest.approx(-1e-14, rel=1e-12)
+    res = kf.jacobi_eigs(1e-14 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+    np.testing.assert_allclose(res.eigenvalues, [3e-14, -1e-14], rtol=1e-12)
+    assert res.converged
+
+
+def test_tiny_asymmetric_matrix_is_not_hermitian():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        kf.cholesky(1e-10 * np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def test_jacobi_zero_matrix_converges():
+    res = kf.jacobi_eigs(np.zeros((3, 3)))
+    np.testing.assert_array_equal(res.eigenvalues, [0.0, 0.0, 0.0])
+    assert res.converged
+
+
+def _random_symmetric(seed):
+    """A 4 x 4 symmetric matrix, usually indefinite."""
+    a = np.random.default_rng(seed).standard_normal((4, 4))
+    return a + a.T
+
+
+def _verdicts(g, spec=None, pts=None):
+    try:
+        kf.cholesky(g)
+        chol = "ok"
+    except kf.NotPositiveDefiniteError:
+        chol = "not-pd"
+    ok, _ = kf.validate_psd(g)
+    out = [chol, ok]
+    if spec is not None:
+        try:
+            kf.frame_bounds(spec, pts)
+            out.append("frame")
+        except kf.SingularMatrixError:
+            out.append("singular")
+    return out
+
+
+# c = 4^k spans [3.6e-12, 2.7e11]; a power of four scales every product,
+# square root and Jacobi rotation exactly, so only a threshold that does
+# not scale with the matrix could change a verdict
+SCALES = [4.0 ** k for k in (-19, -13, -7, 7, 13, 19)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["brownian-min", "brownian-line"]),
+    st.lists(
+        st.floats(min_value=0.01, max_value=50.0, allow_nan=False),
+        min_size=1,
+        max_size=7,
+        unique=True,
+    ),
+)
+def test_brownian_verdicts_do_not_depend_on_scale(family, points):
+    # min(c x, c y) = c min(x, y), so scaling the points scales the Gram
+    spec = kf.KernelSpec(family)
+    pts = sorted(points)
+    g = kf.gram(spec, pts)
+    expected = _verdicts(g, spec, pts)
+    for c in SCALES:
+        scaled = [c * x for x in pts]
+        gc = kf.gram(spec, scaled)
+        np.testing.assert_array_equal(gc.entries, c * g.entries)
+        assert _verdicts(gc, spec, scaled) == expected, c
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.lists(
+            st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        ).map(lambda pts: kf.gram(kf.szego(), pts).entries),
+        st.integers(min_value=0, max_value=2**31).map(_random_symmetric),
+    ),
+)
+def test_matrix_verdicts_do_not_depend_on_scale(g):
+    expected = _verdicts(g)
+    for c in SCALES:
+        assert _verdicts(c * g) == expected, c

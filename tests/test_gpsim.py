@@ -59,6 +59,16 @@ def test_gaussian_vector_zero_matrix():
     np.testing.assert_array_equal(ens.paths, np.zeros((50, 3)))
 
 
+def test_gaussian_vector_small_singular_matrix():
+    # rank one at scale 1e-6: the ridge retry must succeed at any scale
+    g = 1e-6 * np.array([[1.0, 1.0], [1.0, 1.0]])
+    ens = gpsim.sample_gaussian_vector(g, n_paths=2000, seed=5)
+    np.testing.assert_allclose(ens.paths[:, 0], ens.paths[:, 1], atol=1e-8)
+    emp = gpsim.empirical_covariance(ens)
+    tol = 5.0 * float(np.abs(g).max()) / np.sqrt(2000)
+    assert float(np.max(np.abs(emp - g))) <= tol
+
+
 def test_gaussian_vector_brownian_covariance():
     g = kf.gram(kf.brownian_min(), [1.0, 2.0, 3.0])
     ens = gpsim.sample_gaussian_vector(g, n_paths=100_000, seed=42)

@@ -106,6 +106,18 @@ def test_induced_graph_brownian_is_a_path():
     assert all(i != j for i, j in g.edges)
 
 
+def test_induced_graph_edges_are_row_major_int_pairs():
+    rng = np.random.default_rng(11)
+    pts = sorted(rng.uniform(-5.0, 5.0, size=12))
+    g = kf.induced_graph(kf.brownian_line(), pts, threshold=1e-3)
+    n = len(pts)
+    expected = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if abs(g.weights[i, j]) > 1e-3
+    ]
+    assert g.edges == expected and expected
+    assert all(type(i) is int and type(j) is int for i, j in g.edges)
+
+
 def test_extend_spline_tent():
     spec = kf.brownian_line()
     pts = [2.0, 3.0, 4.0]
