@@ -4,9 +4,11 @@ The Cholesky core is a hand-rolled right-looking column sweep; the
 first-hitting-time Gram matrices of the Brownian family admit a
 closed-form factor built from increment square roots, and the generic
 routine must reproduce it.  Spectra come from two independent routes
-that the test suite cross-checks against each other: an alternating
-Cholesky iteration (factor, transpose-swap, repeat, until the matrix is
-numerically diagonal) and a classical cyclic Jacobi sweep.
+that the test suite cross-checks against each other: a shifted
+alternating Cholesky iteration (factor B - sI, transpose-swap, add sI
+back, repeat, until the matrix is numerically diagonal) and Jacobi
+rotation sweeps in Brent-Luk round-robin order, where each round rotates
+up to n/2 disjoint pairs at once.
 
 Complex Hermitian matrices are handled throughout by the real block
 embedding [[Re, -Im], [Im, Re]], which is symmetric, positive definite
@@ -43,6 +45,7 @@ __all__ = [
 
 _EIG_FLOOR = 1e-10  # negative eigenvalues above -floor*scale are rounding noise
 _MAX_JACOBI_SWEEPS = 60
+_EPS = float(np.finfo(float).eps)
 
 
 def matrix_scale(arr: np.ndarray) -> float:
@@ -56,10 +59,17 @@ def matrix_scale(arr: np.ndarray) -> float:
 
 
 def _as_matrix(g) -> np.ndarray:
-    """Coerce a GramMatrix or array-like to a fresh square 2-D ndarray."""
+    """Coerce a GramMatrix or array-like to a fresh square 2-D ndarray.
+
+    A NaN or infinite entry raises ValueError: no factorization or spectrum
+    of such a matrix means anything, and every routine in this module
+    takes its input through here.
+    """
     arr = np.array(g.entries if isinstance(g, GramMatrix) else g)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix has a NaN or infinite entry")
     if np.iscomplexobj(arr) and not np.any(arr.imag):
         arr = arr.real.copy()
     return arr.astype(complex if np.iscomplexobj(arr) else float)
@@ -241,41 +251,93 @@ def _lr_step_2x2(a, b, d, stop, start, max_iter):
     return (a, d), it, abs(b) < stop
 
 
-def _split_components(mask: np.ndarray):
-    """Connected components of a symmetric boolean coupling pattern."""
-    m = mask.shape[0]
-    unseen = set(range(m))
-    comps = []
-    while unseen:
-        stack = [unseen.pop()]
-        comp = set(stack)
-        while stack:
-            i = stack.pop()
-            for j in np.flatnonzero(mask[i]):
-                if j in unseen:
-                    unseen.remove(j)
-                    comp.add(int(j))
-                    stack.append(int(j))
-        comps.append(sorted(comp))
-    return comps
+def _gershgorin_shift(block: np.ndarray, off: np.ndarray) -> float:
+    """A shift below lambda_min(block): the Gershgorin bound, backed off.
+
+    `off` is |block| with a zero diagonal.  The bound min_i(B_ii - R_i) is
+    lowered by m * eps * max_i(B_ii + R_i), which covers the rounding in
+    the row sums; a bound at or below 0 gives no shift.
+    """
+    diagonal = np.diagonal(block)
+    radii = off.sum(axis=1)
+    bound = float(np.min(diagonal - radii))
+    reach = float(np.max(diagonal + radii))
+    return max(bound - block.shape[0] * _EPS * reach, 0.0)
+
+
+def _lr_factor(block: np.ndarray, diag, shift: float):
+    """(A, s) with A @ A.T = block - s*I, for one shifted LR step.
+
+    A shift whose factorization fails falls back to s = 0; if the unshifted
+    factorization fails too, the block is not positive definite.  The
+    inner factorization is a plain primitive; the public `cholesky` op
+    keeps the hand-rolled sweep.  It is numpy's, like the product that
+    follows it: scipy's LAPACK brings its own BLAS thread pool, and two
+    pools taking turns stalled each other (10x slower at n = 200 on two
+    cores).
+    """
+    if shift > 0.0:
+        shifted = block.copy()
+        shifted[diag] -= shift
+        try:
+            return np.linalg.cholesky(shifted), shift
+        except np.linalg.LinAlgError:
+            pass
+    try:
+        return np.linalg.cholesky(block), 0.0
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(
+            f"iterate of size {block.shape[0]} is not positive definite"
+        ) from exc
+
+
+def _components(coupled: np.ndarray) -> np.ndarray:
+    """Component labels of a coupling pattern, one label per index.
+
+    Min-label propagation with pointer jumping: every index takes the
+    smallest label among its own and its neighbours', then the label of
+    that label.  Labels only fall and always name a member of the index's
+    component, so they settle with each component labelled by one of its
+    members, which labels itself.
+    """
+    coupled = coupled | coupled.T
+    labels = np.arange(coupled.shape[0])
+    while True:
+        settled = np.minimum(labels, np.where(coupled, labels, labels.size).min(axis=1))
+        settled = settled[settled]
+        if np.array_equal(settled, labels):
+            return labels
+        labels = settled
 
 
 def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralResult:
-    """Spectrum of a positive-definite matrix by alternating Cholesky.
+    """Spectrum of a positive-definite matrix by shifted alternating Cholesky.
 
-    Iterate B_0 = G, B_{k+1} = A_k.T @ A_k where B_k = A_k @ A_k.T is the
-    Cholesky factorization; the iterates share G's spectrum and converge
+    Iterate B_0 = G, B_{k+1} = A_k.T @ A_k + s_k I where
+    B_k - s_k I = A_k @ A_k.T is the Cholesky factorization (Rutishauser's
+    LR iteration with shifts); the iterates share G's spectrum and converge
     to the diagonal eigenvalue matrix.  Iteration stops when the
     off-diagonal infinity norm drops below ``tol * trace(G)``.
 
+    The shift s_k of a block of size 3 or more is its Gershgorin lower
+    bound on lambda_min, lowered by a rounding margin and clipped at 0.
+    If the shifted factorization fails anyway, the step retries with
+    s_k = 0, and if that fails too the iterate, hence G, is not positive
+    definite and NotPositiveDefiniteError is raised.  The shift turns the
+    convergence ratio lambda_j / lambda_i of a coupling into
+    (lambda_j - s) / (lambda_i - s), so the bottom of the spectrum splits
+    off within a few steps.  2 x 2 blocks iterate unshifted on scalars.
+
     Couplings already below 1% of the stop threshold (divided by n) are
     treated as converged zeros, which splits the matrix into independent
-    diagonal blocks; the perturbation this introduces is two orders of
-    magnitude below the stop tolerance.  Blocks iterate separately, and
-    `iterations` reports the deepest chain.  Convergence for eigenvalue
-    clusters is linear with ratio equal to the eigenvalue ratio, so tight
-    clusters may need far more than the default budget; non-convergence
-    returns ``converged=False`` with the current diagonal.
+    diagonal blocks (the connected components of the couplings above that
+    threshold, tested every 8 steps and whenever an index is isolated);
+    the perturbation this introduces is two orders of magnitude below the
+    stop tolerance.  Blocks iterate separately, and `iterations` reports
+    the deepest chain.  Convergence for eigenvalue clusters is linear with
+    ratio equal to the shifted eigenvalue ratio, so tight clusters may
+    need far more than the default budget; non-convergence returns
+    ``converged=False`` with the current diagonal.
 
     Complex Hermitian input goes through the real block embedding and
     the doubled spectrum is de-duplicated afterwards.
@@ -293,11 +355,13 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
     stop = tol * max(trace, 1e-300)
     deflate = 0.01 * stop / n
     finished: list[float] = []
-    pending = [(arr, 0)]
+    # (block, depth, local): a block split off as a component is connected,
+    # so its first split test waits a full period
+    pending = [(arr, 0, 0)]
     deepest = 0
     converged = True
     while pending:
-        block, depth = pending.pop()
+        block, depth, local = pending.pop()
         m = block.shape[0]
         if m == 1:
             finished.append(float(block[0, 0]))
@@ -311,10 +375,10 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
             deepest = max(deepest, depth)
             converged &= ok
             continue
-        local = 0
+        diag = np.diag_indices(m)
         while True:
             off = np.abs(block)
-            np.fill_diagonal(off, 0.0)
+            off[diag] = 0.0
             if off.max() < stop:
                 finished.extend(np.diag(block))
                 deepest = max(deepest, depth)
@@ -324,51 +388,87 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
                 deepest = max(deepest, depth)
                 converged = False
                 break
-            if local % 8 == 0:
-                comps = _split_components(off > deflate)
-                if len(comps) > 1:
-                    for comp in comps:
-                        if len(comp) == 1:
+            coupled = off > deflate
+            # the shift decouples the bottom of the spectrum within a step
+            # or two, so an isolated index is split off at once instead of
+            # riding along to the next periodic test
+            if local % 8 == 0 or not coupled.any(axis=1).all():
+                labels = _components(coupled)
+                roots = np.flatnonzero(labels == np.arange(m))
+                if roots.size > 1:
+                    for root in roots:
+                        comp = np.flatnonzero(labels == root)
+                        if comp.size == 1:
                             finished.append(float(block[comp[0], comp[0]]))
                         else:
-                            pending.append((block[np.ix_(comp, comp)], depth))
+                            pending.append((block[np.ix_(comp, comp)], depth, 1))
                     break
-            try:
-                # inner factorization is a plain primitive; the public
-                # `cholesky` op keeps the hand-rolled sweep
-                lower = np.linalg.cholesky(block)
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefiniteError(
-                    f"iterate of size {block.shape[0]} is not positive definite"
-                ) from exc
+            lower, shift = _lr_factor(block, diag, _gershgorin_shift(block, off))
             block = lower.T @ lower
+            if shift:
+                block[diag] += shift
             depth += 1
             local += 1
     return _finish_spectrum(finished, deepest, converged, scale, dedup)
 
 
-def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
-    """Spectrum of a Hermitian matrix by classical cyclic Jacobi sweeps.
+def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Brent-Luk round-robin schedule for the pairs of range(n), as seatings.
 
-    Rotations zero one off-diagonal pair at a time; sweeps repeat until
-    the off-diagonal Frobenius norm falls to ``tol * ||G||_F`` (relative,
-    and invariant under the rotations).  `converged` reports whether that
-    threshold was actually reached: a threshold below rounding noise
-    terminates once a full sweep performs no rotations.  Serves as the
-    independent reference oracle for `alt_cholesky_eigs` and for PSD
-    validation.
+    The n indices, padded with a dummy index n when n is odd, sit in
+    m = n + n % 2 slots; in every round slot 2k pairs with slot 2k + 1, so
+    a round holds m / 2 disjoint pairs, and pairs with the dummy are
+    skipped.  Returns (order, step): `order[k]` is the index in slot k in
+    the first round, and each next round reseats by `step` (slot k then
+    holds what slot step[k] held).  This is the circle method: index 0
+    keeps its seat and the others move one seat along, so after m - 1
+    rounds, one sweep, every unordered pair has met exactly once and the
+    seating is `order` again.
+    """
+    m = n + n % 2
+    h = m // 2
+    # seats 0..m-1 round a table: seat j faces seat m-1-j; slot 2k holds
+    # seat k and slot 2k + 1 the seat facing it
+    seat = np.empty(m, dtype=np.intp)
+    seat[0::2] = np.arange(h)
+    seat[1::2] = np.arange(m - 1, h - 1, -1)
+    slot_of_seat = np.argsort(seat)
+    previous = np.concatenate(([0, m - 1], np.arange(1, m - 1)))
+    return seat, slot_of_seat[previous[seat]]
+
+
+def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
+    """Spectrum of a Hermitian matrix by round-robin Jacobi sweeps.
+
+    A sweep visits every off-diagonal pair once, in the Brent-Luk
+    round-robin order (`_round_robin`): each round holds up to n/2
+    disjoint pairs, so their rotations commute and apply together as one
+    column update and one row update, with every angle computed at once.
+    Sweeps repeat until the off-diagonal Frobenius norm falls to
+    ``tol * ||G||_F`` (relative, and invariant under the rotations).  The
+    first five sweeps skip couplings below off/n; every sweep skips those
+    below rounding noise, 1e-15 * (|a_pp| + |a_qq|).  `converged` reports
+    whether the threshold was actually reached: a threshold below rounding
+    noise terminates once a full sweep performs no rotations.  No LAPACK
+    eigensolver is involved, so this serves as the independent reference
+    oracle for `alt_cholesky_eigs` and for PSD validation.
     """
     arr = _as_matrix(g)
     _check_hermitian(arr)
     dedup = np.iscomplexobj(arr)
     if dedup:
         arr = real_embedding(arr)
-    a = np.array(arr, dtype=float)
-    n = a.shape[0]
-    scale = matrix_scale(a)
+    n = arr.shape[0]
+    scale = matrix_scale(arr)
     if n <= 1:
-        return _finish_spectrum(np.diag(a), 0, True, scale, dedup)
-    stop = tol * float(np.sqrt(np.sum(a * a)))
+        return _finish_spectrum(np.diag(arr), 0, True, scale, dedup)
+    stop = tol * float(np.sqrt(np.sum(arr * arr)))
+    # an odd size gains a zero row and column: its couplings are 0, so it
+    # is never rotated and stays exactly zero
+    m = n + n % 2
+    stride = 2 * m + 2  # from a_pp of one pair to a_pp of the next
+    order, step = _round_robin(n)
+    a = np.pad(arr, (0, m - n)).take(order, 0).take(order, 1)
 
     def off_frobenius():
         off = a - np.diag(np.diag(a))
@@ -383,26 +483,28 @@ def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
         # sweeps rotate everything above rounding noise
         gate = current / n if sweeps < 5 else 0.0
         rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                noise = 1e-15 * (abs(a[p, p]) + abs(a[q, q]))
-                if abs(apq) <= max(gate, noise):
-                    continue
+        for _ in range(m - 1):
+            # slot 2k holds p and slot 2k + 1 holds q
+            flat = a.reshape(-1)
+            app, apq, aqq = flat[::stride], flat[1::stride], flat[m + 1 :: stride]
+            rot = np.abs(apq) > np.maximum(gate, 1e-15 * (np.abs(app) + np.abs(aqq)))
+            if rot.any():
                 rotated = True
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
+                # tan(2 phi) = 2 a_pq / (a_qq - a_pp) with |phi| <= pi/4; a
+                # skipped pair gets phi = 0, so c = 1 and s = 0
+                diff = aqq - app
+                twice = np.arctan2(apq * np.copysign(rot, diff), 0.5 * np.abs(diff))
+                # a column pair read as a_p + i a_q turns by c + i s:
+                # a_p <- c a_p - s a_q and a_q <- s a_p + c a_q.  Turning the
+                # columns of a, then those of its transpose, gives J' a J;
+                # the row gather of the next round's seating rides along
+                turn = np.exp(0.5j * twice)
+                a = (a.view(complex) * turn).view(float).T.take(step, 0)
+                a = (a.view(complex) * turn).view(float).take(step, 1)
+            else:
+                a = a.take(step, 0).take(step, 1)  # the next round's seating
         sweeps += 1
         if not rotated:
             break
-    return _finish_spectrum(np.diag(a), sweeps, off_frobenius() <= stop, scale, dedup)
+    values = np.diag(a)[order < n]
+    return _finish_spectrum(values, sweeps, off_frobenius() <= stop, scale, dedup)

@@ -498,10 +498,10 @@ def validate_psd(g, tol: float = 1e-8):
 
     Verdict: min eigenvalue >= -tol * max|G_ii|, a threshold relative to
     the matrix (`factorize.matrix_scale`), so c * G gets the verdict of G
-    for every c > 0.  The eigenvalue comes from the cyclic-Jacobi routine
-    in `factorize` (complex input goes through the real embedding, which
-    preserves the spectrum).  A 0 x 0 matrix is vacuously PSD with
-    sentinel +inf.
+    for every c > 0.  The eigenvalue comes from the round-robin Jacobi
+    routine in `factorize` (complex input goes through the real embedding,
+    which preserves the spectrum).  A 0 x 0 matrix is vacuously PSD with
+    sentinel +inf; a NaN or infinite entry raises ValueError.
     """
     from . import factorize
 
