@@ -4,6 +4,8 @@ Monte Carlo assertions use CLT-sized tolerances (5 sigma over sqrt(paths));
 each is pinned to a fixed seed so a failure is a real regression, not noise.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,11 +32,37 @@ def test_rng_uniforms_in_open_interval():
     assert np.all(u > 0.0) and np.all(u < 1.0)
 
 
-def test_rng_block_matches_per_path():
+@pytest.mark.parametrize("count", [1, 3, 5, 16, 4095])
+def test_rng_block_matches_per_path(count):
+    # counts off Philox's 4-word buffer catch a reused generator whose
+    # buffer position was not reset between paths
     pol = RngSeedPolicy(99)
-    block = pol.normal_block(first_path=5, n_paths=3, count=16)
+    block = pol.normal_block(first_path=5, n_paths=3, count=count)
     for k in range(3):
-        np.testing.assert_array_equal(block[k], pol.normals(path=5 + k, count=16))
+        np.testing.assert_array_equal(block[k], pol.normals(path=5 + k, count=count))
+
+
+# sha256 of normal_block's bytes: the draws are pinned bit for bit, across a
+# seed >= 2^63, counts off the 4-word Philox buffer, a row longer than one
+# chunk, and a block above the parallel threshold
+GOLDEN_BLOCKS = [
+    ((0, 0, 3, 16), "11b191dfe459ef08f70b78fd55062787f84c9882f2b99280c13c2ffb2eb3c2fe"),
+    ((99, 5, 7, 5), "04a856396e0ee3e5864c7a39f818a4f6aec27310af802676c2ac9d4fdb02767a"),
+    ((2**63 + 12345, 1000, 4, 4095),
+     "c81a8292ddf49911a3f5b6c2048ce9127f7afb182375ddb4e7a85ff628ccc99f"),
+    ((2**64 - 1, 2**40, 2, 1), "ff1d53fd9b8480ecd34f2f78be56c7ea44aad073c42149b2d41e0fe78ef6b4a4"),
+    ((3, 0, 2, 70001), "73117c56c5068d291c183ea9d3a9c96adc588db177070de31b3a4aff9efb96a7"),
+    ((7, 3, 300, 4096), "1096be5102c9ad50c68a390c25edddeb44a1e2a03d3482ce62acd541df42038f"),
+]
+
+
+@pytest.mark.parametrize("case,digest", GOLDEN_BLOCKS)
+def test_rng_block_golden(case, digest):
+    seed, first_path, n_paths, count = case
+    block = RngSeedPolicy(seed).normal_block(first_path, n_paths, count)
+    assert block.shape == (n_paths, count) and block.dtype == np.float64
+    assert block.flags.c_contiguous
+    assert hashlib.sha256(block.tobytes()).hexdigest() == digest
 
 
 def test_rng_rejects_bad_seed():
