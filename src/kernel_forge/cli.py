@@ -3,9 +3,10 @@
 Every run is reproducible: seeds default to 0 and are never time-based,
 JSON reports are schema-versioned with sorted keys, and identical argv
 produces byte-identical output.  `--threads` (or KERNEL_FORGE_THREADS)
-caps worker counts without changing any result; the current
-orchestration is single-threaded, so the flag is validated and recorded
-only.
+caps the workers of the Monte Carlo draw engine (`gpsim`), which fills
+blocks of at least 2^20 normals chunk by chunk on a thread pool of
+min(cap, usable cores, chunks) workers; unset means usable cores.  No
+result depends on it: every chunk writes its own rows.
 
 Exit codes: 0 success, 1 numerical failure (matrix not positive
 definite, singular system), 2 usage or input error.
@@ -551,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker cap (results never depend on it); falls back to "
-        "KERNEL_FORGE_THREADS",
+        help="worker cap of the Monte Carlo draw engine (results never depend "
+        "on it); falls back to KERNEL_FORGE_THREADS, then usable cores",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -735,10 +736,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_threads(args) -> int:
+    """Worker cap from --threads, else KERNEL_FORGE_THREADS, else usable cores."""
     value = args.threads
     if value is None:
         env = os.environ.get("KERNEL_FORGE_THREADS")
-        value = int(env) if env else 1
+        value = int(env) if env else gpsim._usable_cores()
     if value < 1:
         raise ValueError("--threads must be a positive integer")
     return value
@@ -752,13 +754,14 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        _resolve_threads(args)
+        threads = _resolve_threads(args)
         if args.command == "frame" and args.frame_command == "check":
             if not args.test_points and not args.test:
                 raise ValueError("frame check needs --test-points or --test")
         if args.command == "witness" and args.rule == "custom" and not args.slopes:
             raise ValueError("--rule custom needs --slopes")
-        return args.handler(args)
+        with gpsim._capped_workers(threads):
+            return args.handler(args)
     except KernelForgeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL if isinstance(exc, ArithmeticError) else EXIT_USAGE

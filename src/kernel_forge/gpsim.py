@@ -14,15 +14,34 @@ by (s, p).  Raw 64-bit words map to open-interval uniforms via
 u = ((word >> 11) + 0.5) * 2^-53, and to normals via the inverse CDF
 (scipy.special.ndtri).  Draws depend only on (seed, path, position), so
 results are identical across block sizes, thread counts, and platforms.
+
 Increments and frame coefficients stay real; complex-valued processes
 arise only through complex feature functions, except for direct sampling
 of a complex Gram matrix, which combines the real-embedding Cholesky
 factor into an n x 2n complex factor M with M M^H = G.
+
+`RngSeedPolicy.normal_block` is the one draw engine.  It fills its
+(paths, count) output in place, in row chunks of about 64k normals, so
+each chunk's word buffer stays in cache: one Philox generator per chunk
+is rekeyed per path, and the shift, the offset, the scale and ndtri all
+write into the output.  A block of at least 2^20 normals runs its chunks
+on a thread pool (Philox, the ufuncs and ndtri release the GIL) with
+min(cap, usable cores, chunks) workers, the cap coming from the CLI's
+--threads / KERNEL_FORGE_THREADS; smaller blocks run the same chunk
+function inline.  Chunks write disjoint rows, so neither the chunking nor
+the worker count can change a bit of the output.  The synthesizers mix
+draws into paths with one helper, on fixed tiles of 2048 paths (BLAS
+rounds a product's rows by its shape, so the shape must not follow the
+block size); a complex mixer is applied as two real products, so the
+draws are never upcast to complex.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -57,9 +76,37 @@ __all__ = [
 ]
 
 PATH_BLOCK = 2048
+_MIX_TILE = 2048  # paths per mixing product; fixed, so rounding is too
 MAX_MATERIALIZED_ENTRIES = 1 << 27  # ~1 GiB of float64; beyond this, stream
 
 _TWO_NEG53 = 2.0 ** -53
+_CHUNK_NORMALS = 1 << 16  # per chunk: the 512 KiB word buffer stays in cache
+_PARALLEL_MIN_NORMALS = 1 << 20  # smaller blocks fill their chunks inline
+_worker_cap: Optional[int] = None  # the CLI's --threads; None means usable cores
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _worker_count(n_chunks: int) -> int:
+    """Workers for a block of n_chunks chunks; starts no thread."""
+    cores = _usable_cores()
+    return max(1, min(_worker_cap or cores, cores, n_chunks))
+
+
+@contextmanager
+def _capped_workers(cap: Optional[int]):
+    """Cap the draw engine's workers inside the `with` body (the CLI's --threads)."""
+    global _worker_cap
+    previous, _worker_cap = _worker_cap, cap
+    try:
+        yield
+    finally:
+        _worker_cap = previous
 
 
 @dataclass(frozen=True)
@@ -92,18 +139,90 @@ class RngSeedPolicy:
         return ndtri(self.uniforms(path, count))
 
     def normal_block(self, first_path: int, n_paths: int, count: int) -> np.ndarray:
-        """(n_paths, count) standard normals; ndtri applied once per block."""
-        words = np.empty((n_paths, count), dtype=np.uint64)
-        for p in range(n_paths):
-            words[p] = self.raw(first_path + p, count)
-        return ndtri(((words >> np.uint64(11)) + 0.5) * _TWO_NEG53)
+        """(n_paths, count) standard normals, row k from path first_path + k.
+
+        Bit-identical to stacking `normals(path, count)`; filled in place,
+        chunk by chunk, on a worker pool when the block is large.
+        """
+        out = np.empty((n_paths, count))
+        per_chunk = max(1, _CHUNK_NORMALS // max(count, 1))
+        starts = range(0, n_paths, per_chunk)
+
+        def fill(start):
+            self._fill_chunk(first_path + start, out[start : start + per_chunk])
+
+        workers = _worker_count(len(starts)) if out.size >= _PARALLEL_MIN_NORMALS else 1
+        if workers > 1:
+            with ThreadPoolExecutor(workers) as pool:
+                for _ in pool.map(fill, starts):
+                    pass
+        else:
+            for start in starts:
+                fill(start)
+        return out
+
+    def _fill_chunk(self, first_path: int, rows: np.ndarray) -> None:
+        """Write the normals of paths first_path, first_path + 1, ... into rows."""
+        count = rows.shape[1]
+        words = np.empty(rows.shape, dtype=np.uint64)
+        # rekeying one generator to counter 0 with an empty 4-word buffer
+        # is the state of a freshly keyed Philox, without its construction
+        key = [self.master_seed, 0]
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        bitgen = np.random.Philox(0)
+        for k in range(rows.shape[0]):
+            key[1] = first_path + k
+            bitgen.state = state
+            words[k] = bitgen.random_raw(count)
+        words >>= np.uint64(11)
+        np.add(words, 0.5, out=rows)
+        rows *= _TWO_NEG53
+        ndtri(rows, out=rows)
 
 
-def _path_blocks(n_paths: int, block: int = PATH_BLOCK):
+def _path_blocks(n_paths: int, block: Optional[int] = None):
+    block = block or PATH_BLOCK  # read per call, so the block size can be varied
     start = 0
     while start < n_paths:
         yield start, min(block, n_paths - start)
         start += block
+
+
+def _mix_paths(policy: RngSeedPolicy, n_paths: int, mixer: np.ndarray) -> np.ndarray:
+    """(n_paths, cols) rows z @ mixer, with z drawn one path block at a time.
+
+    BLAS rounds a row of a product differently for different row counts,
+    so the products run on fixed tiles of _MIX_TILE paths aligned to path
+    0, each drawn in path blocks: no block size changes a bit.  A complex
+    mixer is applied as two real products, out.real = z @ re and
+    out.imag = z @ im; `z @ mixer` would copy z to complex and run a
+    complex gemm, at twice the memory and several times the time.
+    """
+    draws = mixer.shape[0]
+    out = np.empty((n_paths, mixer.shape[1]), dtype=mixer.dtype)
+    if np.iscomplexobj(mixer):
+        parts = (
+            (out.real, np.ascontiguousarray(mixer.real)),
+            (out.imag, np.ascontiguousarray(mixer.imag)),
+        )
+    else:
+        parts = ((out, mixer),)
+    for start, rows in _path_blocks(n_paths, _MIX_TILE):
+        blocks = [
+            policy.normal_block(start + first, count, draws)
+            for first, count in _path_blocks(rows)
+        ]
+        z = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        for dest, m in parts:
+            dest[start : start + rows] = z @ m
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,8 +308,27 @@ class FactorizationPair:
         return vals.astype(complex if self.complex_valued else float)
 
     def feature_matrix(self, grid, reps: np.ndarray) -> np.ndarray:
-        rows = [self.feature_row(x, reps) for x in grid]
-        return np.array(rows)
+        """grid x reps matrix of feature_row(x, reps), bit for bit.
+
+        The built-in kinds broadcast one grid x cells evaluation; the
+        cell factors e(-4^n t) are computed once, and z^{4^n} stays a
+        Python complex power per grid point, as in feature_row.
+        """
+        grid = list(grid)
+        if self.kind == "custom" or not grid:
+            return np.array([self.feature_row(x, reps) for x in grid])
+        if self.kind == "indicator":
+            xs = np.array([float(x) for x in grid])
+            return (reps <= xs[:, None]).astype(float)
+        zs = [complex(x) for x in grid]
+        if self.kind == "szego":
+            return 1.0 / (1.0 - np.array(zs)[:, None] * np.exp(-2j * np.pi * reps))
+        out = np.ones((len(grid), len(reps)), dtype=complex)
+        for n in range(self.trunc):
+            p = 4 ** n
+            powers = np.array([z ** p for z in zs])[:, None]
+            out *= 1.0 + powers * np.exp(-2j * np.pi * p * reps)
+        return out
 
 
 def pair_ex1(measure: Optional[MeasureModel] = None) -> FactorizationPair:
@@ -273,12 +411,8 @@ def sample_gaussian_vector(g, n_paths: int, seed: int = 0) -> PathEnsemble:
             if is_complex
             else cholesky(arr, ridge=ridge).L
         )
-    draws = factor.shape[1]
     mixer = factor.conj().T  # (draws, n); real case: plain transpose
-    out = np.empty((n_paths, n), dtype=complex if is_complex else float)
-    for start, count in _path_blocks(n_paths):
-        z = policy.normal_block(start, count, draws)
-        out[start : start + count] = z @ mixer
+    out = _mix_paths(policy, n_paths, mixer)
     return PathEnsemble(grid=grid, paths=out, seed=policy.master_seed)
 
 
@@ -297,7 +431,11 @@ def wiener_increments(
     roots = np.sqrt(part.masses)
     matrix = np.empty((n_paths, n_cells))
     for start, count in _path_blocks(n_paths):
-        matrix[start : start + count] = policy.normal_block(start, count, n_cells) * roots
+        np.multiply(
+            policy.normal_block(start, count, n_cells),
+            roots,
+            out=matrix[start : start + count],
+        )
     return WienerIncrements(
         measure=m, resolution=resolution, matrix=matrix, seed=policy.master_seed
     )
@@ -347,11 +485,7 @@ def ito_synthesize(
     policy = RngSeedPolicy(seed)
     roots = np.sqrt(part.masses)
     mixer = (phi * roots).T  # cells x grid: z @ mixer = sum k(s_i) sqrt(m_i) z_i
-    out = np.empty((n_paths, len(grid)), dtype=mixer.dtype)
-    n_cells = len(part.masses)
-    for start, count in _path_blocks(n_paths):
-        z = policy.normal_block(start, count, n_cells)
-        out[start : start + count] = z @ mixer
+    out = _mix_paths(policy, n_paths, mixer)
     return PathEnsemble(
         grid=grid, paths=out, seed=policy.master_seed, partition_resolution=resolution
     )
@@ -367,12 +501,10 @@ def frame_synthesize(g_functions, x_grid, n_paths: int, seed: int = 0) -> PathEn
         raise ValueError("n_paths must be >= 1")
     grid = list(x_grid)
     cols = np.array([[fn(x) for fn in g_functions] for x in grid])  # grid x N
+    # a g_n that returns a one-element array adds a trailing axis
+    cols = cols.reshape(len(grid), cols.shape[1])
     policy = RngSeedPolicy(seed)
-    out = np.empty((n_paths, len(grid)), dtype=cols.dtype)
-    n_fns = cols.shape[1]
-    for start, count in _path_blocks(n_paths):
-        z = policy.normal_block(start, count, n_fns)
-        out[start : start + count] = z @ cols.T
+    out = _mix_paths(policy, n_paths, cols.T)
     return PathEnsemble(grid=grid, paths=out, seed=policy.master_seed)
 
 

@@ -8,11 +8,12 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from kernel_forge import cli, fileio
+from kernel_forge import cli, fileio, gpsim
 
 
 @pytest.fixture()
@@ -76,6 +77,57 @@ def test_threads_env_fallback(tmp_path, points_file, monkeypatch):
     monkeypatch.setenv("KERNEL_FORGE_THREADS", "-2")
     assert cli.run(["gram", "--kernel", "brownian-min",
                     "--points", points_file]) == 2
+
+
+def test_threads_cap_never_exceeds_usable_cores(points_file, monkeypatch):
+    # resolves the count only: no thread may start
+    monkeypatch.delenv("KERNEL_FORGE_THREADS", raising=False)
+    parser = cli.build_parser()
+    cmd = ["gram", "--kernel", "brownian-min", "--points", points_file]
+    threads = threading.active_count()
+    cap = cli._resolve_threads(parser.parse_args(["--threads", "100000"] + cmd))
+    assert cap == 100_000
+    with gpsim._capped_workers(cap):
+        assert gpsim._worker_count(10**9) == gpsim._usable_cores()
+    # unset means usable cores
+    assert cli._resolve_threads(parser.parse_args(cmd)) == gpsim._usable_cores()
+    assert threading.active_count() == threads
+
+
+@pytest.fixture()
+def disk_grid_file(tmp_path):
+    p = tmp_path / "disk.csv"
+    p.write_text("complex-disk\n0.2,0.0\n0.1,0.3\n-0.5,0.25\n")
+    return str(p)
+
+
+@pytest.mark.parametrize("example", ["ex2", "ex3"])
+@pytest.mark.parametrize("command", ["duality", "simulate"])
+def test_mc_bytes_independent_of_threads_and_blocks(
+    tmp_path, monkeypatch, disk_grid_file, example, command
+):
+    argv = [command, "--example", example, "--grid-file", disk_grid_file,
+            "--resolution", "7", "--paths", "300", "--seed", "2"]
+    code, ref = run_to_file(tmp_path, argv)
+    assert code == 0
+    pools = []
+
+    class Recording(gpsim.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    # a low threshold and small chunks make every block run on the pool
+    monkeypatch.setattr(gpsim, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(gpsim, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(gpsim, "_PARALLEL_MIN_NORMALS", 1)
+    monkeypatch.setattr(gpsim, "_CHUNK_NORMALS", 1000)
+    for block in (gpsim.PATH_BLOCK, 7):
+        monkeypatch.setattr(gpsim, "PATH_BLOCK", block)
+        for threads in ("1", "2", "9"):
+            code, raw = run_to_file(tmp_path, ["--threads", threads] + argv)
+            assert code == 0 and raw == ref, (block, threads)
+    assert set(pools) == {2, 4}
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ each is pinned to a fixed seed so a failure is a real regression, not noise.
 """
 
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -32,14 +34,14 @@ def test_rng_uniforms_in_open_interval():
     assert np.all(u > 0.0) and np.all(u < 1.0)
 
 
-@pytest.mark.parametrize("count", [1, 3, 5, 16, 4095])
-def test_rng_block_matches_per_path(count):
+def test_rng_block_matches_per_path():
     # counts off Philox's 4-word buffer catch a reused generator whose
     # buffer position was not reset between paths
     pol = RngSeedPolicy(99)
-    block = pol.normal_block(first_path=5, n_paths=3, count=count)
-    for k in range(3):
-        np.testing.assert_array_equal(block[k], pol.normals(path=5 + k, count=count))
+    for count in (1, 3, 5, 16, 4095):
+        block = pol.normal_block(first_path=5, n_paths=3, count=count)
+        for k in range(3):
+            np.testing.assert_array_equal(block[k], pol.normals(path=5 + k, count=count))
 
 
 # sha256 of normal_block's bytes: the draws are pinned bit for bit, across a
@@ -63,6 +65,63 @@ def test_rng_block_golden(case, digest):
     assert block.shape == (n_paths, count) and block.dtype == np.float64
     assert block.flags.c_contiguous
     assert hashlib.sha256(block.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("workers", [1, 2, 9])
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+def test_rng_block_independent_of_workers_and_chunks(monkeypatch, workers, chunk):
+    # a threshold of 1 sends every block through the pool, with up to 9
+    # workers whatever the host has, switching threads as often as it can
+    pol = RngSeedPolicy(2**63 + 3)
+    ref = pol.normal_block(4, 37, 33)
+    monkeypatch.setattr(gpsim, "_PARALLEL_MIN_NORMALS", 1)
+    monkeypatch.setattr(gpsim, "_CHUNK_NORMALS", chunk)
+    monkeypatch.setattr(gpsim, "_usable_cores", lambda: 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with gpsim._capped_workers(workers):
+            for _ in range(5):
+                np.testing.assert_array_equal(pol.normal_block(4, 37, 33), ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_rng_block_runs_on_the_pool(monkeypatch):
+    sizes = []
+
+    class Recording(gpsim.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(gpsim, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(gpsim, "_usable_cores", lambda: 4)
+    pol = RngSeedPolicy(5)
+    pol.normal_block(0, 8, 64)  # under the threshold: inline
+    assert sizes == []
+    monkeypatch.setattr(gpsim, "_PARALLEL_MIN_NORMALS", 1)
+    monkeypatch.setattr(gpsim, "_CHUNK_NORMALS", 64)
+    with gpsim._capped_workers(3):
+        block = pol.normal_block(0, 8, 64)
+    assert sizes == [3]
+    np.testing.assert_array_equal(block[7], pol.normals(path=7, count=64))
+
+
+def test_worker_count_is_capped_without_starting_threads(monkeypatch):
+    threads = threading.active_count()
+    cores = gpsim._usable_cores()
+    with gpsim._capped_workers(100_000):
+        assert gpsim._worker_count(10**9) == cores
+        assert gpsim._worker_count(1) == 1
+    with gpsim._capped_workers(1):
+        assert gpsim._worker_count(10**9) == 1
+    assert gpsim._worker_count(10**9) == cores  # no cap: usable cores
+    monkeypatch.setattr(gpsim, "_usable_cores", lambda: 3)
+    with gpsim._capped_workers(2):
+        assert gpsim._worker_count(64) == 2
+    assert gpsim._worker_count(64) == 3
+    assert threading.active_count() == threads
 
 
 def test_rng_rejects_bad_seed():
@@ -186,6 +245,57 @@ def test_ito_deterministic_across_block_sizes(monkeypatch):
     monkeypatch.setattr(gpsim, "PATH_BLOCK", 7)
     b = gpsim.ito_synthesize(pair, 6, grid, n_paths=300, seed=8).paths
     np.testing.assert_array_equal(a, b)
+
+
+def test_ito_complex_deterministic_across_block_sizes(monkeypatch):
+    pair = gpsim.pair_ex3(trunc=4)
+    grid = [0.2, 0.1 + 0.3j, -0.4j]
+    a = gpsim.ito_synthesize(pair, 6, grid, n_paths=300, seed=8).paths
+    monkeypatch.setattr(gpsim, "PATH_BLOCK", 7)
+    b = gpsim.ito_synthesize(pair, 6, grid, n_paths=300, seed=8).paths
+    assert a.dtype == complex
+    np.testing.assert_array_equal(a, b)
+
+
+def test_mix_real_mixer_is_plain_product():
+    pol = RngSeedPolicy(17)
+    mixer = np.random.default_rng(1).normal(size=(40, 5)).T.copy().T  # F-ordered
+    out = gpsim._mix_paths(pol, 30, mixer)
+    assert out.tobytes() == (pol.normal_block(0, 30, 40) @ mixer).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mix_complex_mixer_within_rounding_of_complex_product(seed):
+    # the real-split mix rounds differently from a complex gemm, but each
+    # part is one real dot product: 4 eps (|z| @ |mixer|) bounds the gap
+    rng = np.random.default_rng(seed)
+    mixer = rng.normal(size=(256, 6)) + 1j * rng.normal(size=(256, 6))
+    pol = RngSeedPolicy(seed)
+    out = gpsim._mix_paths(pol, 50, mixer)
+    z = pol.normal_block(0, 50, 256)
+    bound = 4 * np.finfo(float).eps * (np.abs(z) @ np.abs(mixer))
+    assert np.all(np.abs(out - z @ mixer) <= bound)
+
+
+@pytest.mark.parametrize(
+    "pair,grid",
+    [
+        (gpsim.pair_ex1(), [0.0, 0.3, 1 / 3, 0.5, 1.0]),
+        (gpsim.pair_ex1(), [0.25]),
+        (gpsim.pair_ex2(), [0.0, 0.5, -0.3 + 0.4j, 0.9j, 0.999]),
+        (gpsim.pair_ex3(), [0.0, 0.2, 0.1 + 0.3j, -0.7j, 0.95]),
+        (gpsim.pair_ex3(trunc=1), [0.5j, 0.3]),
+        (custom_pair(lambda x, s: np.cos(x * s), kf.lebesgue()), [0.0, 1.0, 2.5]),
+        (gpsim.pair_ex2(), []),
+    ],
+)
+@pytest.mark.parametrize("resolution", [3, 8])
+def test_feature_matrix_matches_feature_rows(pair, grid, resolution):
+    reps = kf.cells(pair.measure, resolution).reps
+    rows = np.array([pair.feature_row(x, reps) for x in grid])
+    mat = pair.feature_matrix(grid, reps)
+    assert mat.dtype == rows.dtype and mat.shape == rows.shape
+    assert mat.tobytes() == rows.tobytes()
 
 
 # ---------------------------------------------------------------------------
