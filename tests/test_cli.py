@@ -4,6 +4,7 @@ Most tests drive `run()` in-process with --out files; a few go through the
 installed console script to cover the real entry point.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -398,3 +399,63 @@ def test_eig_byte_identical_via_script(tmp_path, points_file):
     b = _script(argv)
     assert a.returncode == 0
     assert a.stdout == b.stdout
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: sha256 of each command's output, so a change to how CSV or
+# JSON text is built cannot move a byte.  Inputs use relative paths because
+# reports and simulate headers echo them.
+
+GOLDEN_INPUTS = {
+    "line.csv": "real-line\n0.1\n0.7\n1.3\n2.0\n3.3333333333333335\n",
+    "disk.csv": "complex-disk\n0.1,0.2\n-0.3,0.05\n0.5,-0.4\n0.0,0.0\n",
+    "grid.csv": "unit-interval\n0.125\n0.3\n0.5\n0.8\n1.0\n",
+    "eval_line.csv": "real-line\n0.4\n1.0\n2.5\n",
+    "eval_disk.csv": "complex-disk\n0.2,-0.1\n-0.05,0.3\n",
+    "vals_line.csv": "1.0\n-0.5\n0.25\n2.0\n1e-05\n",
+    "vals_disk.csv": "1.0,0.5\n-0.25,0.0\n0.125,-2.0\n3.0,1e16\n",
+}
+
+GOLDEN_OUTPUTS = [
+    (["gram", "--kernel", "brownian-min", "--points", "line.csv", "--format", "csv"],
+     "d7c397c51037845b28303fbd225455fbc0b2c043a5232b89915ea7a6b448a612"),
+    (["gram", "--kernel", "brownian-min", "--points", "line.csv", "--format", "json"],
+     "541d18e69b3ab5bc667f2561f771a19e7d541b96fb51aebfcfcd47dc5c973466"),
+    (["gram", "--kernel", "szego", "--points", "disk.csv", "--format", "csv"],
+     "7d61f565587b82f909d91d69f7253d5d643f68ae8d7461fae7988c745a89945a"),
+    (["gram", "--kernel", "szego", "--points", "disk.csv", "--format", "json"],
+     "06a9da7078f4cfadf552a76338fef07ed62b3da939265a0d03d7d0a043524dcd"),
+    (["inv", "--matrix", "gram.csv", "--format", "json"],
+     "bd1baa60b44d48feafbabd4ea81eb984b20dfef9da31649340d09e8586a942f9"),
+    (["inv", "--matrix", "gram.csv", "--format", "csv"],
+     "cb13f79424d932419284c1e50dfc40f6db3504bbc30c3b49d04a3e792494d69f"),
+    (["chol", "--matrix", "gram.csv", "--format", "json"],
+     "a513cb4a3f148e5c3890c617fd5e54810fe7422419c53de5e35a07dcda4514b6"),
+    (["chol", "--kernel", "szego", "--points", "disk.csv", "--format", "json"],
+     "0bc186d17b7387b40e5ccc662d34327ad7c1ae1b00ca4c4854ec0fc52b10dfbe"),
+    (["simulate", "--example", "ex1", "--paths", "40", "--resolution", "5",
+      "--grid-file", "grid.csv", "--seed", "11"],
+     "b5f0dfc27e079984c3025f6ea729ae10463f6523a65be62ced9c6066093955a5"),
+    (["simulate", "--example", "ex2", "--paths", "40", "--resolution", "5",
+      "--grid-file", "disk.csv", "--seed", "11"],
+     "ae6b6b6e6ba511892cef12065d539a931bdbbf38e0a6035c8c10d051416d7cde"),
+    (["project", "--kernel", "brownian-min", "--points", "line.csv",
+      "--values", "vals_line.csv", "--eval", "eval_line.csv", "--format", "csv"],
+     "4f29d1206791f024bd10e83ece3805f321553c3e96c0f7478506d2e44b5b0006"),
+    (["project", "--kernel", "szego", "--points", "disk.csv",
+      "--values", "vals_disk.csv", "--eval", "eval_disk.csv", "--format", "csv"],
+     "3827f6f6fb8b5907f27e5b3573c2d42a649dcd67e057e310f0a0d3e6d14961e3"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_OUTPUTS, ids=[
+    "-".join(a for a in argv if not a.startswith("--")) for argv, _ in GOLDEN_OUTPUTS])
+def test_cli_output_golden(tmp_path, monkeypatch, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    assert cli.run(["gram", "--kernel", "brownian-min", "--points", "line.csv",
+                    "--out", "gram.csv"]) == 0
+    assert cli.run(argv + ["--out", "out.txt"]) == 0
+    raw = (tmp_path / "out.txt").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
