@@ -90,24 +90,6 @@ def _matrix_input(args) -> np.ndarray:
     raise ValueError("provide either --matrix, or --kernel with --points")
 
 
-def _values_text(arr: np.ndarray) -> str:
-    lines = []
-    for v in np.atleast_1d(arr):
-        c = complex(v)
-        if np.iscomplexobj(arr):
-            lines.append(f"{c.real!r},{c.imag!r}")
-        else:
-            lines.append(repr(c.real))
-    return "\n".join(lines) + "\n"
-
-
-def _config_header(command: str, config: dict) -> str:
-    import json
-
-    doc = {"schema": fileio.SCHEMA, "command": command, "config": fileio.json_value(config)}
-    return "# " + json.dumps(doc, sort_keys=True) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -203,7 +185,7 @@ def _cmd_project(args) -> int:
     if args.format == "json":
         _emit(args, fileio.render_report("project", config, {"values": out}))
     else:
-        _emit(args, _values_text(out))
+        _emit(args, fileio.format_values(out))
     return EXIT_OK
 
 
@@ -279,23 +261,20 @@ def _cmd_cantor(args) -> int:
         else:
             xs = [k / (args.grid_n - 1) for k in range(args.grid_n)]
         config = {"grid_file": args.grid_file, "grid_n": args.grid_n}
-        body = "\n".join(f"{x!r},{measures.mu4_cdf(x)!r}" for x in xs)
-        _emit(args, _config_header("cantor cdf", config) + body + "\n")
+        body = fileio.format_matrix(np.array([[x, measures.mu4_cdf(x)] for x in xs]))
+        _emit(args, fileio.config_header("cantor cdf", config) + body)
         return EXIT_OK
     if sub == "cells":
         part = measures.cells(_build_measure(args.measure), args.depth)
         config = {"measure": args.measure, "depth": args.depth}
-        body = "\n".join(
-            f"{float(l)!r},{float(r)!r},{float(m)!r}"
-            for l, r, m in zip(part.lefts, part.rights, part.masses)
-        )
-        _emit(args, _config_header("cantor cells", config) + body + "\n")
+        body = fileio.format_matrix(np.column_stack((part.lefts, part.rights, part.masses)))
+        _emit(args, fileio.config_header("cantor cells", config) + body)
         return EXIT_OK
     if sub == "spectrum":
         spectrum = measures.lambda4(args.limit)
         config = {"limit": args.limit}
         body = "\n".join(str(int(v)) for v in spectrum.values)
-        _emit(args, _config_header("cantor spectrum", config) + body + "\n")
+        _emit(args, fileio.config_header("cantor spectrum", config) + body + "\n")
         return EXIT_OK
     if sub == "fourier-gram":
         lams = list(measures.lambda4(args.limit).values[: args.count])
@@ -341,7 +320,7 @@ def _cmd_simulate(args) -> int:
         "grid_file": args.grid_file,
         "seed": args.seed,
     }
-    _emit(args, _config_header("simulate", config) + fileio.format_matrix(ens.paths))
+    _emit(args, fileio.config_header("simulate", config) + fileio.format_matrix(ens.paths))
     return EXIT_OK
 
 
@@ -493,7 +472,7 @@ def _cmd_frame(args) -> int:
     if args.format == "json":
         _emit(args, fileio.render_report("frame reconstruct", config, {"values": out}))
     else:
-        _emit(args, _values_text(out))
+        _emit(args, fileio.format_values(out))
     return EXIT_OK
 
 

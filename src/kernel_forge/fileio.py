@@ -2,10 +2,17 @@
 
 Conventions: UTF-8, comma separator, `.` decimal point.  Point files
 carry a header row naming the domain tag; raw matrices have no header.
-Complex numbers are written as `re,im` column pairs in CSV and as
-[re, im] pairs in JSON.  JSON reports are schema-versioned under
-"kernel-forge/1" and serialized with sorted keys so identical runs
-produce identical bytes.
+Complex numbers are written as `re+imj` literals in matrix CSV, as
+`re,im` column pairs in value CSV and as [re, im] pairs in JSON.  JSON
+reports are schema-versioned under "kernel-forge/1" and serialized with
+sorted keys so identical runs produce identical bytes.
+
+Every value is converted once: arrays become Python floats through one
+`tolist()`, a CSV cell is exactly `repr(float)`, and a report is exactly
+`json.dumps(sort_keys=True, indent=2)` of the converted record.  Readers
+parse a whole matrix with `float()` first and take the per-cell route
+only for complex or parenthesised cells.  Malformed input raises
+`ValueError` naming the file and the line; it is never truncated.
 """
 
 from __future__ import annotations
@@ -22,8 +29,27 @@ SCHEMA = "kernel-forge/1"
 _SCALAR_TAGS = ("real-line", "unit-interval")
 
 
-def _parse_float(text: str) -> float:
-    return float(text.strip())
+def _data_lines(path: str):
+    """(line number, stripped text) of every line that is neither blank nor a comment."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [
+            (n, line.strip())
+            for n, line in enumerate(fh, 1)
+            if line.strip() and not line.startswith("#")
+        ]
+
+
+def _cells(path: str, lineno: int, text: str) -> list:
+    """The floats of one CSV row."""
+    try:
+        return [float(c) for c in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{path}: line {lineno}: not a number in {text!r}") from None
+
+
+def _floats(a: np.ndarray) -> list:
+    """Nested lists of Python floats; ints and bools become floats as float() makes them."""
+    return a.astype(np.float64, copy=False).tolist()
 
 
 def read_points(path: str) -> SampleSet:
@@ -32,39 +58,31 @@ def read_points(path: str) -> SampleSet:
     real-line / unit-interval: one column.  complex-disk: two columns
     (re, im).  complex-vector(d): 2d columns.  interval-set: an even
     number of columns per row, consecutive pairs forming disjoint
-    intervals.
+    intervals.  Trailing empty cells are ignored; a row with the wrong
+    number of columns is an error.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-    if not rows:
+    lines = _data_lines(path)
+    if not lines:
         raise ValueError(f"{path}: empty point file")
-    tag = rows[0].strip().strip(",")
-    body = rows[1:]
-    points = []
+    tag = lines[0][1].strip(",")
     if tag in _SCALAR_TAGS:
-        points = [_parse_float(r.split(",")[0]) for r in body]
+        need, ok, make = "1 value", lambda k: k == 1, lambda c: c[0]
     elif tag == "complex-disk":
-        for r in body:
-            re, im = (p for p in r.split(","))
-            points.append(complex(_parse_float(re), _parse_float(im)))
+        need, ok, make = "2 values (re, im)", lambda k: k == 2, lambda c: complex(*c)
     elif tag.startswith("complex-vector"):
-        for r in body:
-            cols = [_parse_float(p) for p in r.split(",")]
-            if len(cols) % 2:
-                raise ValueError(f"{path}: complex vectors need re,im column pairs")
-            points.append(
-                np.array([complex(a, b) for a, b in zip(cols[0::2], cols[1::2])])
-            )
+        need, ok = "re,im column pairs", lambda k: k % 2 == 0
+        make = lambda c: np.array([complex(a, b) for a, b in zip(c[0::2], c[1::2])])
     elif tag == "interval-set":
-        for r in body:
-            cols = [_parse_float(p) for p in r.split(",")]
-            if len(cols) % 2:
-                raise ValueError(f"{path}: interval sets need lo,hi column pairs")
-            points.append(
-                IntervalSet(tuple(zip(cols[0::2], cols[1::2])))
-            )
+        need, ok = "lo,hi column pairs", lambda k: k % 2 == 0
+        make = lambda c: IntervalSet(tuple(zip(c[0::2], c[1::2])))
     else:
         raise ValueError(f"{path}: unknown domain tag {tag!r}")
+    points = []
+    for n, text in lines[1:]:
+        cols = _cells(path, n, text.rstrip(", \t"))
+        if not ok(len(cols)):
+            raise ValueError(f"{path}: line {n}: {tag} points need {need}, got {len(cols)} values")
+        points.append(make(cols))
     return SampleSet(points=points, domain=tag)
 
 
@@ -95,9 +113,7 @@ def write_points(path: str, sample: SampleSet) -> None:
 
 def read_values(path: str) -> np.ndarray:
     """Sample values: one column of reals, or re,im pairs for complex."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-    parsed = [[_parse_float(c) for c in r.split(",")] for r in rows]
+    parsed = [_cells(path, n, text) for n, text in _data_lines(path)]
     widths = {len(p) for p in parsed}
     if widths == {1}:
         return np.array([p[0] for p in parsed])
@@ -106,37 +122,56 @@ def read_values(path: str) -> np.ndarray:
     raise ValueError(f"{path}: value rows must have one column or re,im pairs")
 
 
+def format_values(arr: np.ndarray) -> str:
+    """Sample values as CSV text: one real per line, or re,im per line."""
+    a = np.atleast_1d(arr)
+    if np.iscomplexobj(a):
+        lines = map("{!r},{!r}".format, _floats(a.real), _floats(a.imag))
+    else:
+        lines = map(repr, _floats(a))
+    return "\n".join(lines) + "\n"
+
+
 def read_matrix(path: str) -> np.ndarray:
     """Raw matrix CSV (no header); complex entries as re+imj literals."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-    data = []
-    is_complex = False
-    for r in rows:
-        vals = []
-        for cell in r.split(","):
-            cell = cell.strip().strip("()")
-            try:
-                vals.append(float(cell))
-            except ValueError:
-                vals.append(complex(cell))
-                is_complex = True
-        data.append(vals)
-    return np.array(data, dtype=complex if is_complex else float)
+    lines = _data_lines(path)
+    try:
+        data = [list(map(float, text.split(","))) for _, text in lines]
+        dtype = float
+    except ValueError:
+        # complex or parenthesised cells: one cell at a time
+        data, dtype = [], float
+        for n, text in lines:
+            row = []
+            for cell in text.split(","):
+                cell = cell.strip().strip("()")
+                try:
+                    row.append(float(cell))
+                except ValueError:
+                    try:
+                        row.append(complex(cell))
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: line {n}: not a number in {text!r}"
+                        ) from None
+                    dtype = complex
+            data.append(row)
+    for (n, _), row in zip(lines, data):
+        if len(row) != len(data[0]):
+            raise ValueError(
+                f"{path}: line {n}: {len(row)} cells, but line {lines[0][0]} has {len(data[0])}"
+            )
+    return np.array(data, dtype=dtype)
 
 
 def format_matrix(arr: np.ndarray) -> str:
     """Matrix as headerless CSV text; complex entries as re+imj literals."""
-    lines = []
-    for row in np.atleast_2d(arr):
-        cells = []
-        for v in row:
-            if np.iscomplexobj(arr):
-                c = complex(v)
-                cells.append(f"{c.real!r}{c.imag:+}j".replace("+-", "-"))
-            else:
-                cells.append(repr(float(v)))
-        lines.append(",".join(cells))
+    a = np.atleast_2d(arr)
+    if np.iscomplexobj(a):
+        cell = "{!r}{:+}j".format  # format(x, "+") always leads with one sign
+        lines = [",".join(map(cell, re, im)) for re, im in zip(_floats(a.real), _floats(a.imag))]
+    else:
+        lines = [",".join(map(repr, row)) for row in _floats(a)]
     return "\n".join(lines) + "\n"
 
 
@@ -147,14 +182,20 @@ def write_matrix(path: str, arr: np.ndarray) -> None:
 
 def read_chain(path: str):
     """Chain file: one level per row, comma-separated real points."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-    if rows and rows[0].strip(",") in _SCALAR_TAGS:
-        rows = rows[1:]
-    levels = [[_parse_float(c) for c in r.split(",")] for r in rows]
+    lines = _data_lines(path)
+    if lines and lines[0][1].strip(",") in _SCALAR_TAGS:
+        lines = lines[1:]
+    levels = [_cells(path, n, text) for n, text in lines]
     if not levels:
         raise ValueError(f"{path}: empty chain file")
     return levels
+
+
+# exact types whose JSON form is the value itself
+_PLAIN = frozenset((float, int, bool, str, type(None)))
+# float dtypes whose tolist() yields Python floats (not longdouble, whose
+# tolist() keeps numpy scalars)
+_TOLIST_TYPES = (np.float64, np.float32, np.float16)
 
 
 def json_value(v):
@@ -162,10 +203,14 @@ def json_value(v):
     if isinstance(v, dict):
         return {k: json_value(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
-        return [json_value(x) for x in v]
+        return [x if type(x) in _PLAIN else json_value(x) for x in v]
     if isinstance(v, IntervalSet):
         return [list(pair) for pair in v.intervals]
     if isinstance(v, np.ndarray):
+        if v.dtype.kind in "biu" or v.dtype.type in _TOLIST_TYPES:
+            return v.tolist()
+        if v.dtype.type in (np.complex128, np.complex64):
+            return np.stack((v.real, v.imag), axis=-1).tolist()
         return [json_value(x) for x in v.tolist()]
     if isinstance(v, (np.bool_, bool)):
         return bool(v)
@@ -180,19 +225,27 @@ def json_value(v):
 
 
 def matrix_json(arr: np.ndarray, points=None) -> dict:
-    doc = {
-        "n": int(arr.shape[0]),
-        "entries": [json_value(v) for v in np.asarray(arr).ravel().tolist()],
-    }
+    arr = np.asarray(arr)
+    doc = {"n": int(arr.shape[0]), "entries": json_value(arr.ravel())}
     if points is not None:
         doc["points"] = [json_value(p) for p in points]
     return doc
 
 
-def render_report(command: str, config: dict, payload: dict, seed=None) -> str:
-    """Schema-versioned JSON report with deterministic serialization."""
+def _record(command: str, config: dict, seed=None) -> dict:
     doc = {"schema": SCHEMA, "command": command, "config": json_value(config)}
     if seed is not None:
         doc["seed"] = int(seed)
+    return doc
+
+
+def render_report(command: str, config: dict, payload: dict, seed=None) -> str:
+    """Schema-versioned JSON report with deterministic serialization."""
+    doc = _record(command, config, seed)
     doc.update(json_value(payload))
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def config_header(command: str, config: dict) -> str:
+    """One-line `# {...}` JSON header of a CSV body: schema, command, config."""
+    return "# " + json.dumps(_record(command, config), sort_keys=True) + "\n"

@@ -445,6 +445,10 @@ GOLDEN_OUTPUTS = [
     (["project", "--kernel", "szego", "--points", "disk.csv",
       "--values", "vals_disk.csv", "--eval", "eval_disk.csv", "--format", "csv"],
      "3827f6f6fb8b5907f27e5b3573c2d42a649dcd67e057e310f0a0d3e6d14961e3"),
+    (["cantor", "cdf", "--grid-file", "grid.csv"],
+     "d41fb0121f0afe466f00f7b01a7e0c3fecfedf18bb8c77ca7d4cfd5863004d38"),
+    (["cantor", "cells", "--depth", "3"],
+     "ab9ca2e0c800c3e230172b22ad4cd52cf3d901d681a100b6c78b2d0fb51a93a8"),
 ]
 
 

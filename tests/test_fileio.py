@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kernel_forge as kf
-from kernel_forge import fileio
+from kernel_forge import cli, fileio
 
 
 def test_points_roundtrip_real(tmp_path):
@@ -97,3 +99,271 @@ def test_render_report_shape():
 def test_json_value_handles_numpy():
     out = fileio.json_value({"a": np.float64(1.5), "b": np.arange(3), "c": np.int64(2)})
     assert out == {"a": 1.5, "b": [0, 1, 2], "c": 2}
+
+
+# ---------------------------------------------------------------------------
+# malformed input names the file and the line; it is never truncated
+
+
+def _write(tmp_path, text):
+    p = tmp_path / "in.csv"
+    p.write_text(text)
+    return str(p)
+
+
+def test_points_extra_column_is_rejected(tmp_path):
+    path = _write(tmp_path, "real-line\n0.5\n1.0,2.0\n")
+    with pytest.raises(ValueError, match=r"in\.csv: line 3: .*got 2 values"):
+        fileio.read_points(path)
+    assert cli.run(["gram", "--kernel", "brownian-min", "--points", path]) == 2
+
+
+def test_points_short_disk_row_is_rejected(tmp_path):
+    path = _write(tmp_path, "complex-disk\n0.1,0.2\n\n# note\n0.3\n")
+    with pytest.raises(ValueError, match=r"in\.csv: line 5: .*got 1 values"):
+        fileio.read_points(path)
+
+
+def test_points_non_number_is_rejected(tmp_path):
+    path = _write(tmp_path, "interval-set\n0.0,0.25\n0.5,x\n")
+    with pytest.raises(ValueError, match=r"in\.csv: line 3: not a number"):
+        fileio.read_points(path)
+
+
+def test_points_trailing_empty_cells_are_accepted(tmp_path):
+    path = _write(tmp_path, "real-line,\n0.5,\n1.5,,\n2.5, ,\n")
+    assert fileio.read_points(path).points == [0.5, 1.5, 2.5]
+    path = _write(tmp_path, "complex-disk,,\n0.1,0.2,\n")
+    assert fileio.read_points(path).points == [0.1 + 0.2j]
+
+
+def test_matrix_ragged_rows_are_rejected(tmp_path):
+    for text in ("1.0,2.0\n3.0,4.0\n5.0\n", "1.0,2.0j\n3.0\n"):
+        path = _write(tmp_path, text)
+        with pytest.raises(ValueError, match=r"in\.csv: line \d: 1 cells, but line 1 has 2"):
+            fileio.read_matrix(path)
+        assert cli.run(["inv", "--matrix", path]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the one-pass writers and readers against the per-cell loops they replaced
+
+
+def ref_format_matrix(arr):
+    lines = []
+    for row in np.atleast_2d(arr):
+        cells = []
+        for v in row:
+            if np.iscomplexobj(arr):
+                c = complex(v)
+                cells.append(f"{c.real!r}{c.imag:+}j".replace("+-", "-"))
+            else:
+                cells.append(repr(float(v)))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def ref_format_values(arr):
+    lines = []
+    for v in np.atleast_1d(arr):
+        c = complex(v)
+        if np.iscomplexobj(arr):
+            lines.append(f"{c.real!r},{c.imag!r}")
+        else:
+            lines.append(repr(c.real))
+    return "\n".join(lines) + "\n"
+
+
+def ref_read_matrix(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+    data = []
+    is_complex = False
+    for r in rows:
+        vals = []
+        for cell in r.split(","):
+            cell = cell.strip().strip("()")
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                vals.append(complex(cell))
+                is_complex = True
+        data.append(vals)
+    return np.array(data, dtype=complex if is_complex else float)
+
+
+def ref_json_value(v):
+    if isinstance(v, dict):
+        return {k: ref_json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [ref_json_value(x) for x in v]
+    if isinstance(v, kf.IntervalSet):
+        return [list(pair) for pair in v.intervals]
+    if isinstance(v, np.ndarray):
+        return [ref_json_value(x) for x in v.tolist()]
+    if isinstance(v, (np.bool_, bool)):
+        return bool(v)
+    if isinstance(v, (np.integer, int)):
+        return int(v)
+    if isinstance(v, (np.floating, float)):
+        return float(v)
+    if isinstance(v, (np.complexfloating, complex)):
+        c = complex(v)
+        return [c.real, c.imag]
+    return v
+
+
+def ref_render_report(command, config, payload, seed=None):
+    doc = {"schema": fileio.SCHEMA, "command": command, "config": ref_json_value(config)}
+    if seed is not None:
+        doc["seed"] = int(seed)
+    doc.update(ref_json_value(payload))
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def ref_matrix_json(arr, points=None):
+    doc = {
+        "n": int(arr.shape[0]),
+        "entries": [ref_json_value(v) for v in np.asarray(arr).ravel().tolist()],
+    }
+    if points is not None:
+        doc["points"] = [ref_json_value(p) for p in points]
+    return doc
+
+
+def assert_plain(v):
+    """Every leaf is a Python float, int, bool, str or None, never a numpy scalar."""
+    if type(v) is dict:
+        for x in v.values():
+            assert_plain(x)
+    elif type(v) is list:
+        for x in v:
+            assert_plain(x)
+    else:
+        assert type(v) in (float, int, bool, str, type(None)), type(v)
+
+
+SPECIALS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 2.2250738585072014e-308,
+            1e16, 1e-5, 1e22, 0.1, -2.5, 9007199254740993.0, 1.7976931348623157e308]
+with np.errstate(over="ignore", under="ignore"):
+    SPECIALS_32 = [float(np.float32(x)) for x in SPECIALS] + [1e-45, -3e-39]
+F64 = st.one_of(st.sampled_from(SPECIALS), st.floats())
+F32 = st.one_of(st.sampled_from(SPECIALS_32), st.floats(width=32))
+ELEMENTS = {
+    np.float64: F64,
+    np.float32: F32,
+    np.int64: st.integers(-2**63, 2**63 - 1),
+    np.bool_: st.booleans(),
+    np.complex128: st.one_of(
+        st.builds(complex, F64, F64),
+        st.builds(complex, F64, st.just(-0.0)),
+    ),
+    np.complex64: st.one_of(
+        st.builds(complex, F32, F32),
+        st.builds(complex, F32, st.just(-0.0)),
+    ),
+}
+SHAPES = st.one_of(
+    st.tuples(st.just(0), st.integers(0, 4)),
+    st.tuples(st.integers(0, 7)),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+)
+
+
+@st.composite
+def arrays(draw, shapes=SHAPES):
+    dtype = draw(st.sampled_from(list(ELEMENTS)))
+    shape = draw(shapes)
+    size = int(np.prod(shape))
+    values = draw(st.lists(ELEMENTS[dtype], min_size=size, max_size=size))
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays())
+def test_format_matrix_matches_cell_loop(a):
+    assert fileio.format_matrix(a) == ref_format_matrix(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(st.tuples(st.integers(0, 7))))
+def test_format_values_matches_cell_loop(a):
+    assert fileio.format_values(a) == ref_format_values(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays())
+def test_json_value_matches_recursive_loop(a):
+    got = fileio.json_value(a)
+    assert_plain(got)
+    assert json.dumps(got) == json.dumps(ref_json_value(a))
+    got = fileio.matrix_json(np.atleast_1d(a), points=[0.5, 1 + 2j])
+    assert_plain(got)
+    assert json.dumps(got) == json.dumps(ref_matrix_json(np.atleast_1d(a), [0.5, 1 + 2j]))
+
+
+SCALARS = st.one_of(
+    F64, st.integers(-2**70, 2**70), st.booleans(), st.none(), st.text(max_size=3),
+    F64.map(np.float64), F32.map(np.float32), st.integers(-5, 5).map(np.int64),
+    st.booleans().map(np.bool_), st.builds(complex, F64, F64),
+    st.builds(complex, F64, F64).map(np.complex128),
+    st.just(kf.IntervalSet(((0.0, 0.25), (0.5, 0.75)))),
+)
+PAYLOADS = st.recursive(
+    st.one_of(SCALARS, arrays()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), PAYLOADS, max_size=4),
+       st.dictionaries(st.text(max_size=4), SCALARS, max_size=3),
+       st.one_of(st.none(), st.integers(0, 2**64)))
+def test_render_report_matches_recursive_loop(payload, config, seed):
+    text = fileio.render_report("cmd", config, payload, seed=seed)
+    assert text == ref_render_report("cmd", config, payload, seed=seed)
+    assert_plain(fileio.json_value(payload))
+
+
+@pytest.fixture(scope="module")
+def matrix_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("read") / "m.csv")
+
+
+def _same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(), st.data())
+def test_read_matrix_matches_cell_loop(matrix_path, a, data):
+    text = fileio.format_matrix(a)
+    if a.size and data.draw(st.booleans()):
+        # parenthesised and padded cells, as other tools write them
+        rows = [line.split(",") for line in text.splitlines()]
+        wrap = st.sampled_from(["({})", " {} ", "( {} )", "{}"])
+        text = "\n".join(
+            ",".join(data.draw(wrap).format(c) for c in row) for row in rows
+        ) + "\n"
+    with open(matrix_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    _same_array(fileio.read_matrix(matrix_path), ref_read_matrix(matrix_path))
+
+
+@pytest.mark.parametrize("text", [
+    "1.0,abc\n", "1.0,2.0\n3.0,1+\n", "1.0,,2.0\n", "1.0.0\n", "(1.0+2.0j),x\n",
+    "1.0,2.0\n3.0\n", "1.0+2.0j,2.0\n3.0\n",
+])
+def test_read_matrix_rejects_what_the_cell_loop_rejects(matrix_path, text):
+    with open(matrix_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    with pytest.raises(ValueError):
+        ref_read_matrix(matrix_path)
+    with pytest.raises(ValueError, match=r"m\.csv: line \d"):
+        fileio.read_matrix(matrix_path)
