@@ -273,8 +273,8 @@ def _cmd_cantor(args) -> int:
     if sub == "spectrum":
         spectrum = measures.lambda4(args.limit)
         config = {"limit": args.limit}
-        body = "\n".join(str(int(v)) for v in spectrum.values)
-        _emit(args, fileio.config_header("cantor spectrum", config) + body + "\n")
+        body = fileio.format_ints(spectrum.values)
+        _emit(args, fileio.config_header("cantor spectrum", config) + body)
         return EXIT_OK
     if sub == "fourier-gram":
         lams = list(measures.lambda4(args.limit).values[: args.count])

@@ -39,12 +39,25 @@ def _data_lines(path: str):
         ]
 
 
+def _bad_cell(path: str, lineno: int, text: str) -> ValueError:
+    return ValueError(f"{path}: line {lineno}: not a number in {text!r}")
+
+
 def _cells(path: str, lineno: int, text: str) -> list:
     """The floats of one CSV row."""
     try:
         return [float(c) for c in text.split(",")]
     except ValueError:
-        raise ValueError(f"{path}: line {lineno}: not a number in {text!r}") from None
+        raise _bad_cell(path, lineno, text) from None
+
+
+def _number(cell: str):
+    """One matrix cell, parentheses allowed: a float, else a complex."""
+    cell = cell.strip().strip("()")
+    try:
+        return float(cell)
+    except ValueError:
+        return complex(cell)
 
 
 def _floats(a: np.ndarray) -> list:
@@ -65,24 +78,31 @@ def read_points(path: str) -> SampleSet:
     if not lines:
         raise ValueError(f"{path}: empty point file")
     tag = lines[0][1].strip(",")
+    # values per point; None: any even count of pairs
     if tag in _SCALAR_TAGS:
-        need, ok, make = "1 value", lambda k: k == 1, lambda c: c[0]
+        width = 1
     elif tag == "complex-disk":
-        need, ok, make = "2 values (re, im)", lambda k: k == 2, lambda c: complex(*c)
-    elif tag.startswith("complex-vector"):
-        need, ok = "re,im column pairs", lambda k: k % 2 == 0
-        make = lambda c: np.array([complex(a, b) for a, b in zip(c[0::2], c[1::2])])
-    elif tag == "interval-set":
-        need, ok = "lo,hi column pairs", lambda k: k % 2 == 0
-        make = lambda c: IntervalSet(tuple(zip(c[0::2], c[1::2])))
+        width = 2
+    elif tag.startswith("complex-vector") or tag == "interval-set":
+        width = None
     else:
         raise ValueError(f"{path}: unknown domain tag {tag!r}")
     points = []
     for n, text in lines[1:]:
         cols = _cells(path, n, text.rstrip(", \t"))
-        if not ok(len(cols)):
-            raise ValueError(f"{path}: line {n}: {tag} points need {need}, got {len(cols)} values")
-        points.append(make(cols))
+        if (len(cols) % 2 if width is None else len(cols) != width):
+            need = "even" if width is None else width
+            raise ValueError(
+                f"{path}: line {n}: {tag} value count must be {need}, got {len(cols)} values"
+            )
+        if width == 1:
+            points.append(cols[0])
+        elif width == 2:
+            points.append(complex(*cols))
+        elif tag == "interval-set":
+            points.append(IntervalSet(tuple(zip(cols[0::2], cols[1::2]))))
+        else:
+            points.append(np.array([complex(a, b) for a, b in zip(cols[0::2], cols[1::2])]))
     return SampleSet(points=points, domain=tag)
 
 
@@ -132,6 +152,11 @@ def format_values(arr: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_ints(arr: np.ndarray) -> str:
+    """Integers as CSV text, one per line."""
+    return "\n".join(map(str, np.asarray(arr, dtype=np.int64).tolist())) + "\n"
+
+
 def read_matrix(path: str) -> np.ndarray:
     """Raw matrix CSV (no header); complex entries as re+imj literals."""
     lines = _data_lines(path)
@@ -139,23 +164,14 @@ def read_matrix(path: str) -> np.ndarray:
         data = [list(map(float, text.split(","))) for _, text in lines]
         dtype = float
     except ValueError:
-        # complex or parenthesised cells: one cell at a time
-        data, dtype = [], float
+        # complex or parenthesised cells: one cell at a time; numpy makes
+        # the array complex if any cell is
+        data, dtype = [], None
         for n, text in lines:
-            row = []
-            for cell in text.split(","):
-                cell = cell.strip().strip("()")
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    try:
-                        row.append(complex(cell))
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: line {n}: not a number in {text!r}"
-                        ) from None
-                    dtype = complex
-            data.append(row)
+            try:
+                data.append([_number(c) for c in text.split(",")])
+            except ValueError:
+                raise _bad_cell(path, n, text) from None
     for (n, _), row in zip(lines, data):
         if len(row) != len(data[0]):
             raise ValueError(
@@ -209,8 +225,6 @@ def json_value(v):
     if isinstance(v, np.ndarray):
         if v.dtype.kind in "biu" or v.dtype.type in _TOLIST_TYPES:
             return v.tolist()
-        if v.dtype.type in (np.complex128, np.complex64):
-            return np.stack((v.real, v.imag), axis=-1).tolist()
         return [json_value(x) for x in v.tolist()]
     if isinstance(v, (np.bool_, bool)):
         return bool(v)

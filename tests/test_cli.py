@@ -449,6 +449,8 @@ GOLDEN_OUTPUTS = [
      "d41fb0121f0afe466f00f7b01a7e0c3fecfedf18bb8c77ca7d4cfd5863004d38"),
     (["cantor", "cells", "--depth", "3"],
      "ab9ca2e0c800c3e230172b22ad4cd52cf3d901d681a100b6c78b2d0fb51a93a8"),
+    (["cantor", "spectrum", "--limit", "1000"],
+     "1a067a69dc1c11aaf95ab452025a0e66f5eea77775d0e8e04ff005f51d61bea5"),
 ]
 
 

@@ -291,6 +291,13 @@ def test_format_values_matches_cell_loop(a):
     assert fileio.format_values(a) == ref_format_values(a)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ELEMENTS[np.int64], max_size=7))
+def test_format_ints_matches_line_loop(values):
+    a = np.array(values, dtype=np.int64)
+    assert fileio.format_ints(a) == "\n".join(str(int(v)) for v in a) + "\n"
+
+
 @settings(max_examples=300, deadline=None)
 @given(arrays())
 def test_json_value_matches_recursive_loop(a):
