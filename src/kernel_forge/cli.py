@@ -5,7 +5,9 @@ JSON reports are schema-versioned with sorted keys, and identical argv
 produces byte-identical output.  `--threads` (or KERNEL_FORGE_THREADS)
 caps the workers of the Monte Carlo draw engine (`gpsim`), which fills
 blocks of at least 2^20 normals chunk by chunk on a thread pool of
-min(cap, usable cores, chunks) workers; unset means usable cores.  No
+min(cap, usable cores, chunks) workers; unset means usable cores.  That
+pool is the only one on the Monte Carlo path (numpy's OpenBLAS runs on
+one thread there), so the cap limits every thread of the path.  No
 result depends on it: every chunk writes its own rows.
 
 Exit codes: 0 success, 1 numerical failure (matrix not positive
@@ -531,8 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker cap of the Monte Carlo draw engine (results never depend "
-        "on it); falls back to KERNEL_FORGE_THREADS, then usable cores",
+        help="cap on every thread of the Monte Carlo path: the draw engine's "
+        "workers (numpy's OpenBLAS is held to one thread there); results "
+        "never depend on it; falls back to KERNEL_FORGE_THREADS, then usable cores",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -716,12 +719,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_threads(args) -> int:
     """Worker cap from --threads, else KERNEL_FORGE_THREADS, else usable cores."""
-    value = args.threads
-    if value is None:
-        env = os.environ.get("KERNEL_FORGE_THREADS")
-        value = int(env) if env else gpsim._usable_cores()
+    if args.threads is not None:
+        if args.threads < 1:
+            raise ValueError("--threads must be a positive integer")
+        return args.threads
+    env = os.environ.get("KERNEL_FORGE_THREADS")
+    if not env:
+        return gpsim._usable_cores()
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0  # reported below, like any count under 1
     if value < 1:
-        raise ValueError("--threads must be a positive integer")
+        raise ValueError(f"KERNEL_FORGE_THREADS must be a positive integer, got {env!r}")
     return value
 
 

@@ -34,10 +34,23 @@ draws into paths with one helper, on fixed tiles of 2048 paths (BLAS
 rounds a product's rows by its shape, so the shape must not follow the
 block size); a complex mixer is applied as two real products, so the
 draws are never upcast to complex.
+
+On the Monte Carlo path the draw pool is the only thread pool.
+`duality_check` and the mixing helper hold numpy's OpenBLAS to one thread
+while they run, and restore its previous count on exit.  After a
+multi-threaded product, an OpenBLAS worker busy-waits for about 0.1 s and
+holds a core that the Philox/ndtri workers need; on two cores that cost
+the pool about half its speed.  So --threads / KERNEL_FORGE_THREADS limit
+every thread of that path.  The OpenBLAS is the one numpy loaded, found
+with ctypes on first use (scipy's own copy is not on this path); with
+another BLAS (MKL, Accelerate) the cap does nothing.  Output bytes are
+the same with and without the cap; the tests compare both.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -107,6 +120,48 @@ def _capped_workers(cap: Optional[int]):
         yield
     finally:
         _worker_cap = previous
+
+
+@functools.cache
+def _blas_controls():
+    """(set, get) thread counts of numpy's OpenBLAS; None for another BLAS."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    try:
+        # dlsym on numpy's core module searches the libraries it loaded,
+        # so this finds numpy's OpenBLAS and never scipy's
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            try:
+                set_n = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                get_n = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            except AttributeError:
+                continue
+            set_n.argtypes, set_n.restype = [ctypes.c_int], None
+            get_n.argtypes, get_n.restype = [], ctypes.c_int
+            return set_n, get_n
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread inside the `with` body; re-entrant."""
+    controls = _blas_controls()
+    if controls is None:
+        yield
+        return
+    set_n, get_n = controls
+    previous = get_n()
+    set_n(1)
+    try:
+        yield
+    finally:
+        set_n(previous)
 
 
 @dataclass(frozen=True)
@@ -214,14 +269,15 @@ def _mix_paths(policy: RngSeedPolicy, n_paths: int, mixer: np.ndarray) -> np.nda
         )
     else:
         parts = ((out, mixer),)
-    for start, rows in _path_blocks(n_paths, _MIX_TILE):
-        blocks = [
-            policy.normal_block(start + first, count, draws)
-            for first, count in _path_blocks(rows)
-        ]
-        z = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        for dest, m in parts:
-            dest[start : start + rows] = z @ m
+    with _one_blas_thread():
+        for start, rows in _path_blocks(n_paths, _MIX_TILE):
+            blocks = [
+                policy.normal_block(start + first, count, draws)
+                for first, count in _path_blocks(rows)
+            ]
+            z = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            for dest, m in parts:
+                dest[start : start + rows] = z @ m
     return out
 
 
@@ -230,13 +286,15 @@ class PathEnsemble:
     """P sample paths over a fixed evaluation grid.
 
     Deterministic for fixed (seed, resolution, grid, P) regardless of
-    block size or execution order.
+    block size or execution order.  `ridge_used` is the ridge that
+    `sample_gaussian_vector` added to a singular covariance, else 0.0.
     """
 
     grid: list
     paths: np.ndarray
     seed: int
     partition_resolution: Optional[int] = None
+    ridge_used: float = 0.0
 
     @property
     def n_paths(self) -> int:
@@ -384,7 +442,8 @@ def sample_gaussian_vector(g, n_paths: int, seed: int = 0) -> PathEnsemble:
     """Exact Gaussian sampling with covariance G: each path is L @ Z.
 
     L is the Cholesky factor (with an automatic ridge of 1e-12 * trace
-    retried once if the bare factorization fails); Z is a vector of iid
+    retried once if the bare factorization fails, and reported as the
+    ensemble's `ridge_used`); Z is a vector of iid
     standard normals from the path's substream.  Complex G samples
     conj(M) @ Z with M the combined embedding factor, which gives
     E(conj(V_i) V_j) = G_ij.
@@ -398,6 +457,7 @@ def sample_gaussian_vector(g, n_paths: int, seed: int = 0) -> PathEnsemble:
         zeros = np.zeros((n_paths, n), dtype=complex if np.iscomplexobj(arr) else float)
         return PathEnsemble(grid=grid, paths=zeros, seed=policy.master_seed)
     is_complex = np.iscomplexobj(arr)
+    ridge = 0.0
     try:
         factor = (
             _complex_sampling_factor(arr, 0.0)
@@ -413,7 +473,9 @@ def sample_gaussian_vector(g, n_paths: int, seed: int = 0) -> PathEnsemble:
         )
     mixer = factor.conj().T  # (draws, n); real case: plain transpose
     out = _mix_paths(policy, n_paths, mixer)
-    return PathEnsemble(grid=grid, paths=out, seed=policy.master_seed)
+    return PathEnsemble(
+        grid=grid, paths=out, seed=policy.master_seed, ridge_used=ridge
+    )
 
 
 def wiener_increments(
@@ -580,11 +642,11 @@ def duality_check(
     target = gram(spec, grid).entries
     part = cells(pair.measure, resolution)
     phi = pair.feature_matrix(grid, part.reps)
-    quad = (phi.conj() * part.masses) @ phi.T
+    with _one_blas_thread():  # no BLAS thread may spin while the draws run
+        quad = (phi.conj() * part.masses) @ phi.T
+        ensemble = ito_synthesize(pair, resolution, grid, n_paths, seed)
+        emp = empirical_covariance(ensemble)
     quad_error = float(np.max(np.abs(quad - target))) if len(grid) else 0.0
-
-    ensemble = ito_synthesize(pair, resolution, grid, n_paths, seed)
-    emp = empirical_covariance(ensemble)
     mc_error = float(np.max(np.abs(emp - target))) if len(grid) else 0.0
 
     max_k = float(np.max(np.abs(target))) if len(grid) else 1.0

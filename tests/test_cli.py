@@ -80,6 +80,14 @@ def test_threads_env_fallback(tmp_path, points_file, monkeypatch):
                     "--points", points_file]) == 2
 
 
+@pytest.mark.parametrize("value", ["0", "abc", " "])
+def test_bad_threads_env_names_the_variable(points_file, monkeypatch, capsys, value):
+    monkeypatch.setenv("KERNEL_FORGE_THREADS", value)
+    assert cli.run(["gram", "--kernel", "brownian-min", "--points", points_file]) == 2
+    err = capsys.readouterr().err
+    assert f"KERNEL_FORGE_THREADS must be a positive integer, got {value!r}" in err
+
+
 def test_threads_cap_never_exceeds_usable_cores(points_file, monkeypatch):
     # resolves the count only: no thread may start
     monkeypatch.delenv("KERNEL_FORGE_THREADS", raising=False)
@@ -129,6 +137,21 @@ def test_mc_bytes_independent_of_threads_and_blocks(
             code, raw = run_to_file(tmp_path, ["--threads", threads] + argv)
             assert code == 0 and raw == ref, (block, threads)
     assert set(pools) == {2, 4}
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex2"])
+def test_simulate_bytes_equal_with_and_without_blas_cap(
+    tmp_path, monkeypatch, unit_grid_file, disk_grid_file, example
+):
+    # 3000 paths at resolution 10: pooled draws and multi-row BLAS products
+    grid = unit_grid_file if example == "ex1" else disk_grid_file
+    argv = ["simulate", "--example", example, "--grid-file", grid,
+            "--resolution", "10", "--paths", "3000", "--seed", "4"]
+    code, capped = run_to_file(tmp_path, argv)
+    assert code == 0
+    monkeypatch.setattr(gpsim, "_blas_controls", lambda: None)  # not found
+    code, bypassed = run_to_file(tmp_path, argv)
+    assert code == 0 and bypassed == capped
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,14 @@ def test_gaussian_vector_small_singular_matrix():
     assert float(np.max(np.abs(emp - g))) <= tol
 
 
+def test_gaussian_vector_reports_its_ridge():
+    rank_one = np.array([[1.0, 2.0], [2.0, 4.0]])
+    ens = gpsim.sample_gaussian_vector(rank_one, n_paths=10, seed=0)
+    assert ens.ridge_used == pytest.approx(5e-12) and ens.ridge_used > 0.0
+    full_rank = kf.gram(kf.brownian_min(), [1.0, 2.0])
+    assert gpsim.sample_gaussian_vector(full_rank, n_paths=10, seed=0).ridge_used == 0.0
+
+
 def test_gaussian_vector_brownian_covariance():
     g = kf.gram(kf.brownian_min(), [1.0, 2.0, 3.0])
     ens = gpsim.sample_gaussian_vector(g, n_paths=100_000, seed=42)
@@ -404,6 +412,120 @@ def test_duality_report_fields_round():
     )
     assert rep.resolution == 6 and rep.n_paths == 4000 and rep.seed == 2
     assert rep.quad_tol == pytest.approx(2.0**-6)
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread on the Monte Carlo path
+
+# (pair, kernel, grid) per example; resolution 10 with 3000 paths sends the
+# first 2048-path tile's 2^21 normals through the draw pool
+DUALITY_EXAMPLES = {
+    "ex1": (gpsim.pair_ex1, kf.brownian_min, [0.25, 0.5, 1.0]),
+    "ex2": (gpsim.pair_ex2, kf.szego, [0.1 + 0.1j, -0.3j, 0.2]),
+    "ex3": (gpsim.pair_ex3, kf.cantor_product, [0.2, 0.1 + 0.3j, -0.4j]),
+}
+
+
+def _duality(example):
+    pair, spec, grid = DUALITY_EXAMPLES[example]
+    return gpsim.duality_check(pair(), spec(), grid, resolution=10, n_paths=3000, seed=3)
+
+
+@pytest.fixture()
+def blas_threads():
+    """Reads numpy's OpenBLAS thread count, held at two for the test."""
+    controls = gpsim._blas_controls()
+    if controls is None:
+        pytest.skip("numpy does not use OpenBLAS")
+    set_n, get_n = controls
+    previous = get_n()
+    set_n(2)
+    try:
+        yield get_n
+    finally:
+        set_n(previous)
+
+
+@pytest.mark.parametrize("example", sorted(DUALITY_EXAMPLES))
+def test_duality_bytes_equal_with_and_without_blas_cap(monkeypatch, example):
+    capped = _duality(example)
+    monkeypatch.setattr(gpsim, "_blas_controls", lambda: None)  # not found
+    bypassed = _duality(example)
+    assert (capped.quad_error, capped.mc_error, capped.mc_tol) == (
+        bypassed.quad_error, bypassed.mc_error, bypassed.mc_tol)
+
+
+def test_pooled_draws_of_duality_see_one_blas_thread(monkeypatch, blas_threads):
+    get_n = blas_threads
+    seen = []
+    fill = gpsim.RngSeedPolicy._fill_chunk
+
+    def recording(self, first_path, rows):
+        seen.append((threading.current_thread() is threading.main_thread(), get_n()))
+        fill(self, first_path, rows)
+
+    monkeypatch.setattr(gpsim.RngSeedPolicy, "_fill_chunk", recording)
+    monkeypatch.setattr(gpsim, "_usable_cores", lambda: 2)
+    _duality("ex1")
+    assert seen and {count for _, count in seen} == {1}
+    assert not all(main for main, _ in seen)  # the pool ran some chunks
+    assert get_n() == 2
+
+
+def test_blas_cap_restored_after_return_error_and_nesting(monkeypatch, blas_threads):
+    get_n = blas_threads
+    with gpsim._one_blas_thread():
+        assert get_n() == 1
+        with gpsim._one_blas_thread():
+            assert get_n() == 1
+        assert get_n() == 1
+    assert get_n() == 2
+    with pytest.raises(RuntimeError):
+        with gpsim._one_blas_thread():
+            raise RuntimeError("inside the body")
+    assert get_n() == 2
+    # duality_check enters the cap, and _mix_paths enters it again inside
+    entered = []
+    mix = gpsim._mix_paths
+
+    def recording(*args):
+        entered.append(get_n())
+        return mix(*args)
+
+    monkeypatch.setattr(gpsim, "_mix_paths", recording)
+    _duality("ex2")
+    assert entered == [1] and get_n() == 2
+
+
+def test_blas_cap_without_openblas_is_a_no_op(monkeypatch):
+    controls = gpsim._blas_controls()
+    monkeypatch.setattr(gpsim, "_blas_controls", lambda: None)
+    before = controls[1]() if controls else None
+    with gpsim._one_blas_thread():
+        assert (controls[1]() if controls else None) == before
+    with pytest.raises(KeyError):
+        with gpsim._one_blas_thread():
+            raise KeyError("propagates")
+
+
+def test_blas_lookup_without_thread_controls_finds_nothing(monkeypatch):
+    def missing(path):
+        raise OSError(path)
+
+    lookup = gpsim._blas_controls.__wrapped__  # uncached
+    # a library without the thread controls, or none at all, is "not found"
+    monkeypatch.setattr(gpsim.ctypes, "CDLL", lambda path: object())
+    assert lookup() is None
+    monkeypatch.setattr(gpsim.ctypes, "CDLL", missing)
+    assert lookup() is None
+
+
+def test_blas_lookup_starts_no_thread():
+    threads = threading.active_count()
+    gpsim._blas_controls.__wrapped__()  # the lookup itself, uncached
+    with gpsim._one_blas_thread():
+        pass
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------
