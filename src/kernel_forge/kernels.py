@@ -226,7 +226,12 @@ def _truncated_product(spec, z, w):
 
 
 def _drury_arveson(spec, z, w):
-    return 1.0 / (1.0 - np.sum(np.conj(z) * w, axis=-1))
+    # <z, w> as a stack of 1 x k by k x 1 products: matmul hands each to the
+    # BLAS dot routine, which fuses its multiply-adds and so rounds exactly
+    # as np.vdot does.  Summing the rounded elementwise products instead can
+    # be an ulp off, and 1 / (1 - <z, w>) magnifies that near the sphere.
+    dot = np.matmul(np.conj(z)[..., None, :], w[..., :, None])[..., 0, 0]
+    return 1.0 / (1.0 - dot)
 
 
 def _overlap(spec, x, y):
