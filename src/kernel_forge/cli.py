@@ -5,10 +5,10 @@ JSON reports are schema-versioned with sorted keys, and identical argv
 produces byte-identical output.  `--threads` (or KERNEL_FORGE_THREADS)
 caps the workers of the Monte Carlo draw engine (`gpsim`), which fills
 blocks of at least 2^20 normals chunk by chunk on a thread pool of
-min(cap, usable cores, chunks) workers; unset means usable cores.  That
-pool is the only one on the Monte Carlo path (numpy's OpenBLAS runs on
-one thread there), so the cap limits every thread of the path.  No
-result depends on it: every chunk writes its own rows.
+min(cap, usable cores, chunks) workers; unset means usable cores.  While
+the Ito sum's draws are made and mixed, numpy's OpenBLAS is held to one
+thread, so that pool is the only one running.  No result depends on the
+cap: every chunk writes its own rows.
 
 Exit codes: 0 success, 1 numerical failure (matrix not positive
 definite, singular system), 2 usage or input error.
@@ -533,9 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="cap on every thread of the Monte Carlo path: the draw engine's "
-        "workers (numpy's OpenBLAS is held to one thread there); results "
-        "never depend on it; falls back to KERNEL_FORGE_THREADS, then usable cores",
+        help="worker cap of the Monte Carlo draw engine (numpy's OpenBLAS is "
+        "held to one thread while the Ito sum's draws are made and mixed); "
+        "results never depend on it; falls back to KERNEL_FORGE_THREADS, "
+        "then usable cores",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 

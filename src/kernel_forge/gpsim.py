@@ -35,16 +35,22 @@ rounds a product's rows by its shape, so the shape must not follow the
 block size); a complex mixer is applied as two real products, so the
 draws are never upcast to complex.
 
-On the Monte Carlo path the draw pool is the only thread pool.
-`duality_check` and the mixing helper hold numpy's OpenBLAS to one thread
-while they run, and restore its previous count on exit.  After a
-multi-threaded product, an OpenBLAS worker busy-waits for about 0.1 s and
-holds a core that the Philox/ndtri workers need; on two cores that cost
-the pool about half its speed.  So --threads / KERNEL_FORGE_THREADS limit
-every thread of that path.  The OpenBLAS is the one numpy loaded, found
-with ctypes on first use (scipy's own copy is not on this path); with
-another BLAS (MKL, Accelerate) the cap does nothing.  Output bytes are
-the same with and without the cap; the tests compare both.
+The Ito sum draws many normals per path and mixes them into a few grid
+points, so its draws, not its products, take the time.  `ito_synthesize`
+(and `duality_check` around it, with its quadrature product) therefore
+holds numpy's OpenBLAS to one thread while it runs, and restores the
+previous count on exit.  After a multi-threaded product an OpenBLAS
+worker busy-waits for about 0.1 s and holds a core that the Philox/ndtri
+workers need; on two cores that cost the pool about half its speed.  So
+while the draws are made and mixed, the draw pool is the only thread
+pool and --threads / KERNEL_FORGE_THREADS bound it.  Direct sampling of
+a Gram matrix keeps BLAS threads: its mixer is as wide as its draws, and
+there the threaded product gains more than the spin costs the pool.
+Frame synthesis keeps them too; it draws one normal per frame function,
+rarely enough to reach the pool.  The OpenBLAS is the one numpy loaded,
+found with ctypes on first use (scipy's own copy is not on this path);
+with another BLAS (MKL, Accelerate) the hold does nothing.  Output bytes
+are the same with and without it; the tests compare both.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ import ctypes
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -148,20 +155,36 @@ def _blas_controls():
     return None
 
 
+_blas_lock = threading.Lock()
+_blas_holders = 0  # `with _one_blas_thread()` bodies running, in any thread
+_blas_saved = 0  # numpy's BLAS thread count before the first of them
+
+
 @contextmanager
 def _one_blas_thread():
-    """Hold numpy's OpenBLAS to one thread inside the `with` body; re-entrant."""
+    """Hold numpy's OpenBLAS to one thread inside the `with` body.
+
+    Re-entrant and thread-safe: the first body to enter saves the count,
+    the last to leave restores it, also when a body raises.
+    """
+    global _blas_holders, _blas_saved
     controls = _blas_controls()
     if controls is None:
         yield
         return
     set_n, get_n = controls
-    previous = get_n()
-    set_n(1)
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_saved = get_n()
+            set_n(1)
+        _blas_holders += 1
     try:
         yield
     finally:
-        set_n(previous)
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                set_n(_blas_saved)
 
 
 @dataclass(frozen=True)
@@ -269,15 +292,14 @@ def _mix_paths(policy: RngSeedPolicy, n_paths: int, mixer: np.ndarray) -> np.nda
         )
     else:
         parts = ((out, mixer),)
-    with _one_blas_thread():
-        for start, rows in _path_blocks(n_paths, _MIX_TILE):
-            blocks = [
-                policy.normal_block(start + first, count, draws)
-                for first, count in _path_blocks(rows)
-            ]
-            z = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-            for dest, m in parts:
-                dest[start : start + rows] = z @ m
+    for start, rows in _path_blocks(n_paths, _MIX_TILE):
+        blocks = [
+            policy.normal_block(start + first, count, draws)
+            for first, count in _path_blocks(rows)
+        ]
+        z = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        for dest, m in parts:
+            dest[start : start + rows] = z @ m
     return out
 
 
@@ -547,7 +569,8 @@ def ito_synthesize(
     policy = RngSeedPolicy(seed)
     roots = np.sqrt(part.masses)
     mixer = (phi * roots).T  # cells x grid: z @ mixer = sum k(s_i) sqrt(m_i) z_i
-    out = _mix_paths(policy, n_paths, mixer)
+    with _one_blas_thread():  # no BLAS thread may spin while the draws run
+        out = _mix_paths(policy, n_paths, mixer)
     return PathEnsemble(
         grid=grid, paths=out, seed=policy.master_seed, partition_resolution=resolution
     )

@@ -1,4 +1,4 @@
-"""Suite-wide guards."""
+"""Suite-wide guards and shared fixtures."""
 
 import pytest
 
@@ -22,3 +22,20 @@ def blas_threads_unchanged():
     yield
     after = get_n()
     assert after == before, f"numpy's BLAS threads: {before} before the test, {after} after"
+
+
+@pytest.fixture()
+def blas_threads():
+    """Reads numpy's OpenBLAS thread count, held at two for the test."""
+    controls = gpsim._blas_controls()
+    if controls is None:
+        pytest.skip("numpy does not use OpenBLAS")
+    set_n, get_n = controls
+    previous = get_n()
+    set_n(2)
+    try:
+        if get_n() != 2:
+            pytest.skip("numpy's OpenBLAS cannot run two threads here")
+        yield get_n
+    finally:
+        set_n(previous)

@@ -141,9 +141,10 @@ def test_mc_bytes_independent_of_threads_and_blocks(
 
 @pytest.mark.parametrize("example", ["ex1", "ex2"])
 def test_simulate_bytes_equal_with_and_without_blas_cap(
-    tmp_path, monkeypatch, unit_grid_file, disk_grid_file, example
+    tmp_path, monkeypatch, blas_threads, unit_grid_file, disk_grid_file, example
 ):
-    # 3000 paths at resolution 10: pooled draws and multi-row BLAS products
+    # 3000 paths at resolution 10: pooled draws and multi-row BLAS products,
+    # taken on two BLAS threads when the cap is bypassed
     grid = unit_grid_file if example == "ex1" else disk_grid_file
     argv = ["simulate", "--example", example, "--grid-file", grid,
             "--resolution", "10", "--paths", "3000", "--seed", "4"]

@@ -431,23 +431,9 @@ def _duality(example):
     return gpsim.duality_check(pair(), spec(), grid, resolution=10, n_paths=3000, seed=3)
 
 
-@pytest.fixture()
-def blas_threads():
-    """Reads numpy's OpenBLAS thread count, held at two for the test."""
-    controls = gpsim._blas_controls()
-    if controls is None:
-        pytest.skip("numpy does not use OpenBLAS")
-    set_n, get_n = controls
-    previous = get_n()
-    set_n(2)
-    try:
-        yield get_n
-    finally:
-        set_n(previous)
-
-
 @pytest.mark.parametrize("example", sorted(DUALITY_EXAMPLES))
-def test_duality_bytes_equal_with_and_without_blas_cap(monkeypatch, example):
+def test_duality_bytes_equal_with_and_without_blas_cap(monkeypatch, blas_threads, example):
+    # the bypassed run takes its products on two BLAS threads
     capped = _duality(example)
     monkeypatch.setattr(gpsim, "_blas_controls", lambda: None)  # not found
     bypassed = _duality(example)
@@ -455,21 +441,84 @@ def test_duality_bytes_equal_with_and_without_blas_cap(monkeypatch, example):
         bypassed.quad_error, bypassed.mc_error, bypassed.mc_tol)
 
 
-def test_pooled_draws_of_duality_see_one_blas_thread(monkeypatch, blas_threads):
+@pytest.mark.parametrize("caller", ["duality_check", "ito_synthesize"])
+def test_pooled_draws_and_mixing_see_one_blas_thread(monkeypatch, blas_threads, caller):
+    # simulate and covcheck call ito_synthesize directly, outside duality_check
     get_n = blas_threads
-    seen = []
+    seen, mixed = [], []
     fill = gpsim.RngSeedPolicy._fill_chunk
+    mix = gpsim._mix_paths
 
-    def recording(self, first_path, rows):
+    def recording_fill(self, first_path, rows):
         seen.append((threading.current_thread() is threading.main_thread(), get_n()))
         fill(self, first_path, rows)
 
-    monkeypatch.setattr(gpsim.RngSeedPolicy, "_fill_chunk", recording)
+    def recording_mix(*args):
+        mixed.append(get_n())  # the products run inside, at this count
+        return mix(*args)
+
+    monkeypatch.setattr(gpsim.RngSeedPolicy, "_fill_chunk", recording_fill)
+    monkeypatch.setattr(gpsim, "_mix_paths", recording_mix)
     monkeypatch.setattr(gpsim, "_usable_cores", lambda: 2)
-    _duality("ex1")
+    if caller == "duality_check":
+        _duality("ex1")
+    else:
+        gpsim.ito_synthesize(gpsim.pair_ex1(), 10, [0.25, 0.5, 1.0], 3000, seed=3)
     assert seen and {count for _, count in seen} == {1}
     assert not all(main for main, _ in seen)  # the pool ran some chunks
-    assert get_n() == 2
+    assert mixed == [1] and get_n() == 2
+
+
+def test_blas_cap_shared_by_interleaved_threads(blas_threads):
+    # A enters, B enters, A leaves, B leaves: B must still see one thread
+    # after A has left, and the count must come back once B leaves
+    get_n = blas_threads
+    both_inside, a_left = threading.Barrier(2, timeout=10), threading.Event()
+    seen = []
+
+    def a():
+        with gpsim._one_blas_thread():
+            both_inside.wait()
+        a_left.set()
+
+    def b():
+        with gpsim._one_blas_thread():
+            both_inside.wait()
+            assert a_left.wait(timeout=10)
+            seen.append(get_n())
+
+    threads = [threading.Thread(target=a), threading.Thread(target=b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [1] and get_n() == 2
+
+
+def test_blas_cap_under_many_threads(blas_threads):
+    # more threads than cores, switching often: a lost update of the holder
+    # count would let one body see two threads or leave the count at one
+    get_n = blas_threads
+    seen = []
+
+    def hold():
+        for _ in range(200):
+            with gpsim._one_blas_thread():
+                seen.append(get_n())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 1600 and set(seen) == {1} and get_n() == 2
 
 
 def test_blas_cap_restored_after_return_error_and_nesting(monkeypatch, blas_threads):
@@ -484,15 +533,15 @@ def test_blas_cap_restored_after_return_error_and_nesting(monkeypatch, blas_thre
         with gpsim._one_blas_thread():
             raise RuntimeError("inside the body")
     assert get_n() == 2
-    # duality_check enters the cap, and _mix_paths enters it again inside
+    # duality_check enters the cap, and ito_synthesize enters it again inside
     entered = []
-    mix = gpsim._mix_paths
+    synthesize = gpsim.ito_synthesize
 
     def recording(*args):
         entered.append(get_n())
-        return mix(*args)
+        return synthesize(*args)
 
-    monkeypatch.setattr(gpsim, "_mix_paths", recording)
+    monkeypatch.setattr(gpsim, "ito_synthesize", recording)
     _duality("ex2")
     assert entered == [1] and get_n() == 2
 
