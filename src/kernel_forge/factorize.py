@@ -8,11 +8,17 @@ that the test suite cross-checks against each other: a shifted
 alternating Cholesky iteration (factor B - sI, transpose-swap, add sI
 back, repeat, until the matrix is numerically diagonal) and Jacobi
 rotation sweeps in Brent-Luk round-robin order, where each round rotates
-up to n/2 disjoint pairs at once.
+up to n/2 disjoint pairs at once.  Neither uses a LAPACK eigensolver.
 
-Complex Hermitian matrices are handled throughout by the real block
-embedding [[Re, -Im], [Im, Re]], which is symmetric, positive definite
-exactly when the original is, and carries each eigenvalue twice.
+PSD and frame-bound verdicts need only the two extreme eigenvalues, and
+`eig_range` takes them from numpy's LAPACK `eigvalsh`: a backward-stable
+solver is accurate to a few ulps of the matrix scale, far inside the
+relative thresholds those verdicts apply.
+
+Complex Hermitian matrices are handled by the real block embedding
+[[Re, -Im], [Im, Re]], which is symmetric, positive definite exactly when
+the original is, and carries each eigenvalue twice; `eig_range` alone
+hands complex input to LAPACK as it is.
 
 Every tolerance is relative to the matrix it judges: pivots and eigenvalue
 floors are measured in units of `matrix_scale` (the largest |G_ii|), and
@@ -451,7 +457,7 @@ def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
     whether the threshold was actually reached: a threshold below rounding
     noise terminates once a full sweep performs no rotations.  No LAPACK
     eigensolver is involved, so this serves as the independent reference
-    oracle for `alt_cholesky_eigs` and for PSD validation.
+    oracle for `alt_cholesky_eigs`.
     """
     arr = _as_matrix(g)
     _check_hermitian(arr)
@@ -508,3 +514,24 @@ def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
             break
     values = np.diag(a)[order < n]
     return _finish_spectrum(values, sweeps, off_frobenius() <= stop, scale, dedup)
+
+
+def eig_range(g) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a Hermitian matrix, from LAPACK.
+
+    The verdicts of `kernels.validate_psd` and `sampling.frame_bounds`
+    need only these two eigenvalues, so they come from one call to numpy's
+    `eigvalsh`, with real or complex input as it is.  It is numpy's, not
+    scipy's: scipy's LAPACK brings its own BLAS thread pool (see
+    `_lr_factor`).  LAPACK reads one triangle only, so the input passes
+    the same finiteness and Hermitian checks as every route here, and the
+    `_finish_spectrum` floor reads rounding-noise negatives as 0.0.  A
+    0 x 0 matrix has the empty range (+inf, -inf).
+    """
+    arr = _as_matrix(g)
+    _check_hermitian(arr)
+    if arr.size == 0:
+        return math.inf, -math.inf
+    vals = np.linalg.eigvalsh(arr)
+    vals = _finish_spectrum(vals, 0, True, matrix_scale(arr), False).eigenvalues
+    return float(vals[-1]), float(vals[0])

@@ -503,18 +503,16 @@ def validate_psd(g, tol: float = 1e-8):
 
     Verdict: min eigenvalue >= -tol * max|G_ii|, a threshold relative to
     the matrix (`factorize.matrix_scale`), so c * G gets the verdict of G
-    for every c > 0.  The eigenvalue comes from the round-robin Jacobi
-    routine in `factorize` (complex input goes through the real embedding,
-    which preserves the spectrum).  A 0 x 0 matrix is vacuously PSD with
-    sentinel +inf; a NaN or infinite entry raises ValueError.
+    for every c > 0.  The eigenvalue comes from LAPACK's `eigvalsh`
+    through `factorize.eig_range`, which applies the checks of every
+    factorization route: a non-square, NaN/infinite or non-Hermitian input
+    raises ValueError.  A 0 x 0 matrix is vacuously PSD with sentinel
+    +inf.
     """
     from . import factorize
 
+    min_eig, _ = factorize.eig_range(g)
     arr = g.entries if isinstance(g, GramMatrix) else np.asarray(g)
-    if arr.size == 0:
-        return True, math.inf
-    res = factorize.jacobi_eigs(arr)
-    min_eig = float(res.eigenvalues[-1])
     return bool(min_eig >= -tol * factorize.matrix_scale(arr)), min_eig
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import NotIncreasingError, SingularMatrixError
-from .factorize import jacobi_eigs, matrix_scale
+from .factorize import eig_range, matrix_scale
 from .kernels import KernelSpec, SampleSet, as_sample_set, cross_gram, gram, kernel_diagonal
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "sawtooth_witness",
 ]
 
-WINDOW_CAP = 50  # frame-bound Gram window; keeps the Jacobi call small
+WINDOW_CAP = 50  # parseval_check's frame-bound window; its a and b depend on the size
 
 
 def _lattice_points(s, truncation: int):
@@ -123,17 +123,16 @@ def frame_bounds(spec: KernelSpec, s) -> tuple:
 
     On the span of the kernel sections at S the sampling-ratio
     sum |f(s)|^2 / ||f||^2 lies exactly in [lambda_min, lambda_max] of
-    K_S; the bounds come from the Jacobi oracle.  The Gram counts as
-    numerically singular, and SingularMatrixError is raised, when
-    lambda_min <= 1e-12 * matrix_scale(K_S), a threshold relative to the
-    Gram, so the verdict does not depend on its scale.
+    K_S; the bounds come from LAPACK's `eigvalsh` (`factorize.eig_range`).
+    The Gram counts as numerically singular, and SingularMatrixError is
+    raised, when lambda_min <= 1e-12 * matrix_scale(K_S), a threshold
+    relative to the Gram, so the verdict does not depend on its scale.
     """
     sample = as_sample_set(s) if not isinstance(s, SampleSet) else s
     g = gram(spec, sample)
     if g.n == 0:
         raise ValueError("frame bounds need at least one sample point")
-    eigs = jacobi_eigs(g.entries).eigenvalues
-    a, b = float(eigs[-1]), float(eigs[0])
+    a, b = eig_range(g.entries)
     if a <= 1e-12 * matrix_scale(g.entries):
         raise SingularMatrixError(
             f"Gram matrix is numerically singular (eigenvalue range [{a:.3e}, {b:.3e}])"

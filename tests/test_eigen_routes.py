@@ -6,13 +6,17 @@ time in row order, and the unshifted alternating-Cholesky (LR) iteration.
 They share the skip rule, the stop rules and the deflation rule with the
 package routes, so the spectra must agree to rounding; the package routes
 only reorder the rotations and shift the LR iterates.  LAPACK's
-`eigvalsh` is the third, independent opinion.
+`eigvalsh` is the third, independent opinion.  It is also the route of
+`factorize.eig_range`, the extremes behind the PSD and frame verdicts,
+which Jacobi checks in turn.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +29,7 @@ from kernel_forge.factorize import (
     _finish_spectrum,
     _lr_step_2x2,
     _round_robin,
+    eig_range,
     matrix_scale,
     real_embedding,
 )
@@ -391,6 +396,65 @@ def test_alt_cholesky_shift_cuts_iterations():
 
 
 # ---------------------------------------------------------------------------
+# extreme eigenvalues: the LAPACK route behind the PSD and frame verdicts
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from(["psd", "indefinite", "hermitian"]),
+)
+def test_eig_range_matches_jacobi_extremes(n, seed, kind):
+    g = KINDS[kind](np.random.default_rng(seed), n)
+    jac = kf.jacobi_eigs(g).eigenvalues
+    bound = 1e-11 * _yardstick(g)
+    lo, hi = eig_range(g)
+    assert abs(lo - jac[-1]) <= bound and abs(hi - jac[0]) <= bound
+    ok, min_eig = kf.validate_psd(g)
+    assert abs(min_eig - jac[-1]) <= bound
+    assert ok == (min_eig >= -1e-8 * matrix_scale(g))
+
+
+def test_eig_range_floors_rounding_noise_to_zero():
+    # a diagonal matrix's eigenvalues are exact: one above the floor of
+    # 1e-10 * matrix_scale reads 0.0, one below it is kept
+    assert eig_range(np.diag([2.0, -1e-13, 1.0])) == (0.0, 2.0)
+    assert eig_range(np.diag([2.0, -1e-9, 1.0])) == (-1e-9, 2.0)
+    assert eig_range(np.zeros((0, 0))) == (math.inf, -math.inf)
+
+
+def test_psd_and_frame_verdicts_call_no_jacobi_and_no_scipy(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the verdict routes must not call this")
+
+    jacobi = kf.factorize.jacobi_eigs
+    for name, module in list(sys.modules.items()):
+        if name == "kernel_forge" or name.startswith("kernel_forge."):
+            for attr, value in list(vars(module).items()):
+                if value is jacobi:
+                    monkeypatch.setattr(module, attr, forbidden)
+    monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", forbidden)
+    pts = [0.2, 0.5, 0.9]
+    ok, min_eig = kf.validate_psd(kf.gram(kf.brownian_min(), pts))
+    assert ok and min_eig > 0.0
+    ok, _ = kf.validate_psd(kf.gram(kf.szego(), [0.1j, 0.3, -0.2 + 0.4j]))
+    assert ok
+    a, b = kf.frame_bounds(kf.brownian_min(), pts)
+    assert 0.0 < a < b
+    with pytest.raises(AssertionError, match="must not call"):
+        kf.jacobi_eigs(np.eye(2))
+
+
+def test_validate_psd_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        kf.validate_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        kf.validate_psd(np.array([[1.0, 0.5j], [0.5j, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
 # non-finite input
 
 
@@ -407,6 +471,7 @@ NON_FINITE = [np.nan, np.inf, -np.inf]
         kf.alt_cholesky_eigs,
         kf.jacobi_eigs,
         kf.validate_psd,
+        eig_range,
     ],
     ids=lambda f: f.__name__,
 )

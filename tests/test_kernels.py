@@ -117,6 +117,17 @@ def test_validate_psd():
     assert ok and m == np.inf
 
 
+@pytest.mark.parametrize(
+    "g",
+    [np.zeros((0, 3)), np.zeros((3, 0)), [], np.zeros((2, 3))],
+    ids=["0x3", "3x0", "empty-list", "2x3"],
+)
+def test_validate_psd_rejects_non_square_input(g):
+    # only a 0 x 0 matrix is vacuously PSD, empty or not
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        kf.validate_psd(g)
+
+
 def test_sample_set_rejects_duplicates():
     with pytest.raises(kf.DuplicatePointError):
         kf.SampleSet(points=[1.0, 2.0, 1.0])
