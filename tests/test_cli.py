@@ -438,6 +438,10 @@ GOLDEN_INPUTS = {
     "eval_disk.csv": "complex-disk\n0.2,-0.1\n-0.05,0.3\n",
     "vals_line.csv": "1.0\n-0.5\n0.25\n2.0\n1e-05\n",
     "vals_disk.csv": "1.0,0.5\n-0.25,0.0\n0.125,-2.0\n3.0,1e16\n",
+    "chain.csv": "-1.0,1.0\n-2.0,-1.0,1.0,2.0\n-3.0,-2.0,-1.0,1.0,2.0,3.0\n",
+    "data.csv": "0.5,1.0\n1.5,-0.25\n2.0,3.0\n",
+    "knots.csv": "0.5\n1.0\n2.25\n4.0\n",
+    "slopes.csv": "1.0\n-0.5\n0.125\n",
 }
 
 GOLDEN_OUTPUTS = [
@@ -475,6 +479,49 @@ GOLDEN_OUTPUTS = [
      "ab9ca2e0c800c3e230172b22ad4cd52cf3d901d681a100b6c78b2d0fb51a93a8"),
     (["cantor", "spectrum", "--limit", "1000"],
      "1a067a69dc1c11aaf95ab452025a0e66f5eea77775d0e8e04ff005f51d61bea5"),
+    (["eig", "--matrix", "gram.csv", "--method", "alt-chol", "--max-iter", "100000"],
+     "96c0c495a91a62d4761af8d43d56a1f9ccb95b3b32feb888f48dc5e4e097b559"),
+    (["eig", "--kernel", "szego", "--points", "disk.csv", "--method", "jacobi"],
+     "010507722bdd92dc1ef176d5ec64a7f18a480e9294b9171b75fe15c6608286fd"),
+    (["delta-test", "--kernel", "brownian-line", "--point", "1.0",
+      "--chain-file", "chain.csv"],
+     "6946e7c8f710d0c83b6692d7d304fc5d380a3502392219fd88de47429057fc3c"),
+    (["graph", "--kernel", "brownian-min", "--points", "line.csv"],
+     "2c90c232af32bad0c75b8e3205e4095ecb124c4fd23dea30756788918de32b0f"),
+    (["interpolate", "--data", "data.csv", "--eval", "eval_line.csv"],
+     "4ee970e2b4d0bd393b169943d50d1ed35176804b2e6c5c2f1953cb2d4244aba9"),
+    (["cantor", "fourier-gram", "--count", "4", "--limit", "100", "--resolution", "8"],
+     "9c40e4becd75237131abbbaada68b39ec0bb4059d20c38ed640d243258a2c23d"),
+    (["cantor", "gen-fn", "--s-re", "0.5", "--s-im", "0.25", "--trunc", "3"],
+     "e6c5349236f4f4450ec026d5b5daa521d69076548c49a310520d45e43da565af"),
+    (["covcheck", "--example", "ex1", "--paths", "64", "--resolution", "6",
+      "--grid-file", "grid.csv", "--seed", "3"],
+     "2885f376f58c850c02500cd3554a9ca8bf86e7dc2b44adfa3c253b03176a6d95"),
+    (["qvar", "--measure", "cantor4", "--interval", "0", "0.25", "--resolutions", "2", "4",
+      "--paths", "64", "--seed", "1"],
+     "9aeb82271a0cb3c702e861939e110e8fe0d29252adae64154ec3885420cff59e"),
+    (["duality", "--example", "ex3", "--grid-file", "disk.csv", "--resolution", "6",
+      "--paths", "64", "--seed", "5", "--trunc", "4"],
+     "bcd0f2686418899d4a76aff86661861d3ff4e20ba58d624baa9c589c4fbc19d8"),
+    (["frame", "check", "--kernel", "shannon", "--set", "integers",
+      "--truncation", "200", "--test", "0.5", "0.25"],
+     "6577bf4e6d61a4c53e6c9d1727674df437fe193a4b8558cc0feb94e41a27c214"),
+    (["frame", "check", "--kernel", "brownian-min", "--set", "line.csv",
+      "--truncation", "10", "--test-points", "eval_line.csv"],
+     "56ffad90af78a1c318ee2e67715782ceec599666ac69005c823c2feaac93c764"),
+    (["frame", "bounds", "--kernel", "brownian-min", "--points", "line.csv"],
+     "51d2cff3791f4b88be5d6ddce281a6dd5916925e0518669e015eface2de33ba4"),
+    (["frame", "reconstruct", "--kernel", "shannon", "--points", "line.csv",
+      "--samples", "vals_line.csv", "--eval", "eval_line.csv", "--format", "json"],
+     "6ad2726e3e0ab7b54880060c35c30d7a104a60bcce4d6a5f35d2a4f2ea189ce0"),
+    (["frame", "reconstruct", "--kernel", "shannon", "--points", "line.csv",
+      "--samples", "vals_line.csv", "--eval", "eval_line.csv", "--format", "csv"],
+     "9f49fe226b031a1a63da44dfdbb517982199d03186b53b5d87f7b0ab4d12ce8d"),
+    (["witness", "sawtooth", "--knots", "knots.csv", "--eval", "eval_line.csv"],
+     "8e1bc99d2769574f7759fc339ac8b597f41e750c81f37fd9d2886b9fe0b90e66"),
+    (["witness", "sawtooth", "--knots", "knots.csv", "--rule", "custom",
+      "--slopes", "slopes.csv", "--eval", "eval_line.csv"],
+     "311fb0a1095619f884bea87b296f67438f153d3b0af811437ba47a0286acb322"),
 ]
 
 
