@@ -504,6 +504,8 @@ def wiener_increments(
     m: MeasureModel, resolution: int, n_paths: int, seed: int = 0
 ) -> WienerIncrements:
     """Independent W_A ~ N(0, mu(A)) per partition cell, per path."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     part = cells(m, resolution)
     policy = RngSeedPolicy(seed)
     n_cells = len(part.masses)
@@ -512,14 +514,8 @@ def wiener_increments(
             f"{n_paths} x {n_cells} increments would exceed the materialization "
             "cap; lower the resolution or synthesize in streamed form"
         )
-    roots = np.sqrt(part.masses)
-    matrix = np.empty((n_paths, n_cells))
-    for start, count in _path_blocks(n_paths):
-        np.multiply(
-            policy.normal_block(start, count, n_cells),
-            roots,
-            out=matrix[start : start + count],
-        )
+    matrix = policy.normal_block(0, n_paths, n_cells)
+    matrix *= np.sqrt(part.masses)
     return WienerIncrements(
         measure=m, resolution=resolution, matrix=matrix, seed=policy.master_seed
     )
@@ -712,8 +708,12 @@ def quadratic_variation(
     """Sum of squared increments over the cells inside A, per resolution.
 
     A must be a union of cells at every listed resolution; per path the
-    statistic Q concentrates on mu(A) as cells shrink.
+    statistic Q concentrates on mu(A) as cells shrink.  The sums run
+    path block by path block, and their order sets the last digits of
+    mean_q and e_sq.
     """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     a, b = (float(interval[0]), float(interval[1]))
     if not 0.0 <= a < b <= 1.0:
         raise OutOfDomainError("interval must satisfy 0 <= a < b <= 1")

@@ -257,8 +257,7 @@ class Family:
     points: validator, (spec, point list) -> array with one row per point.
     formula: k(spec, X, Y) elementwise over broadcast point arrays.
     is_complex: whether kernel values are complex.
-    param: the KernelSpec field the family needs, if any, and the CLI's
-        default for it.
+    param: the KernelSpec field the family needs, if any.
     """
 
     domain: str
@@ -267,7 +266,6 @@ class Family:
     formula: Callable
     is_complex: bool = False
     param: Optional[str] = None
-    default: Optional[int] = None
 
 
 FAMILY_TABLE = {
@@ -278,12 +276,12 @@ FAMILY_TABLE = {
     "szego": Family("complex-disk", ("complex-disk",), _disk, _szego, is_complex=True),
     "cantor-product": Family(
         "complex-disk", ("complex-disk",), _disk, _truncated_product,
-        is_complex=True, param="trunc", default=8,
+        is_complex=True, param="trunc",
     ),
     "shannon": Family("real-line", ("real-line",), _real_line, _sinc),
     "drury-arveson": Family(
         "complex-vector({dim})", ("complex-vector({dim})",), _ball, _drury_arveson,
-        is_complex=True, param="dim", default=2,
+        is_complex=True, param="dim",
     ),
     "overlap": Family(
         "interval-set", ("interval-set",), _interval_sets, _overlap, param="measure"

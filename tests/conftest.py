@@ -1,8 +1,22 @@
 """Suite-wide guards and shared fixtures."""
 
+import os
+from pathlib import Path
+
 import pytest
 
+import kernel_forge
 from kernel_forge import gpsim
+
+
+def child_env() -> dict:
+    """This process's environment, with the imported package's root first on
+    PYTHONPATH, so that a `python -m kernel_forge` child runs the same code
+    also from a checkout without an install."""
+    env = dict(os.environ)
+    root = str(Path(kernel_forge.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture(autouse=True)

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import child_env
 
 import kernel_forge as kf
 from kernel_forge import cli, gpsim
@@ -350,7 +351,7 @@ def test_criterion_12_cli_determinism(tmp_path):
            "--grid-file", str(grid), "--seed", "7"]
     runs = [
         subprocess.run([sys.executable, "-m", "kernel_forge"] + args,
-                       capture_output=True, timeout=120)
+                       capture_output=True, env=child_env(), timeout=120)
         for args in (sim, sim, ["--threads", "3"] + sim)
     ]
     assert all(r.returncode == 0 for r in runs)

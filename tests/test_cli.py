@@ -6,13 +6,13 @@ installed console script to cover the real entry point.
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import threading
 
 import numpy as np
 import pytest
+from conftest import child_env
 
 from kernel_forge import cli, fileio, gpsim
 
@@ -175,6 +175,19 @@ def test_gram_json(tmp_path, points_file):
     assert doc["matrix"]["n"] == 3
 
 
+def test_gram_rejects_a_zero_kernel_parameter(tmp_path, disk_grid_file, capsys):
+    ball = tmp_path / "ball.csv"
+    ball.write_text("complex-vector(2)\n0.1,0.0,0.2,0.1\n0.0,0.3,-0.1,0.0\n")
+    for flags, message in (
+        (["--kernel", "cantor-product", "--trunc", "0", "--points", disk_grid_file],
+         "cantor-product needs trunc >= 1"),
+        (["--kernel", "drury-arveson", "--dim", "0", "--points", str(ball)],
+         "drury-arveson needs dim >= 1"),
+    ):
+        assert cli.run(["gram"] + flags) == 2, flags
+        assert message in capsys.readouterr().err
+
+
 def test_chol_inv_consistency(tmp_path, points_file):
     _, chol_raw = run_to_file(tmp_path, ["chol", "--kernel", "brownian-min",
                                          "--points", points_file], "l.csv")
@@ -253,6 +266,14 @@ def test_cantor_cdf(tmp_path):
     assert got == [0.0, 0.5, 0.5, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("grid_n", ["1", "0", "-3"])
+def test_cantor_cdf_needs_two_grid_points(tmp_path, capsys, grid_n):
+    out = tmp_path / "cdf.csv"
+    assert cli.run(["cantor", "cdf", "--grid-n", grid_n, "--out", str(out)]) == 2
+    assert f"--grid-n must be at least 2, got {grid_n}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cantor_spectrum(tmp_path):
     code, raw = run_to_file(tmp_path, ["cantor", "spectrum", "--limit", "66"])
     assert code == 0
@@ -299,6 +320,18 @@ def test_covcheck_passes(tmp_path, unit_grid_file):
     doc = json.loads(raw)
     assert doc["pass"] is True
     assert doc["max_abs_error"] <= doc["tolerance"]
+
+
+def test_simulate_ex3_rejects_zero_trunc(tmp_path, disk_grid_file, capsys):
+    assert cli.run(["simulate", "--example", "ex3", "--trunc", "0", "--paths", "4",
+                    "--resolution", "3", "--grid-file", disk_grid_file]) == 2
+    assert "cantor-product pairs need trunc >= 1" in capsys.readouterr().err
+
+
+def test_qvar_rejects_zero_paths(capsys):
+    assert cli.run(["qvar", "--interval", "0", "1", "--resolutions", "2",
+                    "--paths", "0"]) == 2
+    assert "n_paths must be >= 1" in capsys.readouterr().err
 
 
 def test_qvar_expected_matches(tmp_path):
@@ -393,7 +426,7 @@ def test_witness_custom_needs_slopes(tmp_path):
 
 
 def _script(args, env_extra=None):
-    env = dict(os.environ)
+    env = child_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

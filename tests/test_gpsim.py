@@ -223,6 +223,23 @@ def test_cantor_staircase_path_variance():
     np.testing.assert_allclose(var, [0.5, 0.5, 1.0], rtol=0.05)
 
 
+def test_wiener_increments_are_one_scaled_normal_block():
+    # 4100 paths span three 2048-path blocks
+    m = kf.cantor4()
+    masses = kf.cells(m, 3).masses
+    inc = gpsim.wiener_increments(m, 3, n_paths=4100, seed=6)
+    want = RngSeedPolicy(6).normal_block(0, 4100, len(masses)) * np.sqrt(masses)
+    assert inc.matrix.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_paths", [0, -5])
+def test_wiener_routines_need_a_path(n_paths):
+    with pytest.raises(ValueError, match="n_paths must be >= 1"):
+        gpsim.wiener_increments(kf.lebesgue(), 3, n_paths=n_paths)
+    with pytest.raises(ValueError, match="n_paths must be >= 1"):
+        gpsim.quadratic_variation(kf.lebesgue(), (0.0, 1.0), [2], n_paths=n_paths)
+
+
 # ---------------------------------------------------------------------------
 # Ito synthesis
 
