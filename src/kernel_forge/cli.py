@@ -175,8 +175,10 @@ def _cmd_graph(args):
 
 
 def _cmd_interpolate(args):
-    rows = fileio.read_matrix(args.data)
-    data = [(float(r[0]), float(r[1])) for r in np.atleast_2d(rows)]
+    rows = np.atleast_2d(fileio.read_matrix(args.data))
+    if rows.shape[1] != 2:
+        raise ValueError(f"{args.data}: --data needs x,y rows, got {rows.shape[1]} columns")
+    data = [(float(x), float(y)) for x, y in rows]
     f, norm_sq = rkhs.min_norm_interpolant(data)
     payload = {
         "knots_x": f.knots_x,
@@ -328,6 +330,8 @@ def _cmd_frame_reconstruct(args):
 def _cmd_witness(args):
     if args.rule == "custom" and not args.slopes:
         raise ValueError("--rule custom needs --slopes")
+    if args.slopes and args.rule != "custom":
+        raise ValueError("--slopes needs --rule custom")
     knots = [float(v) for v in np.atleast_1d(fileio.read_values(args.knots))]
     rule = args.rule
     if args.slopes:

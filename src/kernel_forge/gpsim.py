@@ -13,7 +13,7 @@ run with master seed s draws from a Philox counter-based generator keyed
 by (s, p).  Raw 64-bit words map to open-interval uniforms via
 u = ((word >> 11) + 0.5) * 2^-53, and to normals via the inverse CDF
 (scipy.special.ndtri).  Draws depend only on (seed, path, position), so
-results are identical across block sizes, thread counts, and platforms.
+results are identical across chunk sizes, worker counts, and platforms.
 
 Increments and frame coefficients stay real; complex-valued processes
 arise only through complex feature functions, except for direct sampling
@@ -29,11 +29,10 @@ on a thread pool (Philox, the ufuncs and ndtri release the GIL) with
 min(cap, usable cores, chunks) workers, the cap coming from the CLI's
 --threads / KERNEL_FORGE_THREADS; smaller blocks run the same chunk
 function inline.  Chunks write disjoint rows, so neither the chunking nor
-the worker count can change a bit of the output.  The synthesizers mix
-draws into paths with one helper, on fixed tiles of 2048 paths (BLAS
-rounds a product's rows by its shape, so the shape must not follow the
-block size); a complex mixer is applied as two real products, so the
-draws are never upcast to complex.
+the worker count can change a bit of the output.  The synthesizers draw
+and mix one fixed tile of 2048 paths at a time, aligned to path 0 (BLAS
+rounds a product's rows by its shape); a complex mixer is applied as two
+real products, so the draws are never upcast to complex.
 
 The Ito sum draws many normals per path and mixes them into a few grid
 points, so its draws, not its products, take the time.  `ito_synthesize`
@@ -95,8 +94,7 @@ __all__ = [
     "transform_adjoint",
 ]
 
-PATH_BLOCK = 2048
-_MIX_TILE = 2048  # paths per mixing product; fixed, so rounding is too
+_PATH_TILE = 2048  # paths per draw and product; fixed, so rounding is too
 MAX_MATERIALIZED_ENTRIES = 1 << 27  # ~1 GiB of float64; beyond this, stream
 
 _TWO_NEG53 = 2.0 ** -53
@@ -265,23 +263,15 @@ class RngSeedPolicy:
         ndtri(rows, out=rows)
 
 
-def _path_blocks(n_paths: int, block: Optional[int] = None):
-    block = block or PATH_BLOCK  # read per call, so the block size can be varied
-    start = 0
-    while start < n_paths:
-        yield start, min(block, n_paths - start)
-        start += block
-
-
 def _mix_paths(policy: RngSeedPolicy, n_paths: int, mixer: np.ndarray) -> np.ndarray:
-    """(n_paths, cols) rows z @ mixer, with z drawn one path block at a time.
+    """(n_paths, cols) rows z @ mixer, with z drawn one path tile at a time.
 
     BLAS rounds a row of a product differently for different row counts,
-    so the products run on fixed tiles of _MIX_TILE paths aligned to path
-    0, each drawn in path blocks: no block size changes a bit.  A complex
-    mixer is applied as two real products, out.real = z @ re and
-    out.imag = z @ im; `z @ mixer` would copy z to complex and run a
-    complex gemm, at twice the memory and several times the time.
+    so each product is one fixed tile of _PATH_TILE paths aligned to path
+    0, drawn by one normal_block call.  A complex mixer is applied as two
+    real products, out.real = z @ re and out.imag = z @ im; `z @ mixer`
+    would copy z to complex and run a complex gemm, at twice the memory
+    and several times the time.
     """
     draws = mixer.shape[0]
     out = np.empty((n_paths, mixer.shape[1]), dtype=mixer.dtype)
@@ -292,14 +282,10 @@ def _mix_paths(policy: RngSeedPolicy, n_paths: int, mixer: np.ndarray) -> np.nda
         )
     else:
         parts = ((out, mixer),)
-    for start, rows in _path_blocks(n_paths, _MIX_TILE):
-        blocks = [
-            policy.normal_block(start + first, count, draws)
-            for first, count in _path_blocks(rows)
-        ]
-        z = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    for start in range(0, n_paths, _PATH_TILE):
+        z = policy.normal_block(start, min(_PATH_TILE, n_paths - start), draws)
         for dest, m in parts:
-            dest[start : start + rows] = z @ m
+            dest[start : start + len(z)] = z @ m
     return out
 
 
@@ -308,8 +294,9 @@ class PathEnsemble:
     """P sample paths over a fixed evaluation grid.
 
     Deterministic for fixed (seed, resolution, grid, P) regardless of
-    block size or execution order.  `ridge_used` is the ridge that
-    `sample_gaussian_vector` added to a singular covariance, else 0.0.
+    chunk size, worker count or execution order.  `ridge_used` is the
+    ridge that `sample_gaussian_vector` added to a singular covariance,
+    else 0.0.
     """
 
     grid: list
@@ -371,32 +358,26 @@ class FactorizationPair:
         if self.kind in ("szego", "cantor-product"):
             object.__setattr__(self, "complex_valued", True)
 
-    def feature_row(self, x, reps: np.ndarray) -> np.ndarray:
-        """Evaluate k_x at every partition representative."""
-        if self.kind == "indicator":
-            return (reps <= float(x)).astype(float)
-        if self.kind == "szego":
-            return 1.0 / (1.0 - complex(x) * np.exp(-2j * np.pi * reps))
-        if self.kind == "cantor-product":
-            z = complex(x)
-            out = np.ones(len(reps), dtype=complex)
-            for n in range(self.trunc):
-                p = 4 ** n
-                out *= 1.0 + (z ** p) * np.exp(-2j * np.pi * p * reps)
-            return out
-        vals = np.asarray(self.feature(x, reps))
-        return vals.astype(complex if self.complex_valued else float)
-
     def feature_matrix(self, grid, reps: np.ndarray) -> np.ndarray:
-        """grid x reps matrix of feature_row(x, reps), bit for bit.
+        """(grid, cells) matrix of k_x(s) for x in grid, s in reps.
 
         The built-in kinds broadcast one grid x cells evaluation; the
         cell factors e(-4^n t) are computed once, and z^{4^n} stays a
-        Python complex power per grid point, as in feature_row.
+        Python complex power per grid point.  A custom pair fills one row
+        per feature(x, reps), which must have shape (cells,).
         """
         grid = list(grid)
-        if self.kind == "custom" or not grid:
-            return np.array([self.feature_row(x, reps) for x in grid])
+        if self.kind == "custom":
+            out = np.empty((len(grid), len(reps)), complex if self.complex_valued else float)
+            for row, x in zip(out, grid):
+                vals = np.asarray(self.feature(x, reps))
+                if vals.shape != row.shape:
+                    raise ValueError(
+                        f"feature({x!r}, reps) returned shape {vals.shape}, "
+                        f"expected {row.shape}"
+                    )
+                row[...] = vals
+            return out
         if self.kind == "indicator":
             xs = np.array([float(x) for x in grid])
             return (reps <= xs[:, None]).astype(float)
@@ -453,8 +434,10 @@ def _gram_entries(g):
     return arr, list(range(arr.shape[0]))
 
 
-def _complex_sampling_factor(arr: np.ndarray, ridge: float) -> np.ndarray:
-    """n x 2n complex M with M @ M.conj().T = G, from the embedded factor."""
+def _sampling_factor(arr: np.ndarray, ridge: float) -> np.ndarray:
+    """M with M @ M.conj().T = G; n x 2n from the embedded factor if G is complex."""
+    if not np.iscomplexobj(arr):
+        return cholesky(arr, ridge=ridge).L
     lam = cholesky(real_embedding(arr), ridge=ridge).L
     n = arr.shape[0]
     return (lam[:n, :] + 1j * lam[n:, :]) / math.sqrt(2.0)
@@ -478,21 +461,12 @@ def sample_gaussian_vector(g, n_paths: int, seed: int = 0) -> PathEnsemble:
     if n == 0 or not np.any(arr):
         zeros = np.zeros((n_paths, n), dtype=complex if np.iscomplexobj(arr) else float)
         return PathEnsemble(grid=grid, paths=zeros, seed=policy.master_seed)
-    is_complex = np.iscomplexobj(arr)
     ridge = 0.0
     try:
-        factor = (
-            _complex_sampling_factor(arr, 0.0)
-            if is_complex
-            else cholesky(arr).L
-        )
+        factor = _sampling_factor(arr, ridge)
     except NotPositiveDefiniteError:
         ridge = 1e-12 * float(np.trace(arr).real)
-        factor = (
-            _complex_sampling_factor(arr, ridge)
-            if is_complex
-            else cholesky(arr, ridge=ridge).L
-        )
+        factor = _sampling_factor(arr, ridge)
     mixer = factor.conj().T  # (draws, n); real case: plain transpose
     out = _mix_paths(policy, n_paths, mixer)
     return PathEnsemble(
@@ -555,7 +529,7 @@ def ito_synthesize(
     """Discretized stochastic integral V_x = sum_i k_x(s_i) W_{A_i}.
 
     s_i are the left-endpoint cell representatives; increments are
-    streamed in path blocks so only the P x |grid| result materializes.
+    drawn one path tile at a time so only the P x |grid| result materializes.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -709,7 +683,7 @@ def quadratic_variation(
 
     A must be a union of cells at every listed resolution; per path the
     statistic Q concentrates on mu(A) as cells shrink.  The sums run
-    path block by path block, and their order sets the last digits of
+    one 2048-path tile at a time, and their order sets the last digits of
     mean_q and e_sq.
     """
     if n_paths < 1:
@@ -726,8 +700,9 @@ def quadratic_variation(
         roots = np.sqrt(part.masses[idx])
         total = 0.0
         total_sq = 0.0
-        for start, count in _path_blocks(n_paths):
-            z = policy.normal_block(start, count, len(part.masses))[:, idx]
+        for start in range(0, n_paths, _PATH_TILE):
+            rows = min(_PATH_TILE, n_paths - start)
+            z = policy.normal_block(start, rows, len(part.masses))[:, idx]
             q = np.sum((z * roots) ** 2, axis=1)
             total += float(np.sum(q))
             total_sq += float(np.sum((mu - q) ** 2))

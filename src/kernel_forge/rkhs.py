@@ -45,16 +45,6 @@ MEMBERSHIP_CAP = 1e6
 MEMBERSHIP_GROWTH = 1.5
 
 
-def _coefficients(spec: KernelSpec, sample: SampleSet, h_values) -> np.ndarray:
-    """Solve K_F xi = h|_F through the pinned inverse-Gram route."""
-    h = np.asarray(h_values, dtype=complex if spec.is_complex else float)
-    if h.shape != (len(sample),):
-        raise ValueError(
-            f"expected {len(sample)} sample values, got shape {h.shape}"
-        )
-    return inverse_gram(gram(spec, sample)) @ h
-
-
 def project(spec: KernelSpec, sample, h_values, eval_points) -> np.ndarray:
     """Orthogonal projection onto span{K(., y) : y in F}, evaluated pointwise.
 
@@ -63,7 +53,7 @@ def project(spec: KernelSpec, sample, h_values, eval_points) -> np.ndarray:
     sampled values elsewhere.
     """
     sample = as_sample_set(sample)
-    xi = _coefficients(spec, sample, h_values)
+    xi = laplacian_apply(spec, sample, h_values)
     return cross_gram(spec, list(eval_points), sample.points) @ xi
 
 
@@ -112,7 +102,7 @@ def rkhs_norm_sq(spec: KernelSpec, sample, h_values_per_level) -> NormChainRepor
     seq = []
     for level, vals in zip(levels, values):
         level_set = SampleSet(points=level, domain=sample.domain)
-        xi = _coefficients(spec, level_set, vals)
+        xi = laplacian_apply(spec, level_set, vals)
         energy = np.vdot(np.asarray(vals, dtype=xi.dtype), xi)
         seq.append(float(energy.real))
     seq = np.array(seq)
@@ -176,10 +166,14 @@ def laplacian_apply(spec: KernelSpec, sample, h_values) -> np.ndarray:
     """Discrete Laplacian: (Delta h)(x) = (K_S^{-1} h|_S)(x) for x in S.
 
     On an integer window of the Brownian line kernel this is the standard
-    second-difference operator at interior points.
+    second-difference operator at interior points.  `project` and
+    `rkhs_norm_sq` solve K_S xi = h|_S through it (the inverse-Gram route).
     """
     sample = as_sample_set(sample)
-    return _coefficients(spec, sample, h_values)
+    h = np.asarray(h_values, dtype=complex if spec.is_complex else float)
+    if h.shape != (len(sample),):
+        raise ValueError(f"expected {len(sample)} sample values, got shape {h.shape}")
+    return inverse_gram(gram(spec, sample)) @ h
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,15 +213,8 @@ def induced_graph(
     )
 
 
-def extend_spline(spec: KernelSpec, sample, h_values, eval_points) -> np.ndarray:
-    """Canonical isometric extension of sampled values off the sample set.
-
-    This is projection with F = S: interpolate h|_S in the span of the
-    kernel sections and evaluate anywhere.  Restriction back to S
-    reproduces the data; the tail outside the hull of S follows the
-    kernel (for the Brownian families this produces tent functions).
-    """
-    return project(spec, sample, h_values, eval_points)
+# spline extension is projection with F = S: it reproduces h on S
+extend_spline = project
 
 
 @dataclass(frozen=True, eq=False)

@@ -126,16 +126,16 @@ def test_mc_bytes_independent_of_threads_and_blocks(
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    # a low threshold and small chunks make every block run on the pool
+    # a low threshold and small chunks make every block run on the pool;
+    # a chunk of 7 normals holds one path, one of 1000 several
     monkeypatch.setattr(gpsim, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(gpsim, "_usable_cores", lambda: 4)
     monkeypatch.setattr(gpsim, "_PARALLEL_MIN_NORMALS", 1)
-    monkeypatch.setattr(gpsim, "_CHUNK_NORMALS", 1000)
-    for block in (gpsim.PATH_BLOCK, 7):
-        monkeypatch.setattr(gpsim, "PATH_BLOCK", block)
+    for chunk in (1000, 7):
+        monkeypatch.setattr(gpsim, "_CHUNK_NORMALS", chunk)
         for threads in ("1", "2", "9"):
             code, raw = run_to_file(tmp_path, ["--threads", threads] + argv)
-            assert code == 0 and raw == ref, (block, threads)
+            assert code == 0 and raw == ref, (chunk, threads)
     assert set(pools) == {2, 4}
 
 
@@ -252,6 +252,20 @@ def test_interpolate(tmp_path):
     code, raw = run_to_file(tmp_path, ["interpolate", "--data", str(data)])
     assert code == 0
     assert json.loads(raw)["norm_sq"] == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize(
+    "text,width",
+    [("1.0\n2.0\n", 1), ("1.0,1.0,9.0\n2.0,3.0,9.0\n", 3)],
+    ids=["one-column", "three-columns"],
+)
+def test_interpolate_needs_x_y_rows(tmp_path, capsys, text, width):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    out = tmp_path / "out.json"
+    assert cli.run(["interpolate", "--data", str(data), "--out", str(out)]) == 2
+    assert f"{data}: --data needs x,y rows, got {width} columns" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +433,19 @@ def test_witness_custom_needs_slopes(tmp_path):
     knots.write_text("1.0\n2.0\n")
     assert cli.run(["witness", "sawtooth", "--knots", str(knots),
                     "--rule", "custom"]) == 2
+
+
+def test_witness_slopes_need_custom_rule(tmp_path, capsys):
+    # the slopes would be used while the report records the harmonic rule
+    knots = tmp_path / "k.csv"
+    knots.write_text("1.0\n2.0\n3.0\n")
+    slopes = tmp_path / "s.csv"
+    slopes.write_text("3.0\n4.0\n")
+    out = tmp_path / "w.json"
+    assert cli.run(["witness", "sawtooth", "--knots", str(knots), "--slopes", str(slopes),
+                    "--out", str(out)]) == 2
+    assert "--slopes needs --rule custom" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ each is pinned to a fixed seed so a failure is a real regression, not noise.
 """
 
 import hashlib
+import re
 import sys
 import threading
 
@@ -264,22 +265,42 @@ def test_ito_cantor_product_second_moment():
 
 
 def test_ito_deterministic_across_block_sizes(monkeypatch):
+    # the draw engine's chunk is the one block size left; a threshold of
+    # 1 sends every tile through the pool
     pair = gpsim.pair_ex1()
     grid = [0.25, 0.5, 1.0]
     a = gpsim.ito_synthesize(pair, 6, grid, n_paths=300, seed=8).paths
-    monkeypatch.setattr(gpsim, "PATH_BLOCK", 7)
-    b = gpsim.ito_synthesize(pair, 6, grid, n_paths=300, seed=8).paths
-    np.testing.assert_array_equal(a, b)
+    monkeypatch.setattr(gpsim, "_PARALLEL_MIN_NORMALS", 1)
+    for chunk in (7, 1000):
+        monkeypatch.setattr(gpsim, "_CHUNK_NORMALS", chunk)
+        b = gpsim.ito_synthesize(pair, 6, grid, n_paths=300, seed=8).paths
+        np.testing.assert_array_equal(a, b)
 
 
 def test_ito_complex_deterministic_across_block_sizes(monkeypatch):
     pair = gpsim.pair_ex3(trunc=4)
     grid = [0.2, 0.1 + 0.3j, -0.4j]
     a = gpsim.ito_synthesize(pair, 6, grid, n_paths=300, seed=8).paths
-    monkeypatch.setattr(gpsim, "PATH_BLOCK", 7)
-    b = gpsim.ito_synthesize(pair, 6, grid, n_paths=300, seed=8).paths
     assert a.dtype == complex
-    np.testing.assert_array_equal(a, b)
+    monkeypatch.setattr(gpsim, "_PARALLEL_MIN_NORMALS", 1)
+    for chunk in (7, 1000):
+        monkeypatch.setattr(gpsim, "_CHUNK_NORMALS", chunk)
+        b = gpsim.ito_synthesize(pair, 6, grid, n_paths=300, seed=8).paths
+        np.testing.assert_array_equal(a, b)
+
+
+def test_mix_paths_draws_one_block_per_tile(monkeypatch):
+    # 4100 paths: two full 2048-path tiles and one of 4 paths
+    calls = []
+    normal_block = RngSeedPolicy.normal_block
+
+    def recording(self, first_path, n_paths, count):
+        calls.append((first_path, n_paths, count))
+        return normal_block(self, first_path, n_paths, count)
+
+    monkeypatch.setattr(RngSeedPolicy, "normal_block", recording)
+    gpsim._mix_paths(RngSeedPolicy(3), 4100, np.ones((5, 2)))
+    assert calls == [(0, 2048, 5), (2048, 2048, 5), (4096, 4, 5)]
 
 
 def test_mix_real_mixer_is_plain_product():
@@ -302,6 +323,27 @@ def test_mix_complex_mixer_within_rounding_of_complex_product(seed):
     assert np.all(np.abs(out - z @ mixer) <= bound)
 
 
+def _feature_row(self, x, reps: np.ndarray) -> np.ndarray:
+    """Evaluate k_x at every partition representative.
+
+    The scalar per-point reference that `FactorizationPair.feature_matrix`
+    replaced, kept verbatim as the oracle for its bytes.
+    """
+    if self.kind == "indicator":
+        return (reps <= float(x)).astype(float)
+    if self.kind == "szego":
+        return 1.0 / (1.0 - complex(x) * np.exp(-2j * np.pi * reps))
+    if self.kind == "cantor-product":
+        z = complex(x)
+        out = np.ones(len(reps), dtype=complex)
+        for n in range(self.trunc):
+            p = 4 ** n
+            out *= 1.0 + (z ** p) * np.exp(-2j * np.pi * p * reps)
+        return out
+    vals = np.asarray(self.feature(x, reps))
+    return vals.astype(complex if self.complex_valued else float)
+
+
 @pytest.mark.parametrize(
     "pair,grid",
     [
@@ -312,15 +354,46 @@ def test_mix_complex_mixer_within_rounding_of_complex_product(seed):
         (gpsim.pair_ex3(trunc=1), [0.5j, 0.3]),
         (custom_pair(lambda x, s: np.cos(x * s), kf.lebesgue()), [0.0, 1.0, 2.5]),
         (gpsim.pair_ex2(), []),
+        (gpsim.pair_ex1(), []),
+        (gpsim.pair_ex3(trunc=3), []),
+        (custom_pair(lambda x, s: np.cos(x * s), kf.lebesgue()), []),
+        (custom_pair(lambda x, s: np.exp(1j * x * s), kf.lebesgue(), True), [0.5, 2.0]),
+        (custom_pair(lambda x, s: np.exp(1j * x * s), kf.lebesgue(), True), []),
     ],
 )
-@pytest.mark.parametrize("resolution", [3, 8])
+@pytest.mark.parametrize("resolution", [3, 8, 12])
 def test_feature_matrix_matches_feature_rows(pair, grid, resolution):
     reps = kf.cells(pair.measure, resolution).reps
-    rows = np.array([pair.feature_row(x, reps) for x in grid])
+    rows = np.array([_feature_row(pair, x, reps) for x in grid])
+    if not grid:  # np.array([]) is (0,) float64; the matrix keeps its columns
+        rows = np.empty((0, len(reps)), complex if pair.complex_valued else float)
     mat = pair.feature_matrix(grid, reps)
     assert mat.dtype == rows.dtype and mat.shape == rows.shape
     assert mat.tobytes() == rows.tobytes()
+
+
+def test_empty_grid_runs_through_duality_ito_and_adjoint():
+    rep = gpsim.duality_check(gpsim.pair_ex1(), kf.brownian_min(), [], 3, 10)
+    assert rep.quad_error == 0.0 and rep.mc_error == 0.0 and rep.passed
+    ens = gpsim.ito_synthesize(gpsim.pair_ex2(), 3, [], 10)
+    assert ens.paths.shape == (10, 0) and ens.paths.dtype == complex
+    out = gpsim.transform_adjoint(gpsim.pair_ex1(), np.cos, [], 3)
+    assert out.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "feature,returned",
+    [(lambda x, s: 1.0, "()"), (lambda x, s: np.ones(3), "(3,)")],
+    ids=["scalar", "length-3"],
+)
+def test_custom_feature_of_the_wrong_shape_is_rejected(feature, returned):
+    pair = custom_pair(feature, kf.lebesgue())
+    reps = kf.cells(pair.measure, 3).reps  # 8 cells
+    message = f"feature(0.5, reps) returned shape {returned}, expected (8,)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pair.feature_matrix([0.5], reps)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gpsim.ito_synthesize(pair, 3, [0.5], 10)
 
 
 # ---------------------------------------------------------------------------
