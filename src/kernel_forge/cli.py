@@ -27,6 +27,7 @@ definite, singular system), 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -567,11 +568,15 @@ def _resolve_threads(args) -> int:
     return value
 
 
+# one parser per process: building it (24 subparsers) costs milliseconds,
+# and parsing changes neither it nor its (immutable) defaults
+_parser = functools.cache(build_parser)
+
+
 def run(argv) -> int:
     """Parse argv, dispatch, and map failures to exit codes."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

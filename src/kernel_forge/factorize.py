@@ -1,14 +1,15 @@
 """Gram-matrix factorizations: Cholesky, inversion, and spectra.
 
-The Cholesky core is a hand-rolled right-looking column sweep; the
-first-hitting-time Gram matrices of the Brownian family admit a
-closed-form factor built from increment square roots, and the generic
-routine must reproduce it.  Spectra come from two independent routes
-that the test suite cross-checks against each other: a shifted
-alternating Cholesky iteration (factor B - sI, transpose-swap, add sI
-back, repeat, until the matrix is numerically diagonal) and Jacobi
-rotation sweeps in Brent-Luk round-robin order, where each round rotates
-up to n/2 disjoint pairs at once.  Neither uses a LAPACK eigensolver.
+Cholesky factors come from numpy's LAPACK (never scipy's, see
+`_lr_factor`) and a relative pivot test; the first-hitting-time Gram
+matrices of the Brownian family admit a closed-form factor built from
+increment square roots, and the generic routine must reproduce it.
+Spectra come from two independent routes that the test suite
+cross-checks against each other: a shifted alternating Cholesky
+iteration (factor B - sI, transpose-swap, add sI back, repeat, until the
+matrix is numerically diagonal) and Jacobi rotation sweeps in Brent-Luk
+round-robin order, where each round rotates up to n/2 disjoint pairs at
+once.  Neither uses a LAPACK eigensolver.
 
 PSD and frame-bound verdicts need only the two extreme eigenvalues, and
 `eig_range` takes them from numpy's LAPACK `eigvalsh`: a backward-stable
@@ -32,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotIncreasingError, NotPositiveDefiniteError, SingularMatrixError
 from .kernels import GramMatrix, SampleSet
@@ -61,7 +61,7 @@ def matrix_scale(arr: np.ndarray) -> float:
     gives A and c * A the same verdict; for a PSD matrix it bounds every
     entry, since |A_ij| <= sqrt(A_ii A_jj).  0 for an empty matrix.
     """
-    return float(np.max(np.abs(np.diagonal(arr)))) if arr.size else 0.0
+    return float(np.abs(np.diagonal(arr)).max()) if arr.size else 0.0
 
 
 def _as_matrix(g) -> np.ndarray:
@@ -74,7 +74,7 @@ def _as_matrix(g) -> np.ndarray:
     arr = np.array(g.entries if isinstance(g, GramMatrix) else g)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix has a NaN or infinite entry")
     if np.iscomplexobj(arr) and not np.any(arr.imag):
         arr = arr.real.copy()
@@ -84,8 +84,8 @@ def _as_matrix(g) -> np.ndarray:
 def _check_hermitian(arr: np.ndarray) -> None:
     if arr.size == 0:
         return
-    dev = float(np.max(np.abs(arr - arr.conj().T)))
-    if dev > 1e-8 * float(np.max(np.abs(arr))):
+    dev = float(np.abs(arr - arr.conj().T).max())
+    if dev > 1e-8 * float(np.abs(arr).max()):
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
 
 
@@ -100,40 +100,18 @@ def real_embedding(arr: np.ndarray) -> np.ndarray:
     return np.block([[re, -im], [im, re]])
 
 
-def _chol_lower(a: np.ndarray, tol: float) -> np.ndarray:
-    """Right-looking Cholesky column sweep on a real symmetric matrix.
-
-    Raises NotPositiveDefiniteError as soon as a pivot falls below the
-    absolute threshold ``tol`` or is not positive (NaN pivots fail too).
-    """
-    n = a.shape[0]
-    work = np.array(a, dtype=float)
-    lower = np.zeros_like(work)
-    for j in range(n):
-        pivot = work[j, j]
-        if not (pivot >= tol and pivot > 0.0):
-            raise NotPositiveDefiniteError(
-                f"Cholesky pivot {pivot:.6e} at index {j} is below tolerance {tol:.1e}"
-            )
-        root = math.sqrt(pivot)
-        lower[j, j] = root
-        if j + 1 < n:
-            col = work[j + 1 :, j] / root
-            lower[j + 1 :, j] = col
-            work[j + 1 :, j + 1 :] -= np.outer(col, col)
-    return lower
-
-
 @dataclass(frozen=True, eq=False)
 class CholeskyFactor:
     """Lower-triangular factor with L @ L.T = G + ridge*I.
 
     For complex Hermitian input `L` factors the real block embedding, so
-    it is 2n x 2n; `reconstruct()` then returns the embedded matrix.
+    it is 2n x 2n, `embedded` is set, and `reconstruct()` returns the
+    embedded matrix.
     """
 
     L: np.ndarray
     ridge_used: float = 0.0
+    embedded: bool = False
 
     @property
     def n(self) -> int:
@@ -146,22 +124,34 @@ class CholeskyFactor:
 def cholesky(g, ridge: float = 0.0, tol: float = 1e-12) -> CholeskyFactor:
     """Cholesky factor of a Hermitian PSD matrix (plus optional ridge).
 
-    Complex input is factored through its real block embedding.  A pivot
-    below ``tol * matrix_scale(G)`` (G before the ridge) raises
-    NotPositiveDefiniteError, so the verdict does not depend on the scale
-    of G; a positive `ridge` is added to the diagonal before factoring
-    (and reported in the result).
+    Complex input is factored through its real block embedding, by
+    numpy's `potrf` (lower triangle).  The first pivot diag(L)**2 below
+    ``tol * matrix_scale(G)`` (G before the ridge), or one LAPACK cannot
+    take, raises NotPositiveDefiniteError, so the verdict does not depend
+    on the scale of G; a positive `ridge` is added to the diagonal before
+    factoring (and reported in the result).
     """
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     arr = _as_matrix(g)
     _check_hermitian(arr)
     threshold = tol * matrix_scale(arr)
-    if np.iscomplexobj(arr):
+    if embedded := np.iscomplexobj(arr):
         arr = real_embedding(arr)
     if ridge:
         arr = arr + ridge * np.eye(arr.shape[0])
-    return CholeskyFactor(L=_chol_lower(arr, threshold), ridge_used=float(ridge))
+    try:
+        lower = np.linalg.cholesky(arr)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"a Cholesky pivot is not positive: {exc}") from exc
+    pivots = lower.diagonal() ** 2
+    low = np.flatnonzero(~(pivots >= threshold))
+    if low.size:
+        j = low[0]
+        raise NotPositiveDefiniteError(
+            f"Cholesky pivot {pivots[j]:.6e} at index {j} is below tolerance {threshold:.1e}"
+        )
+    return CholeskyFactor(L=lower, ridge_used=float(ridge), embedded=embedded)
 
 
 def brownian_cholesky_closed_form(points) -> CholeskyFactor:
@@ -190,28 +180,25 @@ def brownian_cholesky_closed_form(points) -> CholeskyFactor:
 
 
 def inverse_gram(g) -> np.ndarray:
-    """Inverse of a positive-definite Gram matrix via Cholesky solves.
+    """Inverse of a positive-definite Gram matrix from its Cholesky factor.
 
-    Complex matrices invert through the real embedding (the embedding of
-    the inverse is the inverse of the embedding).  Raises
-    SingularMatrixError when the matrix is not safely invertible: a
-    Cholesky pivot falls below 1e-12 * matrix_scale(G).
+    G^-1 = W.T @ W with W = L^-1, numpy only.  Complex matrices invert
+    through the real embedding (the embedding of the inverse is the
+    inverse of the embedding).  Raises SingularMatrixError when the matrix
+    is not safely invertible: a Cholesky pivot falls below
+    1e-12 * matrix_scale(G).
     """
-    arr = _as_matrix(g)
-    was_complex = np.iscomplexobj(arr)
-    n = arr.shape[0]
-    if n == 0:
-        return arr.copy()
     try:
-        factor = cholesky(arr, ridge=0.0, tol=1e-12)
+        factor = cholesky(g, ridge=0.0, tol=1e-12)
     except NotPositiveDefiniteError as exc:
         raise SingularMatrixError(f"matrix is singular or indefinite: {exc}") from exc
-    eye = np.eye(factor.n)
-    half = scipy.linalg.solve_triangular(factor.L, eye, lower=True, check_finite=False)
-    inv = scipy.linalg.solve_triangular(
-        factor.L.T, half, lower=False, check_finite=False
-    )
-    if was_complex:
+    # inv(L), not inv(L.T): on a Brownian Gram it keeps most zeros of the
+    # tridiagonal inverse exact (78% at n = 300, inv(L.T) none), so the
+    # written inverse is shorter and faster to format
+    w = np.linalg.inv(factor.L)
+    inv = w.T @ w
+    if factor.embedded:
+        n = factor.n // 2
         return inv[:n, :n] + 1j * inv[n:, :n]
     return inv
 
@@ -275,12 +262,11 @@ def _lr_factor(block: np.ndarray, diag, shift: float):
     """(A, s) with A @ A.T = block - s*I, for one shifted LR step.
 
     A shift whose factorization fails falls back to s = 0; if the unshifted
-    factorization fails too, the block is not positive definite.  The
-    inner factorization is a plain primitive; the public `cholesky` op
-    keeps the hand-rolled sweep.  It is numpy's, like the product that
-    follows it: scipy's LAPACK brings its own BLAS thread pool, and two
-    pools taking turns stalled each other (10x slower at n = 200 on two
-    cores).
+    factorization fails too, the block is not positive definite.  It is
+    numpy's `potrf`, as in `cholesky`, but without its checks; every
+    LAPACK call here is numpy's: scipy's LAPACK brings its own BLAS thread
+    pool, and two pools taking turns stalled each other (10x slower at
+    n = 200 on two cores).
     """
     if shift > 0.0:
         shifted = block.copy()
@@ -374,8 +360,10 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
             deepest = max(deepest, depth)
             continue
         if m == 2:
+            # Python floats: the same doubles as numpy scalars, but faster
             pair, depth, ok = _lr_step_2x2(
-                block[0, 0], block[0, 1], block[1, 1], stop, depth, max_iter
+                float(block[0, 0]), float(block[0, 1]), float(block[1, 1]),
+                stop, depth, max_iter,
             )
             finished.extend(pair)
             deepest = max(deepest, depth)

@@ -506,11 +506,9 @@ def cumulative_path(increments: WienerIncrements, x_grid) -> PathEnsemble:
     grid = [float(x) for x in x_grid]
     if any(x < 0.0 or x > 1.0 for x in grid):
         raise OutOfDomainError("cumulative grid must lie in [0, 1]")
-    part = cells(increments.measure, increments.resolution)
-    lefts = part.lefts
-    mask = np.array(
-        [(lefts <= x) & (x > 0.0) for x in grid], dtype=float
-    ).T  # cells x grid
+    lefts = cells(increments.measure, increments.resolution).lefts
+    xs = np.array(grid, dtype=float)[:, None]
+    mask = ((lefts <= xs) & (xs > 0.0)).astype(float).T  # cells x grid
     return PathEnsemble(
         grid=grid,
         paths=increments.matrix @ mask,
@@ -555,9 +553,11 @@ def frame_synthesize(g_functions, x_grid, n_paths: int, seed: int = 0) -> PathEn
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     grid = list(x_grid)
-    cols = np.array([[fn(x) for fn in g_functions] for x in grid])  # grid x N
-    # a g_n that returns a one-element array adds a trailing axis
-    cols = cols.reshape(len(grid), cols.shape[1])
+    fns = list(g_functions)
+    cols = np.array([[fn(x) for fn in fns] for x in grid])  # grid x N
+    # a g_n that returns a one-element array adds a trailing axis, and an
+    # empty grid gives shape (0,)
+    cols = cols.reshape(len(grid), len(fns))
     policy = RngSeedPolicy(seed)
     out = _mix_paths(policy, n_paths, cols.T)
     return PathEnsemble(grid=grid, paths=out, seed=policy.master_seed)

@@ -6,6 +6,7 @@ installed console script to cover the real entry point.
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -13,8 +14,9 @@ import threading
 import numpy as np
 import pytest
 from conftest import child_env
+from test_factorize import sweep_cholesky, sweep_inverse_gram
 
-from kernel_forge import cli, fileio, gpsim
+from kernel_forge import cli, factorize, fileio, gpsim
 
 
 @pytest.fixture()
@@ -514,13 +516,13 @@ GOLDEN_OUTPUTS = [
     (["gram", "--kernel", "szego", "--points", "disk.csv", "--format", "json"],
      "06a9da7078f4cfadf552a76338fef07ed62b3da939265a0d03d7d0a043524dcd"),
     (["inv", "--matrix", "gram.csv", "--format", "json"],
-     "bd1baa60b44d48feafbabd4ea81eb984b20dfef9da31649340d09e8586a942f9"),
+     "2067162d508d352b88666b69b067a99f95b00f892ad808a6fc7b01aa2509585e"),
     (["inv", "--matrix", "gram.csv", "--format", "csv"],
-     "cb13f79424d932419284c1e50dfc40f6db3504bbc30c3b49d04a3e792494d69f"),
+     "71b11ddc61923812c9b9e5b9f6e3071b1807211629a85aba9fdc5347df506eab"),
     (["chol", "--matrix", "gram.csv", "--format", "json"],
-     "a513cb4a3f148e5c3890c617fd5e54810fe7422419c53de5e35a07dcda4514b6"),
+     "6b98d6a650c9bed3ddf5561d8f128050ad326b78a116a9d5fb58792bf9b52fc9"),
     (["chol", "--kernel", "szego", "--points", "disk.csv", "--format", "json"],
-     "0bc186d17b7387b40e5ccc662d34327ad7c1ae1b00ca4c4854ec0fc52b10dfbe"),
+     "815fc04daed913fbcb3bb1905d635cef506d64d15e620c9f271ac272a4a22bf6"),
     (["simulate", "--example", "ex1", "--paths", "40", "--resolution", "5",
       "--grid-file", "grid.csv", "--seed", "11"],
      "b5f0dfc27e079984c3025f6ea729ae10463f6523a65be62ced9c6066093955a5"),
@@ -529,10 +531,10 @@ GOLDEN_OUTPUTS = [
      "ae6b6b6e6ba511892cef12065d539a931bdbbf38e0a6035c8c10d051416d7cde"),
     (["project", "--kernel", "brownian-min", "--points", "line.csv",
       "--values", "vals_line.csv", "--eval", "eval_line.csv", "--format", "csv"],
-     "4f29d1206791f024bd10e83ece3805f321553c3e96c0f7478506d2e44b5b0006"),
+     "070177e0262afa3b84772d10969f8cfdd13d3e3b50a70b061921ef260179557a"),
     (["project", "--kernel", "szego", "--points", "disk.csv",
       "--values", "vals_disk.csv", "--eval", "eval_disk.csv", "--format", "csv"],
-     "3827f6f6fb8b5907f27e5b3573c2d42a649dcd67e057e310f0a0d3e6d14961e3"),
+     "e9c1e2461f751d83c76a74e9eb990e6cc6b8a75b7d2c38139cfd9ded89a1c758"),
     (["cantor", "cdf", "--grid-file", "grid.csv"],
      "d41fb0121f0afe466f00f7b01a7e0c3fecfedf18bb8c77ca7d4cfd5863004d38"),
     (["cantor", "cells", "--depth", "3"],
@@ -547,7 +549,7 @@ GOLDEN_OUTPUTS = [
       "--chain-file", "chain.csv"],
      "6946e7c8f710d0c83b6692d7d304fc5d380a3502392219fd88de47429057fc3c"),
     (["graph", "--kernel", "brownian-min", "--points", "line.csv"],
-     "2c90c232af32bad0c75b8e3205e4095ecb124c4fd23dea30756788918de32b0f"),
+     "806b4d120b29549e648c302a8ffcb3d675a2feeae02d0ff43c3f0afd2e65d363"),
     (["interpolate", "--data", "data.csv", "--eval", "eval_line.csv"],
      "4ee970e2b4d0bd393b169943d50d1ed35176804b2e6c5c2f1953cb2d4244aba9"),
     (["cantor", "fourier-gram", "--count", "4", "--limit", "100", "--resolution", "8"],
@@ -588,11 +590,76 @@ GOLDEN_OUTPUTS = [
 @pytest.mark.parametrize("argv,digest", GOLDEN_OUTPUTS, ids=[
     "-".join(a for a in argv if not a.startswith("--")) for argv, _ in GOLDEN_OUTPUTS])
 def test_cli_output_golden(tmp_path, monkeypatch, argv, digest):
+    raw = _golden_run(tmp_path, monkeypatch, argv)
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+def _golden_run(tmp_path, monkeypatch, argv) -> bytes:
     monkeypatch.chdir(tmp_path)
     for name, text in GOLDEN_INPUTS.items():
         (tmp_path / name).write_text(text)
     assert cli.run(["gram", "--kernel", "brownian-min", "--points", "line.csv",
                     "--out", "gram.csv"]) == 0
     assert cli.run(argv + ["--out", "out.txt"]) == 0
-    raw = (tmp_path / "out.txt").read_bytes()
-    assert hashlib.sha256(raw).hexdigest() == digest
+    return (tmp_path / "out.txt").read_bytes()
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    cli._parser.cache_clear()
+    for argv, digest in GOLDEN_OUTPUTS[:8]:
+        raw = _golden_run(tmp_path, monkeypatch, argv)
+        assert hashlib.sha256(raw).hexdigest() == digest
+        assert cli.run(argv + ["--no-such-flag"]) == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+        assert _golden_run(tmp_path, monkeypatch, argv) == raw
+    # 8 x 5 runs (each golden run writes gram.csv first), one build
+    assert cli._parser.cache_info().misses == 1
+    assert cli._parser.cache_info().hits == 39
+
+
+# The outputs that factor a Gram, with their digests when the factor came
+# from the Python column sweep (tests/test_factorize.py keeps it as the
+# oracle).  LAPACK rounds differently, so their numbers may move, but only
+# by rounding: the text around the numbers is unchanged.
+SWEEP_OUTPUTS = [
+    (["inv", "--matrix", "gram.csv", "--format", "json"],
+     "bd1baa60b44d48feafbabd4ea81eb984b20dfef9da31649340d09e8586a942f9"),
+    (["inv", "--matrix", "gram.csv", "--format", "csv"],
+     "cb13f79424d932419284c1e50dfc40f6db3504bbc30c3b49d04a3e792494d69f"),
+    (["chol", "--matrix", "gram.csv", "--format", "json"],
+     "a513cb4a3f148e5c3890c617fd5e54810fe7422419c53de5e35a07dcda4514b6"),
+    (["chol", "--kernel", "szego", "--points", "disk.csv", "--format", "json"],
+     "0bc186d17b7387b40e5ccc662d34327ad7c1ae1b00ca4c4854ec0fc52b10dfbe"),
+    (["project", "--kernel", "brownian-min", "--points", "line.csv",
+      "--values", "vals_line.csv", "--eval", "eval_line.csv", "--format", "csv"],
+     "4f29d1206791f024bd10e83ece3805f321553c3e96c0f7478506d2e44b5b0006"),
+    (["project", "--kernel", "szego", "--points", "disk.csv",
+      "--values", "vals_disk.csv", "--eval", "eval_disk.csv", "--format", "csv"],
+     "3827f6f6fb8b5907f27e5b3573c2d42a649dcd67e057e310f0a0d3e6d14961e3"),
+    (["graph", "--kernel", "brownian-min", "--points", "line.csv"],
+     "2c90c232af32bad0c75b8e3205e4095ecb124c4fd23dea30756788918de32b0f"),
+]
+
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+@pytest.mark.parametrize("argv,sweep_digest", SWEEP_OUTPUTS, ids=[
+    "-".join(a for a in argv if not a.startswith("--")) for argv, _ in SWEEP_OUTPUTS])
+def test_factor_outputs_stay_within_rounding_of_the_sweep(
+    tmp_path, monkeypatch, argv, sweep_digest
+):
+    raw = _golden_run(tmp_path, monkeypatch, argv)
+    oracles = ((factorize.cholesky, sweep_cholesky),
+               (factorize.inverse_gram, sweep_inverse_gram))
+    for name, module in list(sys.modules.items()):
+        if name == "kernel_forge" or name.startswith("kernel_forge."):
+            for attr, value in list(vars(module).items()):
+                for original, oracle in oracles:
+                    if value is original:
+                        monkeypatch.setattr(module, attr, oracle)
+    swept = _golden_run(tmp_path, monkeypatch, argv)
+    assert hashlib.sha256(swept).hexdigest() == sweep_digest
+    assert _NUMBER.split(raw) == _NUMBER.split(swept)
+    new = np.array([float(x) for x in _NUMBER.findall(raw)])
+    old = np.array([float(x) for x in _NUMBER.findall(swept)])
+    assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))

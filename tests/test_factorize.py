@@ -1,11 +1,22 @@
 """Cholesky, inverse Grams, and the two eigenvalue routes."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_forge as kf
+from kernel_forge import factorize
+from kernel_forge.factorize import (
+    CholeskyFactor,
+    _as_matrix,
+    _check_hermitian,
+    matrix_scale,
+    real_embedding,
+)
 
 
 def random_psd(rng, n):
@@ -72,6 +83,146 @@ def test_cholesky_reconstructs(n, seed):
     f = kf.cholesky(g)
     np.testing.assert_allclose(f.L @ f.L.T, g, atol=1e-10 * np.abs(g).max())
     assert np.all(np.triu(f.L, 1) == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the column sweep that factored every Gram before `cholesky` called LAPACK,
+# kept verbatim as the oracle for the LAPACK route, with the `cholesky` and
+# `inverse_gram` bodies that ran it
+
+
+def _chol_lower(a: np.ndarray, tol: float) -> np.ndarray:
+    """Right-looking Cholesky column sweep on a real symmetric matrix.
+
+    Raises NotPositiveDefiniteError as soon as a pivot falls below the
+    absolute threshold ``tol`` or is not positive (NaN pivots fail too).
+    """
+    n = a.shape[0]
+    work = np.array(a, dtype=float)
+    lower = np.zeros_like(work)
+    for j in range(n):
+        pivot = work[j, j]
+        if not (pivot >= tol and pivot > 0.0):
+            raise kf.NotPositiveDefiniteError(
+                f"Cholesky pivot {pivot:.6e} at index {j} is below tolerance {tol:.1e}"
+            )
+        root = math.sqrt(pivot)
+        lower[j, j] = root
+        if j + 1 < n:
+            col = work[j + 1 :, j] / root
+            lower[j + 1 :, j] = col
+            work[j + 1 :, j + 1 :] -= np.outer(col, col)
+    return lower
+
+
+def sweep_cholesky(g, ridge: float = 0.0, tol: float = 1e-12) -> CholeskyFactor:
+    """`cholesky` on the column sweep."""
+    if ridge < 0:
+        raise ValueError("ridge must be nonnegative")
+    arr = _as_matrix(g)
+    _check_hermitian(arr)
+    threshold = tol * matrix_scale(arr)
+    if np.iscomplexobj(arr):
+        arr = real_embedding(arr)
+    if ridge:
+        arr = arr + ridge * np.eye(arr.shape[0])
+    return CholeskyFactor(L=_chol_lower(arr, threshold), ridge_used=float(ridge))
+
+
+def sweep_inverse_gram(g) -> np.ndarray:
+    """`inverse_gram` on the column sweep: two triangular solves."""
+    arr = _as_matrix(g)
+    was_complex = np.iscomplexobj(arr)
+    n = arr.shape[0]
+    if n == 0:
+        return arr.copy()
+    try:
+        factor = sweep_cholesky(arr, ridge=0.0, tol=1e-12)
+    except kf.NotPositiveDefiniteError as exc:
+        raise kf.SingularMatrixError(f"matrix is singular or indefinite: {exc}") from exc
+    eye = np.eye(factor.n)
+    half = scipy.linalg.solve_triangular(factor.L, eye, lower=True, check_finite=False)
+    inv = scipy.linalg.solve_triangular(
+        factor.L.T, half, lower=False, check_finite=False
+    )
+    if was_complex:
+        return inv[:n, :n] + 1j * inv[n:, :n]
+    return inv
+
+
+def _factor_or_none(chol, g):
+    try:
+        return chol(g).L
+    except kf.NotPositiveDefiniteError:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=0, max_value=2**31),
+    st.booleans(),
+    st.sampled_from(["full", "deficient", "ridged"]),
+    st.floats(min_value=-12.0, max_value=12.0),
+)
+def test_lapack_cholesky_matches_the_sweep(n, seed, complex_, rank, exponent):
+    # a rank-deficient Gram has trailing pivots of rounding size, far below
+    # 1e-12 * scale, and its ridged twin pivots near 1e-9 * scale, far
+    # above; neither verdict sits near the threshold, for any scale c
+    rng = np.random.default_rng(seed)
+    cols = n if rank == "full" else max(1, n // 2)
+    a = rng.standard_normal((n, cols))
+    if complex_:
+        a = a + 1j * rng.standard_normal((n, cols))
+    g = a @ a.conj().T
+    if rank == "ridged":
+        g = g + 1e-9 * matrix_scale(g) * np.eye(n)
+    g = 10.0**exponent * g
+    old = _factor_or_none(sweep_cholesky, g)
+    new = _factor_or_none(kf.cholesky, g)
+    assert (old is None) == (new is None)
+    expected_pd = rank != "deficient" or cols == n
+    assert (new is not None) == expected_pd
+    if new is None:
+        return
+    # both are backward stable, |L L^T - G| <= (m + 1) eps |L||L^T| <=
+    # (m + 1) eps scale (Higham 2002, Thm 10.3), and forming each product
+    # here adds m eps scale more
+    m = new.shape[0]
+    assert new.shape == old.shape and np.all(np.triu(new, 1) == 0.0)
+    bound = 8 * m * np.finfo(float).eps * matrix_scale(g)
+    assert np.max(np.abs(new @ new.T - old @ old.T)) <= bound
+
+
+def test_cholesky_names_the_first_pivot_below_tolerance():
+    # LAPACK factors this diagonal matrix; the relative pivot test rejects
+    # it at index 1, where the sweep stopped too
+    g = np.diag([1.0, 1e-13, 1e-14])
+    for chol in (kf.cholesky, sweep_cholesky):
+        with pytest.raises(kf.NotPositiveDefiniteError, match="at index 1 "):
+            chol(g)
+
+
+def test_cholesky_and_inverse_call_no_scipy(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("cholesky and inverse_gram must not call scipy.linalg")
+
+    for name in dir(scipy.linalg):
+        if not name.startswith("_") and callable(getattr(scipy.linalg, name)):
+            monkeypatch.setattr(scipy.linalg, name, forbidden)
+    # a name imported from scipy would escape the patch: factorize binds none
+    assert not [
+        name for name, value in vars(factorize).items()
+        if getattr(value, "__module__", getattr(value, "__name__", "")).startswith("scipy")
+    ]
+    g = kf.gram(kf.brownian_min(), [0.2, 0.5, 0.9])
+    np.testing.assert_allclose(kf.cholesky(g).reconstruct(), g.entries, rtol=1e-15)
+    np.testing.assert_allclose(kf.inverse_gram(g) @ g.entries, np.eye(3), atol=1e-12)
+    z = kf.gram(kf.szego(), [0.1j, 0.3, -0.2 + 0.4j])
+    np.testing.assert_allclose(kf.inverse_gram(z) @ z.entries, np.eye(3), atol=1e-12)
+    assert kf.inverse_gram(np.zeros((0, 0))).shape == (0, 0)
+    with pytest.raises(AssertionError, match="must not call"):
+        scipy.linalg.solve_triangular(np.eye(2), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +337,22 @@ def test_alt_eigs_reports_nonconvergence_honestly():
     g = g @ g
     res = kf.alt_cholesky_eigs(g, max_iter=1)
     assert not res.converged
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=-12.0, max_value=12.0))
+def test_lr_step_2x2_on_floats_matches_numpy_scalars(seed, exponent):
+    # alt_cholesky_eigs hands the scalar path Python floats; the numpy
+    # float64 scalars it once passed are the same doubles, step for step
+    g = 10.0**exponent * (random_psd(np.random.default_rng(seed), 2) + np.eye(2))
+    stop = 1e-12 * float(np.trace(g))
+    for max_iter in (3, 100_000):
+        scalars = factorize._lr_step_2x2(g[0, 0], g[0, 1], g[1, 1], stop, 0, max_iter)
+        floats = factorize._lr_step_2x2(
+            float(g[0, 0]), float(g[0, 1]), float(g[1, 1]), stop, 0, max_iter
+        )
+        assert type(floats[0][0]) is float
+        assert floats == scalars
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,12 @@ def test_cumulative_path_telescopes():
     np.testing.assert_allclose(ens.paths[:, 0], np.sum(inc.matrix, axis=1), atol=1e-12)
 
 
+def test_cumulative_path_on_an_empty_grid():
+    inc = gpsim.wiener_increments(kf.cantor4(), 3, n_paths=7, seed=0)
+    ens = gpsim.cumulative_path(inc, [])
+    assert ens.paths.shape == (7, 0) and ens.paths.dtype == float
+
+
 def test_cumulative_path_domain():
     inc = gpsim.wiener_increments(kf.lebesgue(), 3, n_paths=2, seed=0)
     with pytest.raises(kf.OutOfDomainError):
@@ -425,6 +431,11 @@ def test_frame_synthesize_matches_cholesky_columns():
     target = kf.gram(kf.brownian_min(), pts).entries
     tol = 5.0 * target.max() / np.sqrt(80_000)
     assert float(np.max(np.abs(emp - target))) <= tol
+
+
+def test_frame_synthesize_on_an_empty_grid():
+    ens = gpsim.frame_synthesize([np.sin, np.cos, np.exp], [], n_paths=7)
+    assert ens.paths.shape == (7, 0) and ens.paths.dtype == float
 
 
 def test_frame_synthesize_sinc_translates():
