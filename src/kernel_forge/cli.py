@@ -200,7 +200,8 @@ def _cmd_cantor_cdf(args):
         raise ValueError(f"--grid-n must be at least 2, got {args.grid_n}")
     else:
         xs = [k / (args.grid_n - 1) for k in range(args.grid_n)]
-    return fileio.format_matrix(np.array([[x, measures.mu4_cdf(x)] for x in xs]))
+    xs = np.array(xs, dtype=float)
+    return fileio.format_matrix(np.column_stack((xs, measures.cdf(measures.cantor4(), xs))))
 
 
 def _cmd_cantor_cells(args):
@@ -251,17 +252,12 @@ def _cmd_qvar(args):
     rep = gpsim.quadratic_variation(
         m, tuple(args.interval), args.resolutions, args.paths, args.seed
     )
-    expected = []
-    for r in rep.resolutions:
-        part = measures.cells(m, r)
-        idx = measures.check_cell_alignment(m, [rep.interval], r)
-        expected.append(float(2.0 * np.sum(part.masses[idx] ** 2)))
     return {
         "mu": rep.mu,
         "resolutions": rep.resolutions,
         "mean_q": rep.mean_q,
         "e_sq": rep.e_sq,
-        "expected_e_sq": expected,
+        "expected_e_sq": rep.expected_e_sq,
         "n_cells": rep.n_cells,
     }
 

@@ -662,8 +662,9 @@ class QuadraticVariationReport:
     """Per-resolution quadratic variation of Wiener increments over A.
 
     Each row reports the empirical mean of Q = sum W_{A_i}^2 (targets
-    mu(A)) and the empirical E|mu(A) - Q|^2 (the chi-square fluctuation
-    2 sum m_i^2, halving per dyadic refinement).
+    mu(A)), the empirical E|mu(A) - Q|^2 and its expectation
+    2 sum m_i^2 (the chi-square fluctuation, halving per dyadic
+    refinement).
     """
 
     interval: tuple
@@ -671,6 +672,7 @@ class QuadraticVariationReport:
     resolutions: list
     mean_q: list
     e_sq: list
+    expected_e_sq: list
     n_cells: list
     n_paths: int
     seed: int
@@ -682,9 +684,11 @@ def quadratic_variation(
     """Sum of squared increments over the cells inside A, per resolution.
 
     A must be a union of cells at every listed resolution; per path the
-    statistic Q concentrates on mu(A) as cells shrink.  The sums run
-    one 2048-path tile at a time, and their order sets the last digits of
-    mean_q and e_sq.
+    statistic Q concentrates on mu(A) as cells shrink.  Each 2048-path
+    tile is drawn once, at the finest cell count: a path's first c
+    normals are the normals of a c-cell draw, so every coarser resolution
+    reads a prefix of the same tile.  The sums run one tile at a time, and
+    their order sets the last digits of mean_q and e_sq.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -693,29 +697,32 @@ def quadratic_variation(
         raise OutOfDomainError("interval must satisfy 0 <= a < b <= 1")
     mu = measure_of_intervals(m, [(a, b)])
     policy = RngSeedPolicy(seed)
-    mean_q, e_sq, cell_counts = [], [], []
+    resolutions = [int(r) for r in resolutions]
+    indices, roots, expected = [], [], []
     for r in resolutions:
-        part = cells(m, int(r))
-        idx = check_cell_alignment(m, [(a, b)], int(r))
-        roots = np.sqrt(part.masses[idx])
-        total = 0.0
-        total_sq = 0.0
-        for start in range(0, n_paths, _PATH_TILE):
-            rows = min(_PATH_TILE, n_paths - start)
-            z = policy.normal_block(start, rows, len(part.masses))[:, idx]
-            q = np.sum((z * roots) ** 2, axis=1)
-            total += float(np.sum(q))
-            total_sq += float(np.sum((mu - q) ** 2))
-        mean_q.append(total / n_paths)
-        e_sq.append(total_sq / n_paths)
-        cell_counts.append(int(len(idx)))
+        idx = check_cell_alignment(m, [(a, b)], r)
+        mass = cells(m, r).masses[idx]
+        indices.append(idx)
+        roots.append(np.sqrt(mass))
+        expected.append(float(2.0 * np.sum(mass ** 2)))
+    total = [0.0] * len(resolutions)
+    total_sq = [0.0] * len(resolutions)
+    width = max((1 << r for r in resolutions), default=0)
+    for start in range(0, n_paths, _PATH_TILE) if resolutions else ():
+        rows = min(_PATH_TILE, n_paths - start)
+        tile = policy.normal_block(start, rows, width)
+        for k, (idx, root) in enumerate(zip(indices, roots)):
+            q = np.sum((tile[:, idx] * root) ** 2, axis=1)
+            total[k] += float(np.sum(q))
+            total_sq[k] += float(np.sum((mu - q) ** 2))
     return QuadraticVariationReport(
         interval=(a, b),
         mu=mu,
-        resolutions=[int(r) for r in resolutions],
-        mean_q=mean_q,
-        e_sq=e_sq,
-        n_cells=cell_counts,
+        resolutions=resolutions,
+        mean_q=[t / n_paths for t in total],
+        e_sq=[t / n_paths for t in total_sq],
+        expected_e_sq=expected,
+        n_cells=[int(len(idx)) for idx in indices],
         n_paths=n_paths,
         seed=policy.master_seed,
     )

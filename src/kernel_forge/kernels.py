@@ -22,6 +22,10 @@ broadcast point arrays.  `gram`, `cross_gram`, `kernel_diagonal` and
 `eval_kernel` all evaluate that formula, so a matrix of any size costs
 one vectorized call rather than one Python call per entry.
 
+The overlap family knows its measure only through `measures.cdf`: each
+interval carries the CDF at its two ends, and mu(I intersect J) is a
+difference of those values.
+
 Inner products are conjugate-linear in the FIRST argument throughout the
 package; every family above satisfies eval(x, y) == conj(eval(y, x)).
 
@@ -44,7 +48,7 @@ from .errors import (
     DuplicatePointError,
     OutOfDomainError,
 )
-from .measures import MeasureModel, mu4_cdf
+from .measures import MeasureModel, cdf
 
 # smallest positive-power magnitude worth multiplying in; below this the
 # factor is 1 to double precision
@@ -61,8 +65,8 @@ class IntervalSet:
         ivs = tuple((float(a), float(b)) for a, b in self.intervals)
         object.__setattr__(self, "intervals", ivs)
         for a, b in ivs:
-            if a > b:
-                raise ValueError(f"interval [{a}, {b}] has a > b")
+            if not a <= b:  # also False for NaN
+                raise ValueError(f"interval [{a}, {b}] is not an interval a <= b")
         for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
             if b1 >= a2:
                 raise ValueError("intervals must be pairwise disjoint and ascending")
@@ -153,28 +157,21 @@ def _ball(spec, points) -> np.ndarray:
     return z
 
 
-def _clipped_cdf(measure: MeasureModel, x: float) -> float:
-    """mu([0, x]) after clipping x into [0, 1]."""
-    x = min(max(x, 0.0), 1.0)
-    return x if measure.kind == "lebesgue" else mu4_cdf(x)
-
-
 def _interval_sets(spec, points) -> np.ndarray:
-    """Rows of (a, b, F(a), F(b)) per interval, F the clipped CDF.
+    """Rows of (a, b, F(a), F(b)) per interval, F the measure's CDF with
+    its argument clipped into [0, 1], from one `cdf` call for all ends.
 
     Sets with fewer intervals than the widest are padded with (inf, -inf,
-    0, 0), an interval that meets nothing.
+    F(1), F(0)), an interval that meets nothing.
     """
     if not all(isinstance(p, IntervalSet) for p in points):
         raise DomainMismatchError("overlap expects IntervalSet points")
-    width = max((len(p.intervals) for p in points), default=0)
-    out = np.zeros((len(points), width, 4))
-    out[:, :, 0], out[:, :, 1] = np.inf, -np.inf
-    m = spec.measure
-    for i, p in enumerate(points):
-        for k, (a, b) in enumerate(p.intervals):
-            out[i, k] = a, b, _clipped_cdf(m, a), _clipped_cdf(m, b)
-    return out
+    counts = np.array([len(p.intervals) for p in points], dtype=np.intp)
+    ends = np.full((len(points), max(counts, default=0), 2), (np.inf, -np.inf))
+    # a boolean mask fills in row-major order: set by set, interval by interval
+    flat = np.reshape([iv for p in points for iv in p.intervals], (-1, 2))
+    ends[np.arange(ends.shape[1]) < counts[:, None]] = flat
+    return np.concatenate((ends, cdf(spec.measure, np.clip(ends, 0.0, 1.0))), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +289,6 @@ FAMILY_TABLE = {
 }
 
 FAMILIES = tuple(FAMILY_TABLE)
-
-COMPLEX_FAMILIES = tuple(name for name, fam in FAMILY_TABLE.items() if fam.is_complex)
 
 
 @dataclass(frozen=True)
@@ -512,69 +507,3 @@ def validate_psd(g, tol: float = 1e-8):
     min_eig, _ = factorize.eig_range(g)
     arr = g.entries if isinstance(g, GramMatrix) else np.asarray(g)
     return bool(min_eig >= -tol * factorize.matrix_scale(arr)), min_eig
-
-
-@dataclass(frozen=True)
-class OverlapNormReport:
-    """Result of overlap_rkhs_norm: the L2 norm and the induced set function."""
-
-    norm: float
-    phi_integrals: list
-    gram_norm_sq: float
-    resolution: int
-
-    @property
-    def norm_sq(self) -> float:
-        return self.norm ** 2
-
-
-def overlap_rkhs_norm(
-    measure: MeasureModel, phi, sets, resolution: Optional[int] = None
-) -> OverlapNormReport:
-    """Norm of the set function Phi(A) = integral over A of phi dmu.
-
-    phi is piecewise constant on the partition cells at `resolution`
-    (default: the measure's configured depth) and may be given as a
-    per-cell value array or a callable evaluated at cell representatives.
-    Each A in `sets` must be a union of whole cells.
-
-    In the reproducing space of the overlap kernel, the norm of Phi
-    equals the L2(mu) norm of phi; the report carries a cross-check of
-    that identity computed through the overlap Gram on the cell
-    indicator sets (diagonal, entries = cell masses).
-    """
-    from .measures import cells, check_cell_alignment
-
-    res = measure.depth if resolution is None else resolution
-    c = cells(measure, res)
-    if callable(phi):
-        vals = np.asarray([phi(r) for r in c.reps], dtype=float)
-    else:
-        vals = np.asarray(phi, dtype=float)
-        if vals.shape != (len(c),):
-            raise ValueError(
-                f"phi must give one value per cell ({len(c)} cells at resolution {res})"
-            )
-    norm = math.sqrt(float(np.sum(c.masses * vals ** 2)))
-    integrals = []
-    for a in sets:
-        if not isinstance(a, IntervalSet):
-            a = IntervalSet(tuple(a))
-        idx = check_cell_alignment(measure, a.intervals, res)
-        integrals.append(float(np.sum(c.masses[idx] * vals[idx])))
-    # cross-route: <h, K^-1 h> through the finite Gram of the overlap
-    # kernel on the cell sets, with h_i = Phi(cell_i).  Built as the full
-    # Gram (and solved) when small; for large partitions only the diagonal
-    # is evaluated, since disjoint cells make every off-diagonal entry 0.
-    cell_sets = [IntervalSet(((float(l), float(r)),)) for l, r in zip(c.lefts, c.rights)]
-    spec = overlap(measure)
-    h = c.masses * vals
-    if len(cell_sets) <= 64:
-        kf = gram(spec, cell_sets).entries
-        gram_norm_sq = float(h @ np.linalg.solve(kf, h))
-    else:
-        kdiag = kernel_diagonal(spec, cell_sets)
-        gram_norm_sq = float(np.sum(np.abs(h) ** 2 / kdiag))
-    return OverlapNormReport(
-        norm=norm, phi_integrals=integrals, gram_norm_sq=gram_norm_sq, resolution=res
-    )

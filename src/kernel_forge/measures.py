@@ -13,6 +13,11 @@ Quadrature uses the left endpoint of each cell as the representative; for
 mu4 every such endpoint lies in the support, and the error for Lipschitz
 integrands is bounded by the cell width.
 
+Everything that tells the two measures apart lives here: `cells` builds
+the partition and `cdf` is the one CDF of each measure, evaluated on an
+array in one call.  Interval masses (`measure_of_intervals`, the overlap
+kernel) are differences of `cdf` values.
+
 The module also carries the integer spectrum Lambda4 = {integers whose
 base-4 digits are 0 or 1}: the exponentials e(lam * t) = exp(2*pi*i*lam*t)
 indexed by Lambda4 are orthonormal in L2(mu4), which `fourier_gram`
@@ -36,33 +41,33 @@ MASS_TOL = 1.0e-12
 MAX_RESOLUTION = 26
 
 _CDF_DIGIT_CAP = 64
+# per base-4 digit of the CDF walk: what it adds to acc, in units of w,
+# and whether the walk goes on
+_DIGIT_GAIN = np.array([0.0, 0.5, 0.5, 1.0])
+_DIGIT_GOES_ON = np.array([True, False, True, False])
 
 
 @dataclass(frozen=True)
 class MeasureModel:
     """A measure on [0,1]: kind is "lebesgue" or "cantor4".
 
-    depth is the default refinement level used when an operation needs a
-    partition and none is given explicitly (cantor4 convention, but the
-    same default applies to dyadic refinement of Lebesgue).
+    Only this module reads `kind`; everything else partitions through
+    `cells` and measures through `cdf`.
     """
 
     kind: str
-    depth: int = 10
 
     def __post_init__(self):
         if self.kind not in ("lebesgue", "cantor4"):
             raise ValueError(f"unknown measure kind: {self.kind!r}")
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
 
 
-def lebesgue(depth: int = 10) -> MeasureModel:
-    return MeasureModel("lebesgue", depth)
+def lebesgue() -> MeasureModel:
+    return MeasureModel("lebesgue")
 
 
-def cantor4(depth: int = 10) -> MeasureModel:
-    return MeasureModel("cantor4", depth)
+def cantor4() -> MeasureModel:
+    return MeasureModel("cantor4")
 
 
 @dataclass(frozen=True)
@@ -103,61 +108,73 @@ def cells(m: MeasureModel, resolution: int) -> PartitionCells:
         lefts = np.zeros(1)
         for _ in range(resolution):
             # each existing cell [l, .] spawns s0 -> l/4 and s1 -> l/4 + 1/2
-            lefts = np.sort(np.concatenate([lefts / 4.0, lefts / 4.0 + 0.5]))
+            # (lefts below 1/4, then lefts at 1/2 and above: already ascending)
+            lefts = np.concatenate([lefts / 4.0, lefts / 4.0 + 0.5])
         rights = lefts + 4.0 ** -resolution
     return PartitionCells(lefts=lefts, rights=rights, masses=mass)
 
 
-def mu4_cdf(x: float) -> float:
-    """Cumulative distribution of the Cantor measure mu4 at x in [0,1].
+def cdf(m: MeasureModel, x) -> np.ndarray:
+    """mu([0, x]) elementwise, as a float array of x's shape.
 
-    Base-4 digit walk with exact rational digit extraction (IEEE doubles
-    are dyadic rationals, so divmod on the integer ratio is exact):
+    Every x must lie in [0, 1]; anything else, NaN included, raises
+    OutOfDomainError.  lebesgue: the identity.  cantor4: the "devil's
+    staircase", nondecreasing, continuous and flat on the gaps of the
+    support, by a base-4 digit walk run on the whole array:
     acc=0, w=1; per digit d: d=0 -> w/=2; d=1 -> acc+=w/2, stop;
-    d=2 -> acc+=w/2, w/=2; d=3 -> acc+=w, stop.  The walk is capped at 64
-    digits; the remaining uncertainty is then at most 2^-64.
-
-    The result is the "devil's staircase": nondecreasing, continuous, and
-    constant on the complement gaps of the support.
+    d=2 -> acc+=w/2, w/=2; d=3 -> acc+=w, stop; also stop when no digits
+    remain.  On doubles 4x, its integer part and their difference are
+    exact, so the digits are those of x itself; w is 2^-k at the k-th
+    digit of every walk still running.  The walk is capped at 64 digits;
+    the remaining uncertainty is then at most 2^-64.
     """
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise OutOfDomainError(f"mu4_cdf requires 0 <= x <= 1, got {x}")
-    if x == 1.0:
-        return 1.0
-    num, den = x.as_integer_ratio()
-    acc, w = 0.0, 1.0
+    x = np.array(x, dtype=float)
+    inside = (0.0 <= x) & (x <= 1.0)  # False for NaN
+    if not inside.all():
+        bad = x[~inside].flat[0]
+        raise OutOfDomainError(f"a CDF needs 0 <= x <= 1, got {bad}")
+    if m.kind == "lebesgue":
+        return x
+    out = np.array(x == 1.0, dtype=float)  # 0.0 where the walk has no digits
+    flat = out.reshape(-1)  # a view: the walk writes through it
+    live = np.flatnonzero((x > 0.0) & (x < 1.0))
+    frac = x.reshape(-1)[live]
+    acc = np.zeros(live.size)
+    w = 1.0
     for _ in range(_CDF_DIGIT_CAP):
-        if num == 0:
+        if not live.size:
             break
-        num *= 4
-        d, num = divmod(num, den)
-        if d == 0:
-            w *= 0.5
-        elif d == 1:
-            acc += 0.5 * w
-            break
-        elif d == 2:
-            acc += 0.5 * w
-            w *= 0.5
-        else:
-            acc += w
-            break
-    return acc
+        frac *= 4.0
+        d = frac.astype(np.intp)
+        frac -= d
+        acc += w * _DIGIT_GAIN[d]
+        flat[live] = acc
+        go = _DIGIT_GOES_ON[d] & (frac != 0.0)
+        live, frac, acc = live[go], frac[go], acc[go]
+        w *= 0.5
+    return out
+
+
+def mu4_cdf(x: float) -> float:
+    """Cumulative distribution of the Cantor measure mu4 at one x in [0,1]."""
+    return float(cdf(cantor4(), x))
 
 
 def measure_of_intervals(m: MeasureModel, intervals) -> float:
     """Measure of a finite union of disjoint intervals [(a,b), ...].
 
-    Both models are non-atomic, so mu([a,b]) = CDF(b) - CDF(a); for
-    lebesgue the CDF is the identity.
+    Each interval is clipped to [0, 1].  Both models are non-atomic, so
+    mu([a,b]) = cdf(b) - cdf(a).  An interval with a > b or a NaN endpoint
+    raises ValueError.
     """
+    ends = np.array(intervals, dtype=float).reshape(-1, 2)
+    ordered = ends[:, 0] <= ends[:, 1]  # False for NaN
+    if not np.all(ordered):
+        a, b = ends[~ordered][0]
+        raise ValueError(f"interval [{a}, {b}] is not an interval a <= b")
     total = 0.0
-    for a, b in intervals:
-        if m.kind == "lebesgue":
-            total += max(0.0, min(b, 1.0) - max(a, 0.0))
-        else:
-            total += mu4_cdf(min(max(b, 0.0), 1.0)) - mu4_cdf(min(max(a, 0.0), 1.0))
+    for fa, fb in cdf(m, np.clip(ends, 0.0, 1.0)).tolist():
+        total += fb - fa
     return total
 
 

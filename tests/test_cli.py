@@ -350,6 +350,17 @@ def test_qvar_rejects_zero_paths(capsys):
     assert "n_paths must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("measure", ["lebesgue", "cantor4"])
+def test_overlap_gram_rejects_a_nan_endpoint(tmp_path, capsys, measure):
+    pts = tmp_path / "iset.csv"
+    pts.write_text("interval-set\nnan,0.5\n0.0,1.0\n")
+    out = tmp_path / "out.csv"
+    assert cli.run(["gram", "--kernel", "overlap", "--measure", measure,
+                    "--points", str(pts), "--out", str(out)]) == 2
+    assert "nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_qvar_expected_matches(tmp_path):
     code, raw = run_to_file(tmp_path, ["qvar", "--interval", "0", "1",
                                        "--resolutions", "4", "5",
@@ -504,6 +515,9 @@ GOLDEN_INPUTS = {
     "data.csv": "0.5,1.0\n1.5,-0.25\n2.0,3.0\n",
     "knots.csv": "0.5\n1.0\n2.25\n4.0\n",
     "slopes.csv": "1.0\n-0.5\n0.125\n",
+    # several intervals per set, endpoints outside [0, 1] and in Cantor gaps
+    "iset.csv": "interval-set\n0.0,0.1,0.3,0.55\n0.05,0.25\n-0.5,0.2,0.6,0.7,0.8,1.5\n"
+                "0.5,0.75\n0.1234,0.9\n0.26,0.49,0.51,0.52,0.53125,0.5625\n",
 }
 
 GOLDEN_OUTPUTS = [
@@ -584,6 +598,12 @@ GOLDEN_OUTPUTS = [
     (["witness", "sawtooth", "--knots", "knots.csv", "--rule", "custom",
       "--slopes", "slopes.csv", "--eval", "eval_line.csv"],
      "311fb0a1095619f884bea87b296f67438f153d3b0af811437ba47a0286acb322"),
+    (["gram", "--kernel", "overlap", "--measure", "cantor4", "--points", "iset.csv",
+      "--format", "csv"],
+     "18764d795c08e64663e60429390b9905a0970a812dea013487dd5f4316f1d36d"),
+    (["gram", "--kernel", "overlap", "--measure", "lebesgue", "--points", "iset.csv",
+      "--format", "json"],
+     "eee732854edb97aa4e8e379912c65208e031b49186fb80803a3c257efac5fd88"),
 ]
 
 

@@ -700,6 +700,58 @@ def test_qvar_halves_per_refinement():
         assert b == pytest.approx(0.5 * a, rel=0.2)
 
 
+def per_resolution_qvar(m, interval, resolutions, n_paths, seed):
+    """Quadratic variation drawing one tile per resolution at its own cell
+    count: the loop that `quadratic_variation` replaced, kept as its oracle."""
+    a, b = interval
+    mu = kf.measure_of_intervals(m, [(a, b)])
+    policy = RngSeedPolicy(seed)
+    mean_q, e_sq = [], []
+    for r in resolutions:
+        part = kf.cells(m, r)
+        idx = kf.check_cell_alignment(m, [(a, b)], r)
+        roots = np.sqrt(part.masses[idx])
+        total = 0.0
+        total_sq = 0.0
+        for start in range(0, n_paths, 2048):
+            rows = min(2048, n_paths - start)
+            z = policy.normal_block(start, rows, len(part.masses))[:, idx]
+            q = np.sum((z * roots) ** 2, axis=1)
+            total += float(np.sum(q))
+            total_sq += float(np.sum((mu - q) ** 2))
+        mean_q.append(total / n_paths)
+        e_sq.append(total_sq / n_paths)
+    return mean_q, e_sq
+
+
+@pytest.mark.parametrize("m,interval,resolutions", [
+    (kf.lebesgue(), (0.25, 0.75), [4, 2, 7, 3]),
+    (kf.cantor4(), (0.0, 0.25), [1, 5, 3]),
+    (kf.cantor4(), (0.5, 1.0), [6]),
+], ids=["lebesgue", "cantor4-left", "cantor4-right"])
+def test_qvar_one_tile_equals_a_tile_per_resolution(m, interval, resolutions):
+    n_paths = 4100  # two full tiles and a remainder
+    rep = gpsim.quadratic_variation(m, interval, resolutions, n_paths=n_paths, seed=9)
+    mean_q, e_sq = per_resolution_qvar(m, interval, resolutions, n_paths, 9)
+    assert rep.mean_q == mean_q
+    assert rep.e_sq == e_sq
+    for r, expected in zip(resolutions, rep.expected_e_sq):
+        idx = kf.check_cell_alignment(m, [interval], r)
+        assert expected == float(2.0 * np.sum(kf.cells(m, r).masses[idx] ** 2))
+
+
+def test_qvar_with_no_resolutions_is_empty():
+    rep = gpsim.quadratic_variation(kf.lebesgue(), (0.0, 1.0), [], n_paths=10)
+    assert rep.mean_q == rep.e_sq == rep.expected_e_sq == rep.n_cells == []
+
+
+def test_normal_block_columns_are_prefixes():
+    policy = RngSeedPolicy(4)
+    wide = policy.normal_block(3, 300, 1024)
+    for count in (1, 16, 33, 512):
+        assert wide[:, :count].tobytes() == policy.normal_block(3, 300, count).tobytes()
+
+
 def test_qvar_rejects_misaligned_interval():
     with pytest.raises(kf.CellMisalignmentError):
         gpsim.quadratic_variation(

@@ -1,5 +1,7 @@
 """Kernel families, sample sets, Gram matrices."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,22 @@ def test_overlap_kernel_interval_masses():
     mu = kf.overlap(kf.cantor4())
     quarter = kf.IntervalSet(((0.0, 0.25),))
     assert kf.eval_kernel(mu, quarter, a) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("interval", [(math.nan, 0.5), (0.0, math.nan), (0.7, 0.2)])
+def test_interval_set_rejects_nan_and_reversed_endpoints(interval):
+    with pytest.raises(ValueError):
+        kf.IntervalSet((interval, (0.8, 0.9)))
+
+
+@pytest.mark.parametrize("m,mass", [(kf.lebesgue(), 0.25), (kf.cantor4(), 0.5)],
+                         ids=["lebesgue", "cantor4"])
+def test_overlap_gram_of_empty_sets(m, mass):
+    spec = kf.overlap(m)
+    empty, quarter = kf.IntervalSet(()), kf.IntervalSet(((0.0, 0.25),))
+    assert kf.gram(spec, []).entries.shape == (0, 0)
+    assert kf.gram(spec, [empty]).entries.tolist() == [[0.0]]
+    assert kf.gram(spec, [empty, quarter]).entries.tolist() == [[0.0, 0.0], [0.0, mass]]
 
 
 def test_gram_shannon_integers_identity():

@@ -45,6 +45,35 @@ def digit_walk_cdf(x: float, depth: int = 40) -> float:
     return acc
 
 
+def scalar_mu4_cdf(x: float) -> float:
+    """The scalar base-4 digit walk that `measures.cdf` vectorizes, kept
+    verbatim as its bitwise oracle (exact rational digit extraction)."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise kf.OutOfDomainError(f"mu4_cdf requires 0 <= x <= 1, got {x}")
+    if x == 1.0:
+        return 1.0
+    num, den = x.as_integer_ratio()
+    acc, w = 0.0, 1.0
+    for _ in range(64):
+        if num == 0:
+            break
+        num *= 4
+        d, num = divmod(num, den)
+        if d == 0:
+            w *= 0.5
+        elif d == 1:
+            acc += 0.5 * w
+            break
+        elif d == 2:
+            acc += 0.5 * w
+            w *= 0.5
+        else:
+            acc += w
+            break
+    return acc
+
+
 def is_spectrum_member(n: int) -> bool:
     # base-4 digits restricted to {0, 1}
     while n:
@@ -80,6 +109,12 @@ def test_lebesgue_cells_depth_two():
     np.testing.assert_allclose(part.rights - part.lefts, 0.25)
 
 
+def test_cantor_cells_ascending_and_disjoint():
+    for r in range(16):
+        part = kf.cells(kf.cantor4(), r)
+        assert np.all(part.lefts[1:] > part.rights[:-1])
+
+
 @pytest.mark.parametrize("depth", range(13))
 def test_cell_masses_sum_to_one(depth):
     for m in (kf.lebesgue(), kf.cantor4()):
@@ -110,6 +145,55 @@ def test_cdf_matches_cell_counting():
     for x in (0.1, 0.3, 0.55, 0.62, 0.9):
         counted = float(np.sum(part.masses[part.rights <= x]))
         assert abs(kf.mu4_cdf(x) - counted) <= 2.0 ** (-8)
+
+
+def _walk_inputs():
+    tiny = np.nextafter(0.0, 1.0)
+    fixed = [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), tiny, 3 * tiny, 2.0**-1022, 2.0**-1040]
+    grids = [np.arange((1 << r) + 1) / (1 << r) for r in range(13)]
+    return np.concatenate([fixed] + grids + [np.random.default_rng(5).uniform(size=2000)])
+
+
+def test_cdf_matches_the_scalar_walk_bitwise():
+    xs = _walk_inputs()
+    want = np.array([scalar_mu4_cdf(x) for x in xs])
+    assert measures.cdf(kf.cantor4(), xs).tobytes() == want.tobytes()
+    assert [kf.mu4_cdf(x) for x in xs] == want.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+            st.floats(min_value=0.0, max_value=2.0**-1000, allow_subnormal=True),
+            st.integers(0, 1 << 20).map(lambda k: k / (1 << 20)),
+        ),
+        max_size=40,
+    )
+)
+def test_cdf_equals_the_scalar_walk(xs):
+    got = measures.cdf(kf.cantor4(), np.array(xs, dtype=float))
+    want = np.array([scalar_mu4_cdf(x) for x in xs], dtype=float)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cdf_keeps_the_input_shape():
+    xs = np.array([[0.0, 0.3], [0.75, 1.0]])
+    assert measures.cdf(kf.cantor4(), xs).shape == (2, 2)
+    assert measures.cdf(kf.lebesgue(), xs).tobytes() == xs.tobytes()
+    assert measures.cdf(kf.cantor4(), 0.25).shape == ()
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e-300, np.nextafter(1.0, 2.0), math.inf, -math.inf])
+@pytest.mark.parametrize("m", [kf.lebesgue(), kf.cantor4()], ids=["lebesgue", "cantor4"])
+def test_cdf_rejects_values_outside_the_unit_interval(m, bad):
+    with pytest.raises(kf.OutOfDomainError):
+        measures.cdf(m, np.array([0.5, bad, 0.25]))
+    with pytest.raises(kf.OutOfDomainError):
+        measures.cdf(m, bad)
+    with pytest.raises(kf.OutOfDomainError):
+        scalar_mu4_cdf(bad)
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,6 +318,20 @@ def test_measure_of_intervals():
     assert kf.measure_of_intervals(m, [(0.0, 1.0)]) == pytest.approx(1.0)
     assert kf.measure_of_intervals(m, [(0.25, 0.5)]) == pytest.approx(0.0, abs=1e-12)
     assert kf.measure_of_intervals(m, [(0.0, 0.25)]) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("m", [kf.lebesgue(), kf.cantor4()], ids=["lebesgue", "cantor4"])
+@pytest.mark.parametrize("interval", [(0.7, 0.2), (math.nan, 0.5), (0.0, math.nan)])
+def test_measure_of_intervals_rejects_reversed_or_nan_intervals(m, interval):
+    with pytest.raises(ValueError):
+        kf.measure_of_intervals(m, [(0.0, 0.1), interval])
+
+
+def test_measure_of_intervals_clips_to_the_unit_interval():
+    for m in (kf.lebesgue(), kf.cantor4()):
+        assert kf.measure_of_intervals(m, [(-3.0, -1.0), (-0.5, 1.5)]) == 1.0
+        assert kf.measure_of_intervals(m, [(1.5, 2.0)]) == 0.0
+        assert kf.measure_of_intervals(m, []) == 0.0
 
 
 def test_check_cell_alignment():
