@@ -3,6 +3,7 @@
 import numpy as np
 
 import kernel_forge as kf
+from kernel_forge import measures
 
 mu = kf.cantor4()
 
@@ -12,14 +13,12 @@ for depth in (1, 2):
     for left, right, mass in zip(part.lefts, part.rights, part.masses):
         print(f"  [{left:.4f}, {right:.4f}]  mass {mass}")
 
-# crude terminal plot of the singular staircase
+# crude terminal plot of the singular staircase, one CDF call for its columns
 print("\nCDF staircase:")
+heights = measures.cdf(mu, np.arange(61) / 60.0)
 for row in range(10, -1, -1):
     level = row / 10.0
-    line = "".join(
-        "#" if kf.mu4_cdf(col / 60.0) >= level - 1e-12 else " "
-        for col in range(61)
-    )
+    line = "".join("#" if h >= level - 1e-12 else " " for h in heights)
     print(f"{level:4.1f} |{line}")
 print("      " + "-" * 61)
 

@@ -7,11 +7,12 @@ through feature functions k_x living in some L², and every such
 factorization disintegrates the kernel's reproducing space.  Modules:
 
 - `kernels`: kernel families, sample sets, Gram and cross-Gram matrices.
-- `factorize`: Cholesky (closed-form and generic), inverse Grams, and two
-  independent eigenvalue routes (shifted alternating Cholesky, round-robin
-  Jacobi).
-- `rkhs`: projections, Dirac-mass membership tests, induced graphs,
-  minimal-norm interpolation.
+- `factorize`: Cholesky (closed-form and generic), inverse Grams and Gram
+  solves, and two independent eigenvalue routes (shifted alternating
+  Cholesky, round-robin Jacobi).
+- `rkhs`: projections, Dirac-mass membership tests and norms along chains
+  (one Cholesky factor per chain), induced graphs, minimal-norm
+  interpolation.
 - `measures`: the scale-4 Cantor measure, its cells, CDF, Fourier
   spectrum, and quadrature.
 - `gpsim`: deterministic Gaussian simulation, factorization/duality

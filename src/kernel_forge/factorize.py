@@ -43,7 +43,9 @@ __all__ = [
     "real_embedding",
     "cholesky",
     "brownian_cholesky_closed_form",
+    "invertible_cholesky",
     "inverse_gram",
+    "solve_gram",
     "alt_cholesky_eigs",
     "jacobi_eigs",
     "matrix_scale",
@@ -179,19 +181,29 @@ def brownian_cholesky_closed_form(points) -> CholeskyFactor:
     return CholeskyFactor(L=np.tril(np.tile(roots, (len(xs), 1))))
 
 
+def invertible_cholesky(g) -> CholeskyFactor:
+    """`cholesky` of a Gram matrix that must be invertible.
+
+    The factor of `inverse_gram` and `solve_gram`, and of the one-factor
+    chain questions in `rkhs`.  Raises SingularMatrixError when the matrix
+    is not safely invertible: a Cholesky pivot falls below
+    1e-12 * matrix_scale(G).
+    """
+    try:
+        return cholesky(g, ridge=0.0, tol=1e-12)
+    except NotPositiveDefiniteError as exc:
+        raise SingularMatrixError(f"matrix is singular or indefinite: {exc}") from exc
+
+
 def inverse_gram(g) -> np.ndarray:
     """Inverse of a positive-definite Gram matrix from its Cholesky factor.
 
     G^-1 = W.T @ W with W = L^-1, numpy only.  Complex matrices invert
     through the real embedding (the embedding of the inverse is the
-    inverse of the embedding).  Raises SingularMatrixError when the matrix
-    is not safely invertible: a Cholesky pivot falls below
-    1e-12 * matrix_scale(G).
+    inverse of the embedding).  Raises SingularMatrixError as
+    `invertible_cholesky` does.
     """
-    try:
-        factor = cholesky(g, ridge=0.0, tol=1e-12)
-    except NotPositiveDefiniteError as exc:
-        raise SingularMatrixError(f"matrix is singular or indefinite: {exc}") from exc
+    factor = invertible_cholesky(g)
     # inv(L), not inv(L.T): on a Brownian Gram it keeps most zeros of the
     # tridiagonal inverse exact (78% at n = 300, inv(L.T) none), so the
     # written inverse is shorter and faster to format
@@ -201,6 +213,24 @@ def inverse_gram(g) -> np.ndarray:
         n = factor.n // 2
         return inv[:n, :n] + 1j * inv[n:, :n]
     return inv
+
+
+def solve_gram(g, h) -> np.ndarray:
+    """G^-1 h for a positive-definite Gram matrix, without forming G^-1.
+
+    W.T @ (W @ h) with W = L^-1, the factors of `inverse_gram` applied to
+    one vector.  A complex G solves through the real embedding, with h as
+    (Re h, Im h).  Raises SingularMatrixError as `invertible_cholesky`
+    does.
+    """
+    factor = invertible_cholesky(g)
+    w = np.linalg.inv(factor.L)
+    h = np.asarray(h)
+    if factor.embedded:
+        n = factor.n // 2
+        xi = w.T @ (w @ np.concatenate((h.real, h.imag)))
+        return xi[:n] + 1j * xi[n:]
+    return w.T @ (w @ h)
 
 
 @dataclass(frozen=True, eq=False)

@@ -70,7 +70,7 @@ from scipy.special import ndtri
 from .errors import NotPositiveDefiniteError, OutOfDomainError
 from .factorize import cholesky, real_embedding
 from .kernels import GramMatrix, KernelSpec, gram
-from .measures import MeasureModel, cells, check_cell_alignment, measure_of_intervals
+from .measures import MeasureModel, cells, measure_of_intervals
 
 __all__ = [
     "FactorizationPair",
@@ -700,8 +700,9 @@ def quadratic_variation(
     resolutions = [int(r) for r in resolutions]
     indices, roots, expected = [], [], []
     for r in resolutions:
-        idx = check_cell_alignment(m, [(a, b)], r)
-        mass = cells(m, r).masses[idx]
+        part = cells(m, r)
+        idx = part.inside([(a, b)])
+        mass = part.masses[idx]
         indices.append(idx)
         roots.append(np.sqrt(mass))
         expected.append(float(2.0 * np.sum(mass ** 2)))

@@ -86,6 +86,29 @@ class PartitionCells:
     def __len__(self):
         return self.lefts.size
 
+    def inside(self, intervals) -> np.ndarray:
+        """Indices of cells wholly inside the union of disjoint `intervals`.
+
+        Raises CellMisalignmentError if any cell partially overlaps the
+        union (cells must be wholly in or wholly out).
+        """
+        width = self.rights - self.lefts
+        overlap = np.zeros(len(self))
+        for a, b in intervals:  # intervals disjoint, so overlaps with the union add up
+            lo = np.maximum(self.lefts, a)
+            hi = np.minimum(self.rights, b)
+            overlap += np.maximum(0.0, hi - lo)
+        inside = overlap >= width * (1.0 - 1e-12)
+        partial = ~inside & (overlap > width * 1e-12)
+        if np.any(partial):
+            k = int(np.argmax(partial))
+            resolution = len(self).bit_length() - 1  # 2^resolution cells
+            raise CellMisalignmentError(
+                f"cell [{self.lefts[k]}, {self.rights[k]}] partially overlaps the set; "
+                f"sets must be unions of whole cells at resolution {resolution}"
+            )
+        return np.flatnonzero(inside)
+
 
 def cells(m: MeasureModel, resolution: int) -> PartitionCells:
     """Partition cells of `m` at the given refinement level.
@@ -347,24 +370,10 @@ def fourier_gram(lams, resolution: int, allow_any: bool = False):
 
 
 def check_cell_alignment(m: MeasureModel, intervals, resolution: int) -> np.ndarray:
-    """Indices of cells wholly inside the union `intervals`.
+    """Indices of cells of `cells(m, resolution)` wholly inside the union
+    `intervals` (`PartitionCells.inside`).
 
     Raises CellMisalignmentError if any cell partially overlaps the union
     (cells must be wholly in or wholly out).
     """
-    c = cells(m, resolution)
-    width = c.rights - c.lefts
-    overlap = np.zeros(len(c))
-    for a, b in intervals:  # intervals disjoint, so overlaps with the union add up
-        lo = np.maximum(c.lefts, a)
-        hi = np.minimum(c.rights, b)
-        overlap += np.maximum(0.0, hi - lo)
-    inside = overlap >= width * (1.0 - 1e-12)
-    partial = ~inside & (overlap > width * 1e-12)
-    if np.any(partial):
-        k = int(np.argmax(partial))
-        raise CellMisalignmentError(
-            f"cell [{c.lefts[k]}, {c.rights[k]}] partially overlaps the set; "
-            f"sets must be unions of whole cells at resolution {resolution}"
-        )
-    return np.flatnonzero(inside)
+    return cells(m, resolution).inside(intervals)

@@ -7,6 +7,19 @@ as the norm estimate), a finite-level Dirac-membership test, the inverse
 Gram as a discrete Laplacian and its induced graph, spline extension by
 interpolation, and the closed-form minimal-norm interpolant of the
 Brownian min-kernel (piecewise linear, anchored at f(0) = 0).
+
+A chain question is answered from one Gram and one Cholesky factor.  The
+chain's points are ordered by first appearance, so strict nesting makes
+every level a leading block of the Gram, and the leading block of L
+factors it.  `delta_membership` moves x to the end: every level less x
+is then a leading block, the last row of L holds L'^-1 k_x for all of
+them at once, and (K_F^-1)_xx is the reciprocal of the Schur complement
+K_xx - sum_{i < |F|-1} L[x, i]^2, the squared distance from k_x to the
+span of the level's other sections.  `rkhs_norm_sq` reads
+<h_F, K_F^-1 h_F> = ||(L^-1 h)[:|F|]||^2.  Complex families factor the
+real embedding with each point's real and imaginary rows adjacent, so a
+level is still a leading block (of twice the size), and x's real row
+carries its Schur complement.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ChainError, NotIncreasingError, OutOfDomainError
-from .factorize import inverse_gram
+from .factorize import invertible_cholesky, inverse_gram, real_embedding, solve_gram
 from .kernels import (
     KernelSpec,
     SampleSet,
@@ -66,9 +79,48 @@ class NormChainReport:
 
 
 def _chain_levels(sample: SampleSet):
-    if sample.chain is None:
-        raise ChainError("this operation needs a SampleSet with a chain")
+    if not sample.chain:
+        raise ChainError("this operation needs a SampleSet with a nonempty chain")
     return sample.chain
+
+
+def _leading_order(levels, last=None):
+    """Positions in the last level, in the order one factor serves a chain.
+
+    Points come in order of first appearance, except `last` (when given),
+    which comes at the end; strict nesting then makes every level, less
+    `last`, a leading block of that order.  Returns the positions and the
+    size of each level.  A level without `last` raises ChainError.
+    """
+    target = None if last is None else point_key(last)
+    first, keys = {}, []
+    for level in levels:
+        keys = [point_key(p) for p in level]
+        if target is not None and target not in keys:
+            raise ChainError(f"chain level {level} does not contain the point {last}")
+        first.update(dict.fromkeys(keys))  # a key already seen keeps its place
+    if target is not None:
+        first[target] = first.pop(target)
+    where = {key: i for i, key in enumerate(keys)}  # keys of the last level
+    order = np.array([where[key] for key in first], dtype=np.intp)
+    return order, np.array([len(level) for level in levels], dtype=np.intp)
+
+
+def _chain_factor(spec: KernelSpec, sample: SampleSet, order):
+    """(G, L, step): the Gram on the last level with its points in `order`,
+    its lower Cholesky factor, and the rows of G per point.
+
+    A complex Gram is replaced by its real embedding with rows permuted to
+    (re 0, im 0, re 1, im 1, ...), step 2, so every leading block of
+    points stays a leading block.  Raises SingularMatrixError.
+    """
+    points = [sample.chain[-1][i] for i in order]
+    g = gram(spec, SampleSet(points=points, domain=sample.domain)).entries
+    step = 1
+    if np.iscomplexobj(g):
+        interleave = np.arange(2 * len(points)).reshape(2, -1).T.ravel()
+        g, step = real_embedding(g)[np.ix_(interleave, interleave)], 2
+    return g, invertible_cholesky(g).L, step
 
 
 def _check_chain_consistency(levels, values):
@@ -88,25 +140,34 @@ def _check_chain_consistency(levels, values):
 def rkhs_norm_sq(spec: KernelSpec, sample, h_values_per_level) -> NormChainReport:
     """Squared RKHS norm estimated along a nested chain of sample sets.
 
-    Level F contributes <h_F, K_F^{-1} h_F>; the sequence is nondecreasing
-    as the chain grows and its final value is returned as the sup.
+    Level F contributes <h_F, K_F^{-1} h_F>, read from one factor L of the
+    Gram on the chain's points in order of first appearance: with
+    z = L^-1 h, the level's energy is ||z[:|F|]||^2 (complex families:
+    the first 2|F| entries of the interleaved real embedding).  The
+    sequence is nondecreasing by construction, and its final value is
+    returned as the sup.  The levels' values must agree where they
+    overlap; h takes them from the last level.
     """
     sample = as_sample_set(sample)
     levels = _chain_levels(sample)
-    values = [np.asarray(v) for v in h_values_per_level]
+    dtype = complex if spec.is_complex else float
+    values = [np.asarray(v, dtype=dtype) for v in h_values_per_level]
     if len(values) != len(levels):
         raise ValueError(
             f"chain has {len(levels)} levels but {len(values)} value vectors given"
         )
-    _check_chain_consistency(levels, values)
-    seq = []
     for level, vals in zip(levels, values):
-        level_set = SampleSet(points=level, domain=sample.domain)
-        xi = laplacian_apply(spec, level_set, vals)
-        energy = np.vdot(np.asarray(vals, dtype=xi.dtype), xi)
-        seq.append(float(energy.real))
-    seq = np.array(seq)
-    return NormChainReport(sequence=seq, sup=float(seq[-1]) if len(seq) else 0.0)
+        if vals.shape != (len(level),):
+            raise ValueError(f"expected {len(level)} sample values, got shape {vals.shape}")
+    _check_chain_consistency(levels, values)
+    order, sizes = _leading_order(levels)
+    _, lower, step = _chain_factor(spec, sample, order)
+    h = values[-1][order]
+    if step == 2:
+        h = np.column_stack((h.real, h.imag)).ravel()
+    z = np.linalg.inv(lower) @ h
+    seq = np.cumsum(z * z)[step * sizes - 1]
+    return NormChainReport(sequence=seq, sup=float(seq[-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,20 +199,23 @@ def delta_membership(
     The diagonal entry of the inverse Gram at x is the squared norm of the
     projection of the Dirac mass onto the span of the level, so a bounded
     sequence certifies membership with ||delta_x||^2 = sup.
+
+    One Gram and one Cholesky factor serve every level: x goes last and
+    the other points follow their first appearance, so each level less x
+    is a leading block.  Level F then reads
+    (K_F^{-1})_{xx} = 1 / (K_xx - sum_{i < |F|-1} L[x, i]^2), the
+    reciprocal squared distance from k_x to the span of the level's other
+    sections; complex families read x's real row of the interleaved real
+    embedding.  A level without x raises ChainError, a singular Gram
+    SingularMatrixError.
     """
     sample = as_sample_set(sample)
     levels = _chain_levels(sample)
-    key = point_key(x)
-    seq = []
-    for level in levels:
-        keys = [point_key(p) for p in level]
-        if key not in keys:
-            raise ChainError(f"chain level {level} does not contain the point {x}")
-        idx = keys.index(key)
-        level_set = SampleSet(points=level, domain=sample.domain)
-        inv = inverse_gram(gram(spec, level_set))
-        seq.append(float(inv[idx, idx].real))
-    seq = np.array(seq)
+    order, sizes = _leading_order(levels, last=x)
+    g, lower, step = _chain_factor(spec, sample, order)
+    n = len(g) - step  # x's (real) row
+    partial = np.concatenate(([0.0], np.cumsum(lower[n, :n] ** 2)))
+    seq = 1.0 / (g[n, n] - partial[step * (sizes - 1)])
     sup = float(seq.max())
     if seq[-1] > cap or (len(seq) >= 2 and seq[-1] > growth * seq[-2]):
         verdict = "diverging"
@@ -166,14 +230,15 @@ def laplacian_apply(spec: KernelSpec, sample, h_values) -> np.ndarray:
     """Discrete Laplacian: (Delta h)(x) = (K_S^{-1} h|_S)(x) for x in S.
 
     On an integer window of the Brownian line kernel this is the standard
-    second-difference operator at interior points.  `project` and
-    `rkhs_norm_sq` solve K_S xi = h|_S through it (the inverse-Gram route).
+    second-difference operator at interior points.  `project` solves
+    K_S xi = h|_S through it, with `factorize.solve_gram`: W.T @ (W @ h)
+    from the Cholesky factor, never the inverse itself.
     """
     sample = as_sample_set(sample)
     h = np.asarray(h_values, dtype=complex if spec.is_complex else float)
     if h.shape != (len(sample),):
         raise ValueError(f"expected {len(sample)} sample values, got shape {h.shape}")
-    return inverse_gram(gram(spec, sample)) @ h
+    return solve_gram(gram(spec, sample), h)
 
 
 @dataclass(frozen=True, eq=False)

@@ -220,6 +220,8 @@ def test_cholesky_and_inverse_call_no_scipy(monkeypatch):
     np.testing.assert_allclose(kf.inverse_gram(g) @ g.entries, np.eye(3), atol=1e-12)
     z = kf.gram(kf.szego(), [0.1j, 0.3, -0.2 + 0.4j])
     np.testing.assert_allclose(kf.inverse_gram(z) @ z.entries, np.eye(3), atol=1e-12)
+    for gram, h in ((g, [1.0, -2.0, 0.5]), (z, [1.0, 0.5j, -1.0 + 2.0j])):
+        np.testing.assert_allclose(gram.entries @ factorize.solve_gram(gram, h), h, atol=1e-12)
     assert kf.inverse_gram(np.zeros((0, 0))).shape == (0, 0)
     with pytest.raises(AssertionError, match="must not call"):
         scipy.linalg.solve_triangular(np.eye(2), np.eye(2))
@@ -278,6 +280,8 @@ def test_inverse_shannon_integers():
 def test_inverse_singular_raises():
     with pytest.raises(kf.SingularMatrixError):
         kf.inverse_gram(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(kf.SingularMatrixError):
+        factorize.solve_gram(np.array([[1.0, 1.0], [1.0, 1.0]]), [1.0, 2.0])
 
 
 def test_inverse_roundtrip_complex():

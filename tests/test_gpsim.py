@@ -740,6 +740,21 @@ def test_qvar_one_tile_equals_a_tile_per_resolution(m, interval, resolutions):
         assert expected == float(2.0 * np.sum(kf.cells(m, r).masses[idx] ** 2))
 
 
+def test_qvar_builds_each_partition_once(monkeypatch):
+    built = []
+    original = kf.cells
+
+    def counted(m, resolution):
+        built.append(resolution)
+        return original(m, resolution)
+
+    for module in (gpsim, sys.modules["kernel_forge.measures"]):
+        monkeypatch.setattr(module, "cells", counted)
+    resolutions = list(range(4, 11))
+    gpsim.quadratic_variation(kf.cantor4(), (0.0, 0.25), resolutions, n_paths=10)
+    assert built == resolutions
+
+
 def test_qvar_with_no_resolutions_is_empty():
     rep = gpsim.quadratic_variation(kf.lebesgue(), (0.0, 1.0), [], n_paths=10)
     assert rep.mean_q == rep.e_sq == rep.expected_e_sq == rep.n_cells == []

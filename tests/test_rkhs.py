@@ -1,9 +1,16 @@
 """Projections, Dirac-mass membership, induced graphs, interpolation."""
 
+import cmath
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kernel_forge as kf
+from kernel_forge import factorize
+from kernel_forge.kernels import point_key
 
 
 def test_project_fixes_kernel_sections():
@@ -182,3 +189,144 @@ def test_min_norm_matches_projection_route():
     g = kf.gram(spec, pts)
     energy = float(vals @ kf.inverse_gram(g) @ vals)
     assert norm_sq == pytest.approx(energy, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# one factor per chain, against the per-level routes it replaced
+
+
+def per_level_delta_sequence(spec, x, sample):
+    """(K_F^-1)_xx from a Gram and a full inverse at every chain level."""
+    key = point_key(x)
+    seq = []
+    for level in sample.chain:
+        keys = [point_key(p) for p in level]
+        if key not in keys:
+            raise kf.ChainError(f"chain level {level} does not contain the point {x}")
+        idx = keys.index(key)
+        inv = kf.inverse_gram(kf.gram(spec, kf.SampleSet(points=level, domain=sample.domain)))
+        seq.append(float(inv[idx, idx].real))
+    return np.array(seq)
+
+
+def per_level_norm_sequence(spec, sample, values):
+    """<h_F, K_F^-1 h_F> from one `laplacian_apply` solve per chain level."""
+    seq = []
+    for level, vals in zip(sample.chain, values):
+        xi = kf.laplacian_apply(spec, level, vals)
+        seq.append(float(np.vdot(np.asarray(vals, dtype=xi.dtype), xi).real))
+    return np.array(seq)
+
+
+# point pools whose Grams stay well conditioned (condition number below
+# about 2e3 for up to six points), so both routes agree to 1e-12 of the
+# largest value; 0.0 makes a brownian-min Gram singular
+CHAIN_POOLS = {
+    "brownian-min": (kf.brownian_min(), [0.0] + [k / 4 for k in range(1, 17)]),
+    "brownian-line": (kf.brownian_line(), [k / 4 for k in range(-8, 9) if k]),
+    "szego": (kf.szego(), [0.0] + [0.8 * cmath.exp(2j * cmath.pi * k / 7) for k in range(7)]),
+    "cantor-product": (
+        kf.cantor_product(3),
+        [0.9 * cmath.exp(2j * cmath.pi * (k + 0.45) / 7) for k in range(7)],
+    ),
+}
+
+
+@st.composite
+def nested_chains(draw):
+    """(spec, sample, x, values): a strictly nested chain, each level in its
+    own order, a point x of the chain (not always in the first level), and
+    one value per point for every level."""
+    spec, pool = CHAIN_POOLS[draw(st.sampled_from(sorted(CHAIN_POOLS)))]
+    points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    cuts = [c for c in range(1, len(points)) if draw(st.booleans())] + [len(points)]
+    levels = [draw(st.permutations(points[:c])) for c in cuts]
+    x = draw(st.sampled_from(points))
+    value = dict(zip(points, draw(st.lists(
+        st.floats(-4.0, 4.0), min_size=len(points), max_size=len(points)))))
+    if spec.is_complex:
+        value = {p: v * cmath.exp(1j * v) for p, v in value.items()}
+    values = [[value[p] for p in level] for level in levels]
+    return spec, kf.SampleSet(points=levels[-1], chain=levels), x, values
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except (kf.ChainError, kf.SingularMatrixError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_chains())
+def test_one_factor_chains_match_the_per_level_routes(case):
+    spec, sample, x, values = case
+    for new, old in (
+        (_outcome(lambda: kf.delta_membership(spec, x, sample).sequence),
+         _outcome(per_level_delta_sequence, spec, x, sample)),
+        (_outcome(lambda: kf.rkhs_norm_sq(spec, sample, values).sequence),
+         _outcome(per_level_norm_sequence, spec, sample, values)),
+    ):
+        if isinstance(old, type):
+            assert new is old
+        else:
+            assert new.shape == old.shape
+            np.testing.assert_allclose(new, old, rtol=0.0, atol=1e-12 * np.max(np.abs(old)))
+
+
+def test_chain_errors_are_kept():
+    spec = kf.brownian_min()
+    chain = [[1.0], [1.0, 2.0], [0.5, 1.0, 2.0]]
+    sample = kf.SampleSet(points=chain[-1], chain=chain)
+    for x in (2.0, 3.0):  # first in the second level; not in the chain
+        with pytest.raises(kf.ChainError):
+            kf.delta_membership(spec, x, sample)
+    singular = [[1.0], [0.0, 1.0]]  # K(0, .) = 0
+    sample = kf.SampleSet(points=singular[-1], chain=singular)
+    with pytest.raises(kf.SingularMatrixError):
+        kf.delta_membership(spec, 1.0, sample)
+    with pytest.raises(kf.SingularMatrixError):
+        kf.rkhs_norm_sq(spec, sample, [[1.0], [0.0, 1.0]])
+    for empty in (kf.SampleSet(points=[]), kf.SampleSet(points=[], chain=[])):
+        with pytest.raises(kf.ChainError):
+            kf.delta_membership(spec, 1.0, empty)
+        with pytest.raises(kf.ChainError):
+            kf.rkhs_norm_sq(spec, empty, [])
+
+
+def test_norm_chain_rejects_values_of_the_wrong_length():
+    chain = [[1.0], [1.0, 2.0]]
+    sample = kf.SampleSet(points=chain[-1], chain=chain)
+    with pytest.raises(ValueError, match="expected 2 sample values"):
+        kf.rkhs_norm_sq(kf.brownian_min(), sample, [[1.0], [1.0]])
+
+
+def test_one_cholesky_per_chain_question(monkeypatch):
+    calls = []
+    original = factorize.cholesky
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "kernel_forge" or name.startswith("kernel_forge."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    x = 0.5
+    levels = []
+    for depth in range(3, 9):
+        h = 2.0**-depth
+        grid = [x + (i - 2) * h for i in range(5)]
+        levels.append(sorted(set(levels[-1]) | set(grid)) if levels else grid)
+    real = kf.SampleSet(points=levels[-1], chain=levels)
+    disk = [[0.5], [0.5, -0.3j], [0.1 + 0.2j, 0.5, -0.3j]]
+    disk = kf.SampleSet(points=disk[-1], chain=disk)
+    for spec, sample, x in ((kf.brownian_min(), real, x), (kf.szego(), disk, 0.5)):
+        kf.delta_membership(spec, x, sample)
+        assert len(calls) == 1
+        values = [[1.0] * len(level) for level in sample.chain]
+        kf.rkhs_norm_sq(spec, sample, values)
+        assert len(calls) == 2
+        calls.clear()
