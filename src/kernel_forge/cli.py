@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Each (sub)command is declared once, in `build_parser`, through `_command`:
-its parser, its `--out` (and `--format`, when it has one), its handler,
-the name of its report and the argparse dests its `config` record holds.
-A handler only computes and returns its result, and `_emit` writes it: a
-payload dict becomes a JSON report, CSV text is written bare when the
-command has `--format` and after a `# {...}` config header when it has
-none.  `_config` reads the declared dests with `vars(args)[key]`, so a
-misspelt key fails instead of recording null.  A check that spans flags
+its parser, its `--out` (and `--format`, when it has one), its handler
+and the name of its report.  A handler only computes and returns its
+result, and `_emit` writes it: a payload dict becomes a JSON report, CSV
+text is written bare when the command has `--format` and after a
+`# {...}` config header when it has none.  `_config` builds the `config`
+record by one rule: every option the command's own parser declares, by
+argparse dest, except `--out` and `--help`.  The global `--threads` is
+never recorded, since no byte depends on it.  A check that spans flags
 (`frame check`'s tests, `witness`'s custom slopes) lives in its handler.
 
 Every run is reproducible: seeds default to 0 and are never time-based,
@@ -48,7 +49,6 @@ _EXAMPLES = {
     "ex2": lambda trunc: (gpsim.pair_ex2(), kernels.szego()),
     "ex3": lambda trunc: (gpsim.pair_ex3(trunc=trunc), kernels.cantor_product(trunc=trunc)),
 }
-_EXAMPLE_CONFIG = ("example", "paths", "resolution", "grid_file", "seed")
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +56,10 @@ _EXAMPLE_CONFIG = ("example", "paths", "resolution", "grid_file", "seed")
 
 
 def _config(args) -> dict:
-    """The run's config record: the dests its command declared."""
+    """The run's config record: every dest its parser declares but out and help."""
     opts = vars(args)
-    return {key: opts[key] for key in args.config_keys}
+    return {a.dest: opts[a.dest] for a in args.parser._actions
+            if a.dest not in ("out", "help")}
 
 
 def _emit(args, result) -> None:
@@ -236,15 +237,17 @@ def _cmd_simulate(args):
     return fileio.format_matrix(ens.paths)
 
 
-def _cmd_covcheck(args):
+def _example_duality(args, **tols):
     pair, spec = _EXAMPLES[args.example](args.trunc)
     grid = fileio.read_points(args.grid_file).points
-    ens = gpsim.ito_synthesize(pair, args.resolution, grid, args.paths, args.seed)
-    emp = gpsim.empirical_covariance(ens)
-    target = kernels.gram(spec, grid).entries
-    err = float(np.max(np.abs(emp - target)))
-    tol = 5.0 * float(np.max(np.abs(target))) / float(np.sqrt(args.paths))
-    return {"max_abs_error": err, "tolerance": tol, "pass": err <= tol}
+    return gpsim.duality_check(
+        pair, spec, grid, args.resolution, args.paths, args.seed, **tols
+    )
+
+
+def _cmd_covcheck(args):
+    rep = _example_duality(args)
+    return {"max_abs_error": rep.mc_error, "tolerance": rep.mc_tol, "pass": rep.mc_pass}
 
 
 def _cmd_qvar(args):
@@ -263,18 +266,7 @@ def _cmd_qvar(args):
 
 
 def _cmd_duality(args):
-    pair, spec = _EXAMPLES[args.example](args.trunc)
-    grid = fileio.read_points(args.grid_file).points
-    rep = gpsim.duality_check(
-        pair,
-        spec,
-        grid,
-        args.resolution,
-        args.paths,
-        args.seed,
-        quad_tol=args.quad_tol,
-        mc_tol=args.mc_tol,
-    )
+    rep = _example_duality(args, quad_tol=args.quad_tol, mc_tol=args.mc_tol)
     return {
         "kernel_family": rep.kernel_family,
         "quad_error": rep.quad_error,
@@ -351,7 +343,7 @@ def _cmd_witness(args):
 # parser
 
 
-def _command(subs, name, handler, report, config_keys, help=None, default_format=None):
+def _command(subs, name, handler, report, help=None, default_format=None):
     """Declare one (sub)command: its parser, --out, and what `_emit` needs.
 
     default_format: the default of its --format flag (csv or json), or None
@@ -361,7 +353,7 @@ def _command(subs, name, handler, report, config_keys, help=None, default_format
     if default_format:
         p.add_argument("--format", choices=("csv", "json"), default=default_format)
     p.add_argument("--out", help="output file (default: stdout)")
-    p.set_defaults(handler=handler, report=report, config_keys=config_keys)
+    p.set_defaults(handler=handler, report=report, parser=p)
     return p
 
 
@@ -403,14 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = _command(subs, "gram", _cmd_gram, "gram", ("kernel", "points", "format"),
+    p = _command(subs, "gram", _cmd_gram, "gram",
                  help="kernel Gram matrix on a point set", default_format="csv")
     _add_kernel_flags(p)
     p.add_argument("--points", required=True)
 
-    p = _command(subs, "chol", _cmd_chol, "chol",
-                 ("matrix", "kernel", "points", "ridge", "tol"),
-                 help="Cholesky factor", default_format="csv")
+    p = _command(subs, "chol", _cmd_chol, "chol", help="Cholesky factor", default_format="csv")
     _add_matrix_input_flags(p)
     p.add_argument("--ridge", type=float, default=0.0)
     p.add_argument(
@@ -420,13 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative pivot tolerance: a pivot below tol * max|G_ii| fails",
     )
 
-    p = _command(subs, "inv", _cmd_inv, "inv", ("matrix", "kernel", "points"),
-                 help="inverse Gram matrix", default_format="csv")
+    p = _command(subs, "inv", _cmd_inv, "inv", help="inverse Gram matrix", default_format="csv")
     _add_matrix_input_flags(p)
 
-    p = _command(subs, "eig", _cmd_eig, "eig",
-                 ("matrix", "kernel", "points", "method", "max_iter", "tol"),
-                 help="eigenvalues (alternating Cholesky or Jacobi)")
+    p = _command(subs, "eig", _cmd_eig, "eig", help="eigenvalues (alternating Cholesky or Jacobi)")
     _add_matrix_input_flags(p)
     p.add_argument("--method", required=True, choices=("alt-chol", "jacobi"))
     p.add_argument("--max-iter", type=int, default=500)
@@ -439,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = _command(subs, "project", _cmd_project, "project",
-                 ("kernel", "points", "values", "eval"),
                  help="orthogonal projection onto a sample span", default_format="json")
     _add_kernel_flags(p)
     p.add_argument("--points", required=True)
@@ -447,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval", required=True)
 
     p = _command(subs, "delta-test", _cmd_delta_test, "delta-test",
-                 ("kernel", "point", "chain_file", "cap", "growth", "rtol"),
                  help="Dirac-mass membership along a chain")
     _add_kernel_flags(p)
     p.add_argument("--point", type=float, required=True)
@@ -456,58 +441,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--growth", type=float, default=rkhs.MEMBERSHIP_GROWTH)
     p.add_argument("--rtol", type=float, default=1e-6)
 
-    p = _command(subs, "graph", _cmd_graph, "graph", ("kernel", "points", "threshold"),
-                 help="graph induced by the inverse Gram")
+    p = _command(subs, "graph", _cmd_graph, "graph", help="graph induced by the inverse Gram")
     _add_kernel_flags(p)
     p.add_argument("--points", required=True)
     p.add_argument("--threshold", type=float, default=None)
 
-    p = _command(subs, "interpolate", _cmd_interpolate, "interpolate", ("data", "eval"),
+    p = _command(subs, "interpolate", _cmd_interpolate, "interpolate",
                  help="minimal-norm piecewise-linear interpolant")
     p.add_argument("--data", required=True, help="CSV rows x,y")
     p.add_argument("--eval", help="points CSV of evaluation abscissae")
 
     p = subs.add_parser("cantor", help="Cantor-measure utilities")
     csubs = p.add_subparsers(dest="cantor_command", required=True)
-    c = _command(csubs, "cdf", _cmd_cantor_cdf, "cantor cdf", ("grid_file", "grid_n"))
+    c = _command(csubs, "cdf", _cmd_cantor_cdf, "cantor cdf")
     c.add_argument("--grid-file")
     c.add_argument("--grid-n", type=int, default=257)
-    c = _command(csubs, "cells", _cmd_cantor_cells, "cantor cells", ("measure", "depth"))
+    c = _command(csubs, "cells", _cmd_cantor_cells, "cantor cells")
     c.add_argument("--measure", default="cantor4", choices=tuple(_MEASURES))
     c.add_argument("--depth", type=int, required=True)
-    c = _command(csubs, "spectrum", _cmd_cantor_spectrum, "cantor spectrum", ("limit",))
+    c = _command(csubs, "spectrum", _cmd_cantor_spectrum, "cantor spectrum")
     c.add_argument("--limit", type=int, required=True)
-    c = _command(csubs, "fourier-gram", _cmd_cantor_fourier_gram, "cantor fourier-gram",
-                 ("count", "limit", "resolution", "allow_any"))
+    c = _command(csubs, "fourier-gram", _cmd_cantor_fourier_gram, "cantor fourier-gram")
     c.add_argument("--count", type=int, default=8)
     c.add_argument("--limit", type=int, default=1024)
     c.add_argument("--resolution", type=int, default=12)
     c.add_argument("--allow-any", action="store_true")
-    c = _command(csubs, "gen-fn", _cmd_cantor_gen_fn, "cantor gen-fn",
-                 ("s_re", "s_im", "trunc"))
+    c = _command(csubs, "gen-fn", _cmd_cantor_gen_fn, "cantor gen-fn")
     c.add_argument("--s-re", type=float, required=True)
     c.add_argument("--s-im", type=float, default=0.0)
     c.add_argument("--trunc", type=int, default=8,
                    help="product factors; the sum side costs 2**trunc terms")
 
-    p = _command(subs, "simulate", _cmd_simulate, "simulate", _EXAMPLE_CONFIG,
-                 help="synthesize sample paths")
+    p = _command(subs, "simulate", _cmd_simulate, "simulate", help="synthesize sample paths")
     _add_example_flags(p)
 
-    p = _command(subs, "covcheck", _cmd_covcheck, "covcheck", _EXAMPLE_CONFIG,
+    p = _command(subs, "covcheck", _cmd_covcheck, "covcheck",
                  help="empirical covariance vs kernel")
     _add_example_flags(p)
 
-    p = _command(subs, "qvar", _cmd_qvar, "qvar",
-                 ("measure", "interval", "resolutions", "paths", "seed"),
-                 help="quadratic variation across resolutions")
+    p = _command(subs, "qvar", _cmd_qvar, "qvar", help="quadratic variation across resolutions")
     p.add_argument("--measure", default="lebesgue", choices=tuple(_MEASURES))
     p.add_argument("--interval", type=float, nargs=2, required=True)
     p.add_argument("--resolutions", type=int, nargs="+", required=True)
     p.add_argument("--paths", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 
-    p = _command(subs, "duality", _cmd_duality, "duality", _EXAMPLE_CONFIG,
+    p = _command(subs, "duality", _cmd_duality, "duality",
                  help="factorization duality check, both halves")
     _add_example_flags(p)
     p.add_argument("--quad-tol", type=float, default=None)
@@ -515,8 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("frame", help="Parseval checks, bounds, reconstruction")
     fsubs = p.add_subparsers(dest="frame_command", required=True)
-    f = _command(fsubs, "check", _cmd_frame_check, "frame check",
-                 ("kernel", "set", "truncation", "tol"))
+    f = _command(fsubs, "check", _cmd_frame_check, "frame check")
     _add_kernel_flags(f)
     f.add_argument("--set", required=True,
                    help="'integers', 'positive-integers', or a points CSV")
@@ -524,11 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--test", type=float, nargs="+", help="inline test locations")
     f.add_argument("--truncation", type=int, required=True)
     f.add_argument("--tol", type=float, default=1e-4)
-    f = _command(fsubs, "bounds", _cmd_frame_bounds, "frame bounds", ("kernel", "points"))
+    f = _command(fsubs, "bounds", _cmd_frame_bounds, "frame bounds")
     _add_kernel_flags(f)
     f.add_argument("--points", required=True)
     f = _command(fsubs, "reconstruct", _cmd_frame_reconstruct, "frame reconstruct",
-                 ("kernel", "points", "samples", "eval"), default_format="json")
+                 default_format="json")
     _add_kernel_flags(f)
     f.add_argument("--points", required=True)
     f.add_argument("--samples", required=True)
@@ -536,8 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("witness", help="non-density witness construction")
     wsubs = p.add_subparsers(dest="witness_command", required=True)
-    w = _command(wsubs, "sawtooth", _cmd_witness, "witness sawtooth",
-                 ("knots", "rule", "slopes"))
+    w = _command(wsubs, "sawtooth", _cmd_witness, "witness sawtooth")
     w.add_argument("--knots", required=True, help="CSV of knot abscissae")
     w.add_argument("--rule", default="harmonic", choices=("harmonic", "custom"))
     w.add_argument("--slopes", help="CSV of slopes (with --rule custom)")

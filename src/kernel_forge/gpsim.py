@@ -70,7 +70,7 @@ from scipy.special import ndtri
 from .errors import NotPositiveDefiniteError, OutOfDomainError
 from .factorize import cholesky, real_embedding
 from .kernels import GramMatrix, KernelSpec, gram
-from .measures import MeasureModel, cells, measure_of_intervals
+from .measures import MeasureModel, _values_at, cells, measure_of_intervals
 
 __all__ = [
     "FactorizationPair",
@@ -529,14 +529,18 @@ def ito_synthesize(
     s_i are the left-endpoint cell representatives; increments are
     drawn one path tile at a time so only the P x |grid| result materializes.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
     part = cells(pair.measure, resolution)
     grid = list(x_grid)
-    phi = pair.feature_matrix(grid, part.reps)  # grid x cells
+    phi = pair.feature_matrix(grid, part.reps)
+    return _ito_ensemble(phi, part.masses, grid, resolution, n_paths, seed)
+
+
+def _ito_ensemble(phi, masses, grid, resolution, n_paths, seed) -> PathEnsemble:
+    """The Ito sum's paths from its grid x cells feature matrix phi."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     policy = RngSeedPolicy(seed)
-    roots = np.sqrt(part.masses)
-    mixer = (phi * roots).T  # cells x grid: z @ mixer = sum k(s_i) sqrt(m_i) z_i
+    mixer = (phi * np.sqrt(masses)).T  # cells x grid: z @ mixer = sum k(s_i) sqrt(m_i) z_i
     with _one_blas_thread():  # no BLAS thread may spin while the draws run
         out = _mix_paths(policy, n_paths, mixer)
     return PathEnsemble(
@@ -628,8 +632,9 @@ def duality_check(
     Deterministic half: left-endpoint quadrature of conj(k_x) k_y against
     the pair's measure, compared entrywise to the Gram matrix (default
     tolerance 2^-resolution).  Stochastic half: empirical covariance of
-    the synthesized ensemble against the Gram matrix (default tolerance
-    5 max|K| / sqrt(P), five standard errors).
+    the `ito_synthesize` ensemble against the Gram matrix (default
+    tolerance 5 max|K| / sqrt(P), five standard errors).  Both halves read
+    one partition and one feature matrix.
     """
     grid = list(grid)
     target = gram(spec, grid).entries
@@ -637,7 +642,7 @@ def duality_check(
     phi = pair.feature_matrix(grid, part.reps)
     with _one_blas_thread():  # no BLAS thread may spin while the draws run
         quad = (phi.conj() * part.masses) @ phi.T
-        ensemble = ito_synthesize(pair, resolution, grid, n_paths, seed)
+        ensemble = _ito_ensemble(phi, part.masses, grid, resolution, n_paths, seed)
         emp = empirical_covariance(ensemble)
     quad_error = float(np.max(np.abs(quad - target))) if len(grid) else 0.0
     mc_error = float(np.max(np.abs(emp - target))) if len(grid) else 0.0
@@ -649,7 +654,7 @@ def duality_check(
         grid=grid,
         resolution=resolution,
         n_paths=n_paths,
-        seed=RngSeedPolicy(seed).master_seed,
+        seed=ensemble.seed,
         quad_error=quad_error,
         quad_tol=float(quad_tol) if quad_tol is not None else 2.0 ** (-resolution),
         mc_error=mc_error,
@@ -732,12 +737,5 @@ def quadratic_variation(
 def transform_adjoint(pair: FactorizationPair, f, x_grid, resolution: int) -> np.ndarray:
     """Adjoint transform by quadrature: (T* f)(x) = integral f conj(k_x) dmu."""
     part = cells(pair.measure, resolution)
-    reps = part.reps
-    try:
-        fv = np.asarray(f(reps))
-        if fv.shape != reps.shape:
-            raise TypeError
-    except TypeError:
-        fv = np.array([f(s) for s in reps])
-    phi = pair.feature_matrix(list(x_grid), reps)
-    return (phi.conj() * part.masses) @ fv
+    phi = pair.feature_matrix(list(x_grid), part.reps)
+    return (phi.conj() * part.masses) @ _values_at(f, part.reps)

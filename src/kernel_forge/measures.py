@@ -330,11 +330,22 @@ def integrate(m: MeasureModel, f, resolution: int):
     fixed pairwise reduction, so results are deterministic.
     """
     c = cells(m, resolution)
-    vals = f(c.reps)
-    vals = np.asarray(vals)
-    if vals.shape != c.reps.shape:
-        vals = np.array([f(x) for x in c.reps])
-    return np.sum(c.masses * vals)
+    return np.sum(c.masses * _values_at(f, c.reps))
+
+
+def _values_at(f, xs: np.ndarray) -> np.ndarray:
+    """f on the vector xs: one call on the array, else one call per entry.
+
+    The fallback serves a scalar-only callable (such as `math.sin`): one
+    that raises TypeError on an array or returns a value of another shape.
+    """
+    try:
+        vals = np.asarray(f(xs))
+        if vals.shape == xs.shape:
+            return vals
+    except TypeError:
+        pass
+    return np.array([f(x) for x in xs])
 
 
 def fourier_gram(lams, resolution: int, allow_any: bool = False):

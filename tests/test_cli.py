@@ -4,6 +4,7 @@ Most tests drive `run()` in-process with --out files; a few go through the
 installed console script to cover the real entry point.
 """
 
+import argparse
 import hashlib
 import json
 import re
@@ -499,6 +500,79 @@ def test_eig_byte_identical_via_script(tmp_path, points_file):
 
 
 # ---------------------------------------------------------------------------
+# config records
+
+
+def _leaf_parsers(parser, words=()):
+    """(argv words, parser) of every command that runs a handler."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield list(words), parser
+        return
+    for word, sub in subs[0].choices.items():
+        yield from _leaf_parsers(sub, words + (word,))
+
+
+def _required_argv(leaf):
+    """The fewest flags the leaf parses: one value per required option."""
+    argv = []
+    for a in leaf._actions:
+        if a.required and a.option_strings:
+            if a.choices:
+                value = str(next(iter(a.choices)))
+            else:
+                value = "1" if a.type in (int, float) else "x"
+            argv += [a.option_strings[0]] + [value] * (a.nargs if isinstance(a.nargs, int) else 1)
+    return argv
+
+
+def test_config_records_every_declared_option():
+    parser = cli.build_parser()
+    leaves = list(_leaf_parsers(parser))
+    assert len(leaves) == 21
+    for words, leaf in leaves:
+        args = parser.parse_args(words + _required_argv(leaf))
+        declared = {a.dest for a in leaf._actions} - {"out", "help"}
+        assert set(cli._config(args)) == declared, words
+
+
+def test_simulate_header_records_trunc(tmp_path, disk_grid_file):
+    heads = set()
+    for trunc in (4, 8):
+        code, raw = run_to_file(tmp_path, [
+            "simulate", "--example", "ex3", "--trunc", str(trunc), "--paths", "4",
+            "--resolution", "3", "--grid-file", disk_grid_file])
+        assert code == 0
+        head = raw.split(b"\n", 1)[0]
+        assert json.loads(head[2:])["config"]["trunc"] == trunc
+        heads.add(head)
+    assert len(heads) == 2
+
+
+def test_covcheck_reports_the_monte_carlo_half_of_duality(tmp_path, disk_grid_file):
+    argv = ["--example", "ex3", "--trunc", "4", "--grid-file", disk_grid_file,
+            "--resolution", "6", "--paths", "64", "--seed", "5"]
+    _, cov = run_to_file(tmp_path, ["covcheck"] + argv, "cov.json")
+    _, dual = run_to_file(tmp_path, ["duality"] + argv, "dual.json")
+    cov, dual = json.loads(cov), json.loads(dual)
+    assert (cov["max_abs_error"], cov["tolerance"], cov["pass"]) == (
+        dual["mc_error"], dual["mc_tolerance"], dual["mc_pass"])
+
+
+def test_covcheck_on_an_empty_grid_agrees_with_duality(tmp_path):
+    grid = tmp_path / "empty.csv"
+    grid.write_text("unit-interval\n")
+    argv = ["--example", "ex1", "--grid-file", str(grid), "--resolution", "3",
+            "--paths", "10"]
+    code, cov = run_to_file(tmp_path, ["covcheck"] + argv, "cov.json")
+    assert code == 0
+    _, dual = run_to_file(tmp_path, ["duality"] + argv, "dual.json")
+    cov, dual = json.loads(cov), json.loads(dual)
+    assert cov["max_abs_error"] == dual["mc_error"] == 0.0
+    assert cov["tolerance"] == dual["mc_tolerance"]
+
+
+# ---------------------------------------------------------------------------
 # golden bytes: sha256 of each command's output, so a change to how CSV or
 # JSON text is built cannot move a byte.  Inputs use relative paths because
 # reports and simulate headers echo them.
@@ -524,25 +598,25 @@ GOLDEN_OUTPUTS = [
     (["gram", "--kernel", "brownian-min", "--points", "line.csv", "--format", "csv"],
      "d7c397c51037845b28303fbd225455fbc0b2c043a5232b89915ea7a6b448a612"),
     (["gram", "--kernel", "brownian-min", "--points", "line.csv", "--format", "json"],
-     "541d18e69b3ab5bc667f2561f771a19e7d541b96fb51aebfcfcd47dc5c973466"),
+     "fe887ade2d49ef1a4ed543c5ac6b007289ceedff5c3ed2824c11d974fe350f2e"),
     (["gram", "--kernel", "szego", "--points", "disk.csv", "--format", "csv"],
      "7d61f565587b82f909d91d69f7253d5d643f68ae8d7461fae7988c745a89945a"),
     (["gram", "--kernel", "szego", "--points", "disk.csv", "--format", "json"],
-     "06a9da7078f4cfadf552a76338fef07ed62b3da939265a0d03d7d0a043524dcd"),
+     "cfe36162467165b50c6efc8de15cd394cbc0b68217c2b7b553f8b8ebaf3ead60"),
     (["inv", "--matrix", "gram.csv", "--format", "json"],
-     "2067162d508d352b88666b69b067a99f95b00f892ad808a6fc7b01aa2509585e"),
+     "5c80d4422e9e2f69b0b22b82a6892b1c8e3c92a4f6c9044d9376eb3c583e8bbf"),
     (["inv", "--matrix", "gram.csv", "--format", "csv"],
      "71b11ddc61923812c9b9e5b9f6e3071b1807211629a85aba9fdc5347df506eab"),
     (["chol", "--matrix", "gram.csv", "--format", "json"],
-     "6b98d6a650c9bed3ddf5561d8f128050ad326b78a116a9d5fb58792bf9b52fc9"),
+     "f0956ee744c43eec88ca9ea8eafe90483de486a8a1730337e2c81fbb826eaabf"),
     (["chol", "--kernel", "szego", "--points", "disk.csv", "--format", "json"],
-     "815fc04daed913fbcb3bb1905d635cef506d64d15e620c9f271ac272a4a22bf6"),
+     "f464f3d6ba8a1e8340d0058c0f49937d62acee732eed72771c559728dd7adca8"),
     (["simulate", "--example", "ex1", "--paths", "40", "--resolution", "5",
       "--grid-file", "grid.csv", "--seed", "11"],
-     "b5f0dfc27e079984c3025f6ea729ae10463f6523a65be62ced9c6066093955a5"),
+     "7ae3af3a5d71fe48998a06a9868945cf7dc5cfd316f7aa7d946aad49666ed621"),
     (["simulate", "--example", "ex2", "--paths", "40", "--resolution", "5",
       "--grid-file", "disk.csv", "--seed", "11"],
-     "ae6b6b6e6ba511892cef12065d539a931bdbbf38e0a6035c8c10d051416d7cde"),
+     "867bb3014b774bb13144c7909618c65e34b6902cdc65c875e2d4526ec3b46713"),
     (["project", "--kernel", "brownian-min", "--points", "line.csv",
       "--values", "vals_line.csv", "--eval", "eval_line.csv", "--format", "csv"],
      "49bddeb781311815dec45ffcae9d4ddcf886df164c81a1737699a6188576e40a"),
@@ -556,14 +630,14 @@ GOLDEN_OUTPUTS = [
     (["cantor", "spectrum", "--limit", "1000"],
      "1a067a69dc1c11aaf95ab452025a0e66f5eea77775d0e8e04ff005f51d61bea5"),
     (["eig", "--matrix", "gram.csv", "--method", "alt-chol", "--max-iter", "100000"],
-     "96c0c495a91a62d4761af8d43d56a1f9ccb95b3b32feb888f48dc5e4e097b559"),
+     "fbe1c37bd1dae3323b0caa9771cad3a1b62690bed32b34250454e2ff9d360406"),
     (["eig", "--kernel", "szego", "--points", "disk.csv", "--method", "jacobi"],
-     "010507722bdd92dc1ef176d5ec64a7f18a480e9294b9171b75fe15c6608286fd"),
+     "5ad27464131887125621f1faa6618688ae73492677bda433c48c2a30a6dfe619"),
     (["delta-test", "--kernel", "brownian-line", "--point", "1.0",
       "--chain-file", "chain.csv"],
-     "966728e5b6fa118109dd55aa8c66421e5707398bd88426d5d4c7978200df2768"),
+     "b2ae5705486de8cd0214d42895b4cfe427028e9619c4424e92e19ddab6b57857"),
     (["graph", "--kernel", "brownian-min", "--points", "line.csv"],
-     "806b4d120b29549e648c302a8ffcb3d675a2feeae02d0ff43c3f0afd2e65d363"),
+     "aaa6ac733f01604e57aeae999368286f106f909f35713a1698a6794ff9e9cb5a"),
     (["interpolate", "--data", "data.csv", "--eval", "eval_line.csv"],
      "4ee970e2b4d0bd393b169943d50d1ed35176804b2e6c5c2f1953cb2d4244aba9"),
     (["cantor", "fourier-gram", "--count", "4", "--limit", "100", "--resolution", "8"],
@@ -572,38 +646,38 @@ GOLDEN_OUTPUTS = [
      "e6c5349236f4f4450ec026d5b5daa521d69076548c49a310520d45e43da565af"),
     (["covcheck", "--example", "ex1", "--paths", "64", "--resolution", "6",
       "--grid-file", "grid.csv", "--seed", "3"],
-     "2885f376f58c850c02500cd3554a9ca8bf86e7dc2b44adfa3c253b03176a6d95"),
+     "f96cd7185e82c6f138cef539c99af250c5d9a4779eda5e2be651d3ef3f9d72ad"),
     (["qvar", "--measure", "cantor4", "--interval", "0", "0.25", "--resolutions", "2", "4",
       "--paths", "64", "--seed", "1"],
      "9aeb82271a0cb3c702e861939e110e8fe0d29252adae64154ec3885420cff59e"),
     (["duality", "--example", "ex3", "--grid-file", "disk.csv", "--resolution", "6",
       "--paths", "64", "--seed", "5", "--trunc", "4"],
-     "bcd0f2686418899d4a76aff86661861d3ff4e20ba58d624baa9c589c4fbc19d8"),
+     "ef3b4a41d49856214eaac516a99592c6d6c5caa6a8f250b431c31d0083c88d11"),
     (["frame", "check", "--kernel", "shannon", "--set", "integers",
       "--truncation", "200", "--test", "0.5", "0.25"],
-     "6577bf4e6d61a4c53e6c9d1727674df437fe193a4b8558cc0feb94e41a27c214"),
+     "85a5c634c300da0fefb4f9afb344f1600b445f7ba61c43b0568dd0d212358664"),
     (["frame", "check", "--kernel", "brownian-min", "--set", "line.csv",
       "--truncation", "10", "--test-points", "eval_line.csv"],
-     "56ffad90af78a1c318ee2e67715782ceec599666ac69005c823c2feaac93c764"),
+     "7a1db235b22292a402e926f29cb207903f6faca70c839b2437bdcf81438a24ef"),
     (["frame", "bounds", "--kernel", "brownian-min", "--points", "line.csv"],
-     "51d2cff3791f4b88be5d6ddce281a6dd5916925e0518669e015eface2de33ba4"),
+     "94a54fb060a2b45d0a58cdba2837c769ef9399cc33b434f6c61ea43cc2b91bb1"),
     (["frame", "reconstruct", "--kernel", "shannon", "--points", "line.csv",
       "--samples", "vals_line.csv", "--eval", "eval_line.csv", "--format", "json"],
-     "6ad2726e3e0ab7b54880060c35c30d7a104a60bcce4d6a5f35d2a4f2ea189ce0"),
+     "96496925601d0f86d0c4c610813a15cae9cb19f6c9364e451f6e82f91afd16a9"),
     (["frame", "reconstruct", "--kernel", "shannon", "--points", "line.csv",
       "--samples", "vals_line.csv", "--eval", "eval_line.csv", "--format", "csv"],
      "9f49fe226b031a1a63da44dfdbb517982199d03186b53b5d87f7b0ab4d12ce8d"),
     (["witness", "sawtooth", "--knots", "knots.csv", "--eval", "eval_line.csv"],
-     "8e1bc99d2769574f7759fc339ac8b597f41e750c81f37fd9d2886b9fe0b90e66"),
+     "6014ce2f37afa16e837d90c10a9661dc543c856e4e75c2cfd01f314af310df01"),
     (["witness", "sawtooth", "--knots", "knots.csv", "--rule", "custom",
       "--slopes", "slopes.csv", "--eval", "eval_line.csv"],
-     "311fb0a1095619f884bea87b296f67438f153d3b0af811437ba47a0286acb322"),
+     "205213282f4177101cfb2b089510d2036e756551cf25f7c1fddff520ef2ecab0"),
     (["gram", "--kernel", "overlap", "--measure", "cantor4", "--points", "iset.csv",
       "--format", "csv"],
      "18764d795c08e64663e60429390b9905a0970a812dea013487dd5f4316f1d36d"),
     (["gram", "--kernel", "overlap", "--measure", "lebesgue", "--points", "iset.csv",
       "--format", "json"],
-     "eee732854edb97aa4e8e379912c65208e031b49186fb80803a3c257efac5fd88"),
+     "1a4a46209a41326a72f9c07a98bfa3ccfe85ca38a83cbff8ff35e0e3bde1e32a"),
 ]
 
 
@@ -643,13 +717,13 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
 # by rounding: the text around the numbers is unchanged.
 SWEEP_OUTPUTS = [
     (["inv", "--matrix", "gram.csv", "--format", "json"],
-     "bd1baa60b44d48feafbabd4ea81eb984b20dfef9da31649340d09e8586a942f9"),
+     "c1af32f4c0456f1e3b63ad3051031dcc333a6d634949ae0f288c5808befca153"),
     (["inv", "--matrix", "gram.csv", "--format", "csv"],
      "cb13f79424d932419284c1e50dfc40f6db3504bbc30c3b49d04a3e792494d69f"),
     (["chol", "--matrix", "gram.csv", "--format", "json"],
-     "a513cb4a3f148e5c3890c617fd5e54810fe7422419c53de5e35a07dcda4514b6"),
+     "90022bca2f6d981b3b9f52120979c11fa24e274cc2c089caa18b45b76d26453a"),
     (["chol", "--kernel", "szego", "--points", "disk.csv", "--format", "json"],
-     "0bc186d17b7387b40e5ccc662d34327ad7c1ae1b00ca4c4854ec0fc52b10dfbe"),
+     "f435af9dddc3f9c26a46edd501fa0217170cad2a42cc78ad9c02a8fd443ccc16"),
     (["project", "--kernel", "brownian-min", "--points", "line.csv",
       "--values", "vals_line.csv", "--eval", "eval_line.csv", "--format", "csv"],
      "4f29d1206791f024bd10e83ece3805f321553c3e96c0f7478506d2e44b5b0006"),
@@ -657,7 +731,7 @@ SWEEP_OUTPUTS = [
       "--values", "vals_disk.csv", "--eval", "eval_disk.csv", "--format", "csv"],
      "3827f6f6fb8b5907f27e5b3573c2d42a649dcd67e057e310f0a0d3e6d14961e3"),
     (["graph", "--kernel", "brownian-min", "--points", "line.csv"],
-     "2c90c232af32bad0c75b8e3205e4095ecb124c4fd23dea30756788918de32b0f"),
+     "cdc91bfe9aff9b8b2d56b230c4f00143a3b4a32898a83d6690da45dbb32e386c"),
 ]
 
 _NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")

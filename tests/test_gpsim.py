@@ -544,7 +544,7 @@ def test_duality_bytes_equal_with_and_without_blas_cap(monkeypatch, blas_threads
 
 @pytest.mark.parametrize("caller", ["duality_check", "ito_synthesize"])
 def test_pooled_draws_and_mixing_see_one_blas_thread(monkeypatch, blas_threads, caller):
-    # simulate and covcheck call ito_synthesize directly, outside duality_check
+    # simulate calls ito_synthesize directly, outside duality_check
     get_n = blas_threads
     seen, mixed = [], []
     fill = gpsim.RngSeedPolicy._fill_chunk
@@ -634,17 +634,47 @@ def test_blas_cap_restored_after_return_error_and_nesting(monkeypatch, blas_thre
         with gpsim._one_blas_thread():
             raise RuntimeError("inside the body")
     assert get_n() == 2
-    # duality_check enters the cap, and ito_synthesize enters it again inside
+    # duality_check enters the cap, and its Ito half enters it again inside
     entered = []
-    synthesize = gpsim.ito_synthesize
+    synthesize = gpsim._ito_ensemble
 
     def recording(*args):
         entered.append(get_n())
         return synthesize(*args)
 
-    monkeypatch.setattr(gpsim, "ito_synthesize", recording)
+    monkeypatch.setattr(gpsim, "_ito_ensemble", recording)
     _duality("ex2")
     assert entered == [1] and get_n() == 2
+
+
+@pytest.mark.parametrize("example", sorted(DUALITY_EXAMPLES))
+def test_duality_check_builds_one_partition_and_one_feature_matrix(monkeypatch, example):
+    built = []
+    partition, features = kf.cells, gpsim.FactorizationPair.feature_matrix
+
+    def counted_cells(m, resolution):
+        built.append("cells")
+        return partition(m, resolution)
+
+    def counted_features(self, grid, reps):
+        built.append("feature_matrix")
+        return features(self, grid, reps)
+
+    for module in (gpsim, sys.modules["kernel_forge.measures"]):
+        monkeypatch.setattr(module, "cells", counted_cells)
+    monkeypatch.setattr(gpsim.FactorizationPair, "feature_matrix", counted_features)
+    _duality(example)
+    assert sorted(built) == ["cells", "feature_matrix"]
+
+
+@pytest.mark.parametrize("example", sorted(DUALITY_EXAMPLES))
+def test_duality_monte_carlo_half_is_the_ito_ensemble(example):
+    pair, spec, grid = DUALITY_EXAMPLES[example]
+    rep = _duality(example)
+    ens = gpsim.ito_synthesize(pair(), 10, grid, 3000, seed=3)
+    emp = gpsim.empirical_covariance(ens)
+    assert rep.mc_error == float(np.max(np.abs(emp - kf.gram(spec(), grid).entries)))
+    assert rep.seed == ens.seed
 
 
 def test_blas_cap_without_openblas_is_a_no_op(monkeypatch):
