@@ -41,8 +41,6 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
 
-_MEASURES = {"lebesgue": measures.lebesgue, "cantor4": measures.cantor4}
-
 # --example: (factorization pair, its kernel) for a --trunc value
 _EXAMPLES = {
     "ex1": lambda trunc: (gpsim.pair_ex1(), kernels.brownian_min()),
@@ -85,7 +83,7 @@ def _build_kernel(args) -> kernels.KernelSpec:
         return kernels.KernelSpec(args.kernel)
     value = getattr(args, param)
     if param == "measure":
-        value = _MEASURES[value]()
+        value = measures.MeasureModel(value)
     return kernels.KernelSpec(args.kernel, **{param: value})
 
 
@@ -206,7 +204,7 @@ def _cmd_cantor_cdf(args):
 
 
 def _cmd_cantor_cells(args):
-    part = measures.cells(_MEASURES[args.measure](), args.depth)
+    part = measures.cells(measures.MeasureModel(args.measure), args.depth)
     return fileio.format_matrix(np.column_stack((part.lefts, part.rights, part.masses)))
 
 
@@ -251,7 +249,7 @@ def _cmd_covcheck(args):
 
 
 def _cmd_qvar(args):
-    m = _MEASURES[args.measure]()
+    m = measures.MeasureModel(args.measure)
     rep = gpsim.quadratic_variation(
         m, tuple(args.interval), args.resolutions, args.paths, args.seed
     )
@@ -361,7 +359,7 @@ def _add_kernel_flags(p, required: bool = True):
     p.add_argument("--kernel", required=required, choices=kernels.FAMILIES)
     p.add_argument("--trunc", type=int, default=8)
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--measure", default="lebesgue", choices=tuple(_MEASURES))
+    p.add_argument("--measure", default="lebesgue", choices=measures.KINDS)
 
 
 def _add_matrix_input_flags(p):
@@ -457,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--grid-file")
     c.add_argument("--grid-n", type=int, default=257)
     c = _command(csubs, "cells", _cmd_cantor_cells, "cantor cells")
-    c.add_argument("--measure", default="cantor4", choices=tuple(_MEASURES))
+    c.add_argument("--measure", default="cantor4", choices=measures.KINDS)
     c.add_argument("--depth", type=int, required=True)
     c = _command(csubs, "spectrum", _cmd_cantor_spectrum, "cantor spectrum")
     c.add_argument("--limit", type=int, required=True)
@@ -480,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_example_flags(p)
 
     p = _command(subs, "qvar", _cmd_qvar, "qvar", help="quadratic variation across resolutions")
-    p.add_argument("--measure", default="lebesgue", choices=tuple(_MEASURES))
+    p.add_argument("--measure", default="lebesgue", choices=measures.KINDS)
     p.add_argument("--interval", type=float, nargs=2, required=True)
     p.add_argument("--resolutions", type=int, nargs="+", required=True)
     p.add_argument("--paths", type=int, required=True)

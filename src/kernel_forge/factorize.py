@@ -16,10 +16,11 @@ PSD and frame-bound verdicts need only the two extreme eigenvalues, and
 solver is accurate to a few ulps of the matrix scale, far inside the
 relative thresholds those verdicts apply.
 
-Complex Hermitian matrices are handled by the real block embedding
-[[Re, -Im], [Im, Re]], which is symmetric, positive definite exactly when
-the original is, and carries each eigenvalue twice; `eig_range` alone
-hands complex input to LAPACK as it is.
+Complex Hermitian matrices factor as they are: `cholesky` returns the
+n x n complex lower factor with L @ L^H = G, and the inverse and the
+solve follow from it.  The two eigen routes alone go through the real
+block embedding [[Re, -Im], [Im, Re]], which is symmetric, positive
+definite exactly when the original is, and carries each eigenvalue twice.
 
 Every tolerance is relative to the matrix it judges: pivots and eigenvalue
 floors are measured in units of `matrix_scale` (the largest |G_ii|), and
@@ -104,56 +105,51 @@ def real_embedding(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CholeskyFactor:
-    """Lower-triangular factor with L @ L.T = G + ridge*I.
+    """Lower-triangular n x n factor with L @ L^H = G + ridge*I.
 
-    For complex Hermitian input `L` factors the real block embedding, so
-    it is 2n x 2n, `embedded` is set, and `reconstruct()` returns the
-    embedded matrix.
+    L is complex, with a real positive diagonal, when G is.
     """
 
     L: np.ndarray
     ridge_used: float = 0.0
-    embedded: bool = False
 
     @property
     def n(self) -> int:
         return self.L.shape[0]
 
     def reconstruct(self) -> np.ndarray:
-        return self.L @ self.L.T
+        return self.L @ self.L.conj().T
 
 
 def cholesky(g, ridge: float = 0.0, tol: float = 1e-12) -> CholeskyFactor:
     """Cholesky factor of a Hermitian PSD matrix (plus optional ridge).
 
-    Complex input is factored through its real block embedding, by
-    numpy's `potrf` (lower triangle).  The first pivot diag(L)**2 below
-    ``tol * matrix_scale(G)`` (G before the ridge), or one LAPACK cannot
-    take, raises NotPositiveDefiniteError, so the verdict does not depend
-    on the scale of G; a positive `ridge` is added to the diagonal before
-    factoring (and reported in the result).
+    Real or complex input goes to numpy's `potrf` (lower triangle) as it
+    is.  The first pivot diag(L).real**2 below ``tol * matrix_scale(G)``
+    (G before the ridge), or one LAPACK cannot take, raises
+    NotPositiveDefiniteError, so the verdict does not depend on the scale
+    of G; a positive `ridge` is added to the diagonal before factoring
+    (and reported in the result).
     """
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     arr = _as_matrix(g)
     _check_hermitian(arr)
     threshold = tol * matrix_scale(arr)
-    if embedded := np.iscomplexobj(arr):
-        arr = real_embedding(arr)
     if ridge:
         arr = arr + ridge * np.eye(arr.shape[0])
     try:
         lower = np.linalg.cholesky(arr)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"a Cholesky pivot is not positive: {exc}") from exc
-    pivots = lower.diagonal() ** 2
+    pivots = lower.diagonal().real ** 2
     low = np.flatnonzero(~(pivots >= threshold))
     if low.size:
         j = low[0]
         raise NotPositiveDefiniteError(
             f"Cholesky pivot {pivots[j]:.6e} at index {j} is below tolerance {threshold:.1e}"
         )
-    return CholeskyFactor(L=lower, ridge_used=float(ridge), embedded=embedded)
+    return CholeskyFactor(L=lower, ridge_used=float(ridge))
 
 
 def brownian_cholesky_closed_form(points) -> CholeskyFactor:
@@ -198,39 +194,28 @@ def invertible_cholesky(g) -> CholeskyFactor:
 def inverse_gram(g) -> np.ndarray:
     """Inverse of a positive-definite Gram matrix from its Cholesky factor.
 
-    G^-1 = W.T @ W with W = L^-1, numpy only.  Complex matrices invert
-    through the real embedding (the embedding of the inverse is the
-    inverse of the embedding).  Raises SingularMatrixError as
-    `invertible_cholesky` does.
+    G^-1 = W^H @ W with W = L^-1, numpy only, for real and complex G
+    alike.  Raises SingularMatrixError as `invertible_cholesky` does.
     """
     factor = invertible_cholesky(g)
-    # inv(L), not inv(L.T): on a Brownian Gram it keeps most zeros of the
-    # tridiagonal inverse exact (78% at n = 300, inv(L.T) none), so the
-    # written inverse is shorter and faster to format
+    # inv(L), not inv(L^H): on a Brownian Gram it keeps most zeros of the
+    # tridiagonal inverse exact (78% at n = 300, inv(L^H) none), so the
+    # written inverse is shorter and faster to format.  `factor` stays
+    # bound until the product is formed: freeing L before it raised the
+    # peak RSS of a CLI `inv` at n = 300 by about one n x n block.
     w = np.linalg.inv(factor.L)
-    inv = w.T @ w
-    if factor.embedded:
-        n = factor.n // 2
-        return inv[:n, :n] + 1j * inv[n:, :n]
-    return inv
+    return w.conj().T @ w
 
 
 def solve_gram(g, h) -> np.ndarray:
     """G^-1 h for a positive-definite Gram matrix, without forming G^-1.
 
-    W.T @ (W @ h) with W = L^-1, the factors of `inverse_gram` applied to
-    one vector.  A complex G solves through the real embedding, with h as
-    (Re h, Im h).  Raises SingularMatrixError as `invertible_cholesky`
+    W^H @ (W @ h) with W = L^-1, the factors of `inverse_gram` applied to
+    one vector.  Raises SingularMatrixError as `invertible_cholesky`
     does.
     """
-    factor = invertible_cholesky(g)
-    w = np.linalg.inv(factor.L)
-    h = np.asarray(h)
-    if factor.embedded:
-        n = factor.n // 2
-        xi = w.T @ (w @ np.concatenate((h.real, h.imag)))
-        return xi[:n] + 1j * xi[n:]
-    return w.T @ (w @ h)
+    w = np.linalg.inv(invertible_cholesky(g).L)
+    return w.conj().T @ (w @ np.asarray(h))
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,8 +17,9 @@ results are identical across chunk sizes, worker counts, and platforms.
 
 Increments and frame coefficients stay real; complex-valued processes
 arise only through complex feature functions, except for direct sampling
-of a complex Gram matrix, which combines the real-embedding Cholesky
-factor into an n x 2n complex factor M with M M^H = G.
+of a complex Gram matrix, which widens its complex Cholesky factor L into
+the n x 2n factor M = [L, -iL] / sqrt(2): M M^H = G, and M M^T = 0, so
+the samples are circular.
 
 `RngSeedPolicy.normal_block` is the one draw engine.  It fills its
 (paths, count) output in place, in row chunks of about 64k normals, so
@@ -68,7 +69,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import NotPositiveDefiniteError, OutOfDomainError
-from .factorize import cholesky, real_embedding
+from .factorize import cholesky
 from .kernels import GramMatrix, KernelSpec, gram
 from .measures import MeasureModel, _values_at, cells, measure_of_intervals
 
@@ -435,12 +436,12 @@ def _gram_entries(g):
 
 
 def _sampling_factor(arr: np.ndarray, ridge: float) -> np.ndarray:
-    """M with M @ M.conj().T = G; n x 2n from the embedded factor if G is complex."""
+    """M with M @ M.conj().T = G: L itself if G is real, else n x 2n
+    [L, -iL] / sqrt(2), whose zero M @ M.T makes the samples circular."""
+    lower = cholesky(arr, ridge=ridge).L
     if not np.iscomplexobj(arr):
-        return cholesky(arr, ridge=ridge).L
-    lam = cholesky(real_embedding(arr), ridge=ridge).L
-    n = arr.shape[0]
-    return (lam[:n, :] + 1j * lam[n:, :]) / math.sqrt(2.0)
+        return lower
+    return np.hstack((lower, -1j * lower)) / math.sqrt(2.0)
 
 
 def sample_gaussian_vector(g, n_paths: int, seed: int = 0) -> PathEnsemble:
@@ -450,8 +451,8 @@ def sample_gaussian_vector(g, n_paths: int, seed: int = 0) -> PathEnsemble:
     retried once if the bare factorization fails, and reported as the
     ensemble's `ridge_used`); Z is a vector of iid
     standard normals from the path's substream.  Complex G samples
-    conj(M) @ Z with M the combined embedding factor, which gives
-    E(conj(V_i) V_j) = G_ij.
+    conj(M) @ Z with M = [L, -iL] / sqrt(2), which gives
+    E(conj(V_i) V_j) = G_ij and E(V_i V_j) = 0.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")

@@ -15,12 +15,13 @@ drury-arveson(k)    open unit ball of C^k      1 / (1 - sum_j conj(z_j) w_j)
 overlap(mu)         finite unions of intervals mu(A intersect B)
 ==================  =========================  =====================================
 
-Each family is one `Family` record in `FAMILY_TABLE`: its domain, the
-sample-set tags it accepts, a validator that turns a point list into an
-array (one row per point), and one elementwise formula k(X, Y) over
-broadcast point arrays.  `gram`, `cross_gram`, `kernel_diagonal` and
-`eval_kernel` all evaluate that formula, so a matrix of any size costs
-one vectorized call rather than one Python call per entry.
+Each family is one `Family` record in `FAMILY_TABLE`: the sample-set
+tags it accepts (its own domain first), a validator that turns a point
+list into an array (one row per point), and one elementwise formula
+k(X, Y) over broadcast point arrays.  `gram`, `cross_gram`,
+`kernel_diagonal` and `eval_kernel` all evaluate that formula, so a
+matrix of any size costs one vectorized call rather than one Python call
+per entry.
 
 The overlap family knows its measure only through `measures.cdf`: each
 interval carries the CDF at its two ends, and mu(I intersect J) is a
@@ -37,7 +38,7 @@ product at N factors; the neglected tail satisfies
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -249,15 +250,14 @@ def _overlap(spec, x, y):
 class Family:
     """Everything the package knows about one kernel family.
 
-    domain: the point domain; "{dim}" is filled in from the spec.
-    tags: SampleSet domain tags the family accepts, formatted the same way.
+    tags: SampleSet domain tags the family accepts, the family's own point
+        domain first; "{dim}" is filled in from the spec.
     points: validator, (spec, point list) -> array with one row per point.
     formula: k(spec, X, Y) elementwise over broadcast point arrays.
     is_complex: whether kernel values are complex.
     param: the KernelSpec field the family needs, if any.
     """
 
-    domain: str
     tags: tuple
     points: Callable
     formula: Callable
@@ -266,26 +266,18 @@ class Family:
 
 
 FAMILY_TABLE = {
-    "brownian-min": Family(
-        "real-line", ("real-line", "unit-interval"), _half_line, _min
-    ),
-    "brownian-line": Family("real-line", ("real-line",), _real_line, _min_same_sign),
-    "szego": Family("complex-disk", ("complex-disk",), _disk, _szego, is_complex=True),
+    "brownian-min": Family(("real-line", "unit-interval"), _half_line, _min),
+    "brownian-line": Family(("real-line",), _real_line, _min_same_sign),
+    "szego": Family(("complex-disk",), _disk, _szego, is_complex=True),
     "cantor-product": Family(
-        "complex-disk", ("complex-disk",), _disk, _truncated_product,
-        is_complex=True, param="trunc",
+        ("complex-disk",), _disk, _truncated_product, is_complex=True, param="trunc"
     ),
-    "shannon": Family("real-line", ("real-line",), _real_line, _sinc),
+    "shannon": Family(("real-line",), _real_line, _sinc),
     "drury-arveson": Family(
-        "complex-vector({dim})", ("complex-vector({dim})",), _ball, _drury_arveson,
-        is_complex=True, param="dim",
+        ("complex-vector({dim})",), _ball, _drury_arveson, is_complex=True, param="dim"
     ),
-    "overlap": Family(
-        "interval-set", ("interval-set",), _interval_sets, _overlap, param="measure"
-    ),
-    "green-1d": Family(
-        "unit-interval", ("unit-interval", "real-line"), _open_unit_interval, _green
-    ),
+    "overlap": Family(("interval-set",), _interval_sets, _overlap, param="measure"),
+    "green-1d": Family(("unit-interval", "real-line"), _open_unit_interval, _green),
 }
 
 FAMILIES = tuple(FAMILY_TABLE)
@@ -323,7 +315,7 @@ class KernelSpec:
 
     @property
     def domain(self) -> str:
-        return FAMILY_TABLE[self.family].domain.format(dim=self.dim)
+        return FAMILY_TABLE[self.family].tags[0].format(dim=self.dim)
 
 
 def brownian_min() -> KernelSpec:
@@ -363,12 +355,15 @@ class SampleSet:
     """Ordered distinct points, optionally with a nested chain of levels.
 
     chain, when given, is a list of point lists F1 c F2 c ... with strict
-    nesting; the union of the chain equals `points`.
+    nesting; the union of the chain equals `points`.  `chain_keys` holds
+    the `point_key` of every chain point, level by level, as computed for
+    that check; it takes no part in equality.
     """
 
     points: list
     domain: Optional[str] = None
     chain: Optional[list] = None
+    chain_keys: Optional[list] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = list(self.points)
@@ -379,10 +374,12 @@ class SampleSet:
         if self.chain is not None:
             levels = [list(level) for level in self.chain]
             object.__setattr__(self, "chain", levels)
+            chain_keys = [[point_key(p) for p in level] for level in levels]
+            object.__setattr__(self, "chain_keys", chain_keys)
             prev = set()
-            for level in levels:
-                cur = {point_key(p) for p in level}
-                if len(cur) != len(level):
+            for level_keys in chain_keys:
+                cur = set(level_keys)
+                if len(cur) != len(level_keys):
                     raise DuplicatePointError("chain level contains duplicate points")
                 if not prev < cur:
                     raise ChainError("chain levels must be strictly nested")

@@ -47,9 +47,13 @@ _DIGIT_GAIN = np.array([0.0, 0.5, 0.5, 1.0])
 _DIGIT_GOES_ON = np.array([True, False, True, False])
 
 
+# the measure kinds, in the order the CLI offers them
+KINDS = ("lebesgue", "cantor4")
+
+
 @dataclass(frozen=True)
 class MeasureModel:
-    """A measure on [0,1]: kind is "lebesgue" or "cantor4".
+    """A measure on [0,1]: kind is one of KINDS, "lebesgue" or "cantor4".
 
     Only this module reads `kind`; everything else partitions through
     `cells` and measures through `cdf`.
@@ -58,7 +62,7 @@ class MeasureModel:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in ("lebesgue", "cantor4"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown measure kind: {self.kind!r}")
 
 

@@ -14,12 +14,10 @@ every level a leading block of the Gram, and the leading block of L
 factors it.  `delta_membership` moves x to the end: every level less x
 is then a leading block, the last row of L holds L'^-1 k_x for all of
 them at once, and (K_F^-1)_xx is the reciprocal of the Schur complement
-K_xx - sum_{i < |F|-1} L[x, i]^2, the squared distance from k_x to the
+K_xx - sum_{i < |F|-1} |L[x, i]|^2, the squared distance from k_x to the
 span of the level's other sections.  `rkhs_norm_sq` reads
-<h_F, K_F^-1 h_F> = ||(L^-1 h)[:|F|]||^2.  Complex families factor the
-real embedding with each point's real and imaginary rows adjacent, so a
-level is still a leading block (of twice the size), and x's real row
-carries its Schur complement.
+<h_F, K_F^-1 h_F> = ||(L^-1 h)[:|F|]||^2.  Complex families factor their
+complex Gram the same way, with L @ L^H = G.
 """
 
 from __future__ import annotations
@@ -29,16 +27,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .errors import ChainError, NotIncreasingError, OutOfDomainError
-from .factorize import invertible_cholesky, inverse_gram, real_embedding, solve_gram
-from .kernels import (
-    KernelSpec,
-    SampleSet,
-    as_sample_set,
-    cross_gram,
-    gram,
-    point_key,
-)
+from .factorize import invertible_cholesky, inverse_gram, solve_gram
+from .kernels import KernelSpec, SampleSet, as_sample_set, cross_gram, gram
 
 __all__ = [
     "NormChainReport",
@@ -84,57 +76,49 @@ def _chain_levels(sample: SampleSet):
     return sample.chain
 
 
-def _leading_order(levels, last=None):
+def _leading_order(sample: SampleSet, last=None):
     """Positions in the last level, in the order one factor serves a chain.
 
     Points come in order of first appearance, except `last` (when given),
     which comes at the end; strict nesting then makes every level, less
     `last`, a leading block of that order.  Returns the positions and the
-    size of each level.  A level without `last` raises ChainError.
+    size of each level.  A level without `last` raises ChainError.  The
+    levels' keys are the sample's own `chain_keys`.
     """
-    target = None if last is None else point_key(last)
-    first, keys = {}, []
-    for level in levels:
-        keys = [point_key(p) for p in level]
+    levels = _chain_levels(sample)
+    target = None if last is None else kernels.point_key(last)
+    first = {}
+    for level, keys in zip(levels, sample.chain_keys):
         if target is not None and target not in keys:
             raise ChainError(f"chain level {level} does not contain the point {last}")
         first.update(dict.fromkeys(keys))  # a key already seen keeps its place
     if target is not None:
         first[target] = first.pop(target)
-    where = {key: i for i, key in enumerate(keys)}  # keys of the last level
+    where = {key: i for i, key in enumerate(sample.chain_keys[-1])}
     order = np.array([where[key] for key in first], dtype=np.intp)
     return order, np.array([len(level) for level in levels], dtype=np.intp)
 
 
 def _chain_factor(spec: KernelSpec, sample: SampleSet, order):
-    """(G, L, step): the Gram on the last level with its points in `order`,
-    its lower Cholesky factor, and the rows of G per point.
-
-    A complex Gram is replaced by its real embedding with rows permuted to
-    (re 0, im 0, re 1, im 1, ...), step 2, so every leading block of
-    points stays a leading block.  Raises SingularMatrixError.
+    """(G, L): the Gram on the last level with its points in `order`, and
+    its lower Cholesky factor.  Raises SingularMatrixError.
     """
     points = [sample.chain[-1][i] for i in order]
     g = gram(spec, SampleSet(points=points, domain=sample.domain)).entries
-    step = 1
-    if np.iscomplexobj(g):
-        interleave = np.arange(2 * len(points)).reshape(2, -1).T.ravel()
-        g, step = real_embedding(g)[np.ix_(interleave, interleave)], 2
-    return g, invertible_cholesky(g).L, step
+    return g, invertible_cholesky(g).L
 
 
-def _check_chain_consistency(levels, values):
+def _check_chain_consistency(sample: SampleSet, values):
     """Sampled values must agree wherever chain levels overlap."""
+    levels, chain_keys = sample.chain, sample.chain_keys
     for k in range(len(levels) - 1):
-        seen = {point_key(p): values[k][i] for i, p in enumerate(levels[k])}
-        for i, p in enumerate(levels[k + 1]):
-            key = point_key(p)
+        seen = dict(zip(chain_keys[k], values[k]))
+        for i, key in enumerate(chain_keys[k + 1]):
             if key in seen and not np.isclose(
                 seen[key], values[k + 1][i], rtol=1e-12, atol=0.0
             ):
-                raise ValueError(
-                    f"sample values disagree across chain levels at point {p}"
-                )
+                point = levels[k + 1][i]
+                raise ValueError(f"sample values disagree across chain levels at point {point}")
 
 
 def rkhs_norm_sq(spec: KernelSpec, sample, h_values_per_level) -> NormChainReport:
@@ -142,8 +126,7 @@ def rkhs_norm_sq(spec: KernelSpec, sample, h_values_per_level) -> NormChainRepor
 
     Level F contributes <h_F, K_F^{-1} h_F>, read from one factor L of the
     Gram on the chain's points in order of first appearance: with
-    z = L^-1 h, the level's energy is ||z[:|F|]||^2 (complex families:
-    the first 2|F| entries of the interleaved real embedding).  The
+    z = L^-1 h, the level's energy is ||z[:|F|]||^2.  The
     sequence is nondecreasing by construction, and its final value is
     returned as the sup.  The levels' values must agree where they
     overlap; h takes them from the last level.
@@ -159,14 +142,12 @@ def rkhs_norm_sq(spec: KernelSpec, sample, h_values_per_level) -> NormChainRepor
     for level, vals in zip(levels, values):
         if vals.shape != (len(level),):
             raise ValueError(f"expected {len(level)} sample values, got shape {vals.shape}")
-    _check_chain_consistency(levels, values)
-    order, sizes = _leading_order(levels)
-    _, lower, step = _chain_factor(spec, sample, order)
+    _check_chain_consistency(sample, values)
+    order, sizes = _leading_order(sample)
+    _, lower = _chain_factor(spec, sample, order)
     h = values[-1][order]
-    if step == 2:
-        h = np.column_stack((h.real, h.imag)).ravel()
     z = np.linalg.inv(lower) @ h
-    seq = np.cumsum(z * z)[step * sizes - 1]
+    seq = np.cumsum(np.abs(z) ** 2)[sizes - 1]
     return NormChainReport(sequence=seq, sup=float(seq[-1]))
 
 
@@ -203,19 +184,17 @@ def delta_membership(
     One Gram and one Cholesky factor serve every level: x goes last and
     the other points follow their first appearance, so each level less x
     is a leading block.  Level F then reads
-    (K_F^{-1})_{xx} = 1 / (K_xx - sum_{i < |F|-1} L[x, i]^2), the
+    (K_F^{-1})_{xx} = 1 / (K_xx - sum_{i < |F|-1} |L[x, i]|^2), the
     reciprocal squared distance from k_x to the span of the level's other
-    sections; complex families read x's real row of the interleaved real
-    embedding.  A level without x raises ChainError, a singular Gram
+    sections.  A level without x raises ChainError, a singular Gram
     SingularMatrixError.
     """
     sample = as_sample_set(sample)
-    levels = _chain_levels(sample)
-    order, sizes = _leading_order(levels, last=x)
-    g, lower, step = _chain_factor(spec, sample, order)
-    n = len(g) - step  # x's (real) row
-    partial = np.concatenate(([0.0], np.cumsum(lower[n, :n] ** 2)))
-    seq = 1.0 / (g[n, n] - partial[step * (sizes - 1)])
+    order, sizes = _leading_order(sample, last=x)
+    g, lower = _chain_factor(spec, sample, order)
+    n = len(g) - 1  # x's row
+    partial = np.concatenate(([0.0], np.cumsum(np.abs(lower[n, :n]) ** 2)))
+    seq = 1.0 / (g[n, n].real - partial[sizes - 1])
     sup = float(seq.max())
     if seq[-1] > cap or (len(seq) >= 2 and seq[-1] > growth * seq[-2]):
         verdict = "diverging"

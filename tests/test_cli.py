@@ -203,6 +203,26 @@ def test_chol_inv_consistency(tmp_path, points_file):
     np.testing.assert_allclose(inv, expected, atol=1e-9)
 
 
+def test_chol_of_a_complex_gram_is_n_by_n(tmp_path):
+    disk = tmp_path / "disk.csv"
+    disk.write_text("complex-disk\n0.1,0.2\n-0.3,0.05\n0.5,-0.4\n0.0,0.0\n")
+    docs = {}
+    for command in ("chol", "gram"):
+        code, raw = run_to_file(tmp_path, [command, "--kernel", "szego", "--points",
+                                           str(disk), "--format", "json"], f"{command}.json")
+        assert code == 0
+        docs[command] = json.loads(raw)
+
+    def matrix(doc):
+        pairs = np.array(doc["entries"])
+        return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(doc["n"], doc["n"])
+
+    assert docs["chol"]["L"]["n"] == 4
+    lower, g = matrix(docs["chol"]["L"]), matrix(docs["gram"]["matrix"])
+    assert np.all(np.triu(lower, 1) == 0.0)
+    assert np.max(np.abs(lower @ lower.conj().T - g)) <= 1e-14 * np.max(np.abs(g))
+
+
 def test_eig_methods_agree(tmp_path, points_file):
     outputs = []
     for method in ("alt-chol", "jacobi"):
@@ -610,7 +630,7 @@ GOLDEN_OUTPUTS = [
     (["chol", "--matrix", "gram.csv", "--format", "json"],
      "f0956ee744c43eec88ca9ea8eafe90483de486a8a1730337e2c81fbb826eaabf"),
     (["chol", "--kernel", "szego", "--points", "disk.csv", "--format", "json"],
-     "f464f3d6ba8a1e8340d0058c0f49937d62acee732eed72771c559728dd7adca8"),
+     "cf717a72a430b4fd54d006cd7a087b5a45c0e87c469b8b0db305f8457717e74d"),
     (["simulate", "--example", "ex1", "--paths", "40", "--resolution", "5",
       "--grid-file", "grid.csv", "--seed", "11"],
      "7ae3af3a5d71fe48998a06a9868945cf7dc5cfd316f7aa7d946aad49666ed621"),
@@ -622,7 +642,7 @@ GOLDEN_OUTPUTS = [
      "49bddeb781311815dec45ffcae9d4ddcf886df164c81a1737699a6188576e40a"),
     (["project", "--kernel", "szego", "--points", "disk.csv",
       "--values", "vals_disk.csv", "--eval", "eval_disk.csv", "--format", "csv"],
-     "227bd139bcc99f8ef00b54ad83c869fec2fbff3128a52de54d09e6808bb7bd4d"),
+     "748b4ed725a00448ea33860161a6554eca917ee59fc80de21f1d017fc9488bcd"),
     (["cantor", "cdf", "--grid-file", "grid.csv"],
      "d41fb0121f0afe466f00f7b01a7e0c3fecfedf18bb8c77ca7d4cfd5863004d38"),
     (["cantor", "cells", "--depth", "3"],
@@ -723,13 +743,13 @@ SWEEP_OUTPUTS = [
     (["chol", "--matrix", "gram.csv", "--format", "json"],
      "90022bca2f6d981b3b9f52120979c11fa24e274cc2c089caa18b45b76d26453a"),
     (["chol", "--kernel", "szego", "--points", "disk.csv", "--format", "json"],
-     "f435af9dddc3f9c26a46edd501fa0217170cad2a42cc78ad9c02a8fd443ccc16"),
+     "490fe0a4f172f1cce976027b46eb252018b925120864969e7102fe3012c2fe00"),
     (["project", "--kernel", "brownian-min", "--points", "line.csv",
       "--values", "vals_line.csv", "--eval", "eval_line.csv", "--format", "csv"],
      "4f29d1206791f024bd10e83ece3805f321553c3e96c0f7478506d2e44b5b0006"),
     (["project", "--kernel", "szego", "--points", "disk.csv",
       "--values", "vals_disk.csv", "--eval", "eval_disk.csv", "--format", "csv"],
-     "3827f6f6fb8b5907f27e5b3573c2d42a649dcd67e057e310f0a0d3e6d14961e3"),
+     "4a38b8ee3534ae5637d1d51a35b1cea003673eba3c3155580e2bb52fe017bb0b"),
     (["graph", "--kernel", "brownian-min", "--points", "line.csv"],
      "cdc91bfe9aff9b8b2d56b230c4f00143a3b4a32898a83d6690da45dbb32e386c"),
 ]

@@ -15,7 +15,6 @@ from kernel_forge.factorize import (
     _as_matrix,
     _check_hermitian,
     matrix_scale,
-    real_embedding,
 )
 
 
@@ -62,18 +61,17 @@ def test_cholesky_ridge():
         kf.cholesky(g, ridge=-1.0)
 
 
-def test_cholesky_complex_hermitian_embeds():
-    # complex input factors through the real 2n x 2n block embedding
-    from kernel_forge.factorize import real_embedding
-
+def test_cholesky_complex_hermitian_is_n_by_n():
+    # complex Hermitian input factors as it is: L @ L^H = G, L lower n x n
+    # with a real positive diagonal
     g = kf.gram(kf.szego(), [0.1 + 0.2j, -0.3j, 0.4])
     f = kf.cholesky(g)
-    n = g.n
-    assert f.L.shape == (2 * n, 2 * n)
-    assert not np.iscomplexobj(f.L)
-    np.testing.assert_allclose(f.L @ f.L.T, real_embedding(g.entries), atol=1e-14)
-    rebuilt = (f.L @ f.L.T)[:n, :n] + 1j * (f.L @ f.L.T)[n:, :n]
-    np.testing.assert_allclose(rebuilt, g.entries, atol=1e-14)
+    assert f.L.shape == (g.n, g.n)
+    assert np.iscomplexobj(f.L)
+    assert np.all(np.triu(f.L, 1) == 0.0)
+    assert np.all(f.L.diagonal().imag == 0.0) and np.all(f.L.diagonal().real > 0.0)
+    gap = np.max(np.abs(f.reconstruct() - g.entries))
+    assert gap <= 1e-14 * np.max(np.abs(g.entries))
 
 
 @settings(max_examples=40, deadline=None)
@@ -87,21 +85,23 @@ def test_cholesky_reconstructs(n, seed):
 
 # ---------------------------------------------------------------------------
 # the column sweep that factored every Gram before `cholesky` called LAPACK,
-# kept verbatim as the oracle for the LAPACK route, with the `cholesky` and
+# kept as the oracle for the LAPACK route, with the `cholesky` and
 # `inverse_gram` bodies that ran it
 
 
 def _chol_lower(a: np.ndarray, tol: float) -> np.ndarray:
-    """Right-looking Cholesky column sweep on a real symmetric matrix.
+    """Right-looking Cholesky column sweep on a Hermitian matrix.
 
-    Raises NotPositiveDefiniteError as soon as a pivot falls below the
-    absolute threshold ``tol`` or is not positive (NaN pivots fail too).
+    The pivot is the real part of the working diagonal, and each step
+    subtracts the outer product col @ col^H.  Raises
+    NotPositiveDefiniteError as soon as a pivot falls below the absolute
+    threshold ``tol`` or is not positive (NaN pivots fail too).
     """
     n = a.shape[0]
-    work = np.array(a, dtype=float)
+    work = np.array(a)
     lower = np.zeros_like(work)
     for j in range(n):
-        pivot = work[j, j]
+        pivot = float(work[j, j].real)
         if not (pivot >= tol and pivot > 0.0):
             raise kf.NotPositiveDefiniteError(
                 f"Cholesky pivot {pivot:.6e} at index {j} is below tolerance {tol:.1e}"
@@ -111,7 +111,7 @@ def _chol_lower(a: np.ndarray, tol: float) -> np.ndarray:
         if j + 1 < n:
             col = work[j + 1 :, j] / root
             lower[j + 1 :, j] = col
-            work[j + 1 :, j + 1 :] -= np.outer(col, col)
+            work[j + 1 :, j + 1 :] -= np.outer(col, col.conj())
     return lower
 
 
@@ -122,8 +122,6 @@ def sweep_cholesky(g, ridge: float = 0.0, tol: float = 1e-12) -> CholeskyFactor:
     arr = _as_matrix(g)
     _check_hermitian(arr)
     threshold = tol * matrix_scale(arr)
-    if np.iscomplexobj(arr):
-        arr = real_embedding(arr)
     if ridge:
         arr = arr + ridge * np.eye(arr.shape[0])
     return CholeskyFactor(L=_chol_lower(arr, threshold), ridge_used=float(ridge))
@@ -132,9 +130,7 @@ def sweep_cholesky(g, ridge: float = 0.0, tol: float = 1e-12) -> CholeskyFactor:
 def sweep_inverse_gram(g) -> np.ndarray:
     """`inverse_gram` on the column sweep: two triangular solves."""
     arr = _as_matrix(g)
-    was_complex = np.iscomplexobj(arr)
-    n = arr.shape[0]
-    if n == 0:
+    if arr.shape[0] == 0:
         return arr.copy()
     try:
         factor = sweep_cholesky(arr, ridge=0.0, tol=1e-12)
@@ -142,12 +138,9 @@ def sweep_inverse_gram(g) -> np.ndarray:
         raise kf.SingularMatrixError(f"matrix is singular or indefinite: {exc}") from exc
     eye = np.eye(factor.n)
     half = scipy.linalg.solve_triangular(factor.L, eye, lower=True, check_finite=False)
-    inv = scipy.linalg.solve_triangular(
-        factor.L.T, half, lower=False, check_finite=False
+    return scipy.linalg.solve_triangular(
+        factor.L.conj().T, half, lower=False, check_finite=False
     )
-    if was_complex:
-        return inv[:n, :n] + 1j * inv[n:, :n]
-    return inv
 
 
 def _factor_or_none(chol, g):
@@ -185,13 +178,13 @@ def test_lapack_cholesky_matches_the_sweep(n, seed, complex_, rank, exponent):
     assert (new is not None) == expected_pd
     if new is None:
         return
-    # both are backward stable, |L L^T - G| <= (m + 1) eps |L||L^T| <=
+    # both are backward stable, |L L^H - G| <= (m + 1) eps |L||L^H| <=
     # (m + 1) eps scale (Higham 2002, Thm 10.3), and forming each product
-    # here adds m eps scale more
-    m = new.shape[0]
-    assert new.shape == old.shape and np.all(np.triu(new, 1) == 0.0)
+    # here adds m eps scale more; m = n for real and complex input alike
+    m = n
+    assert new.shape == old.shape == (n, n) and np.all(np.triu(new, 1) == 0.0)
     bound = 8 * m * np.finfo(float).eps * matrix_scale(g)
-    assert np.max(np.abs(new @ new.T - old @ old.T)) <= bound
+    assert np.max(np.abs(new @ new.conj().T - old @ old.conj().T)) <= bound
 
 
 def test_cholesky_names_the_first_pivot_below_tolerance():

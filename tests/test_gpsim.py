@@ -180,6 +180,23 @@ def test_gaussian_vector_complex_covariance():
     assert float(np.max(np.abs(emp - g.entries))) <= tol
 
 
+def test_gaussian_vector_complex_is_circular():
+    # complex G samples conj(M) @ Z with M = [L, -iL] / sqrt(2): M M^H = G
+    # and M M^T = 0, so the pseudo-covariance E(V V^T) vanishes
+    g = kf.gram(kf.szego(), [0.1 + 0.2j, -0.4j, 0.3])
+    scale = float(np.abs(g.entries).max())
+    m = gpsim._sampling_factor(g.entries, 0.0)
+    assert m.shape == (3, 6)
+    assert float(np.max(np.abs(m @ m.conj().T - g.entries))) <= 1e-14 * scale
+    assert float(np.max(np.abs(m @ m.T))) <= 1e-14 * scale
+    n_paths = 60_000
+    v = gpsim.sample_gaussian_vector(g, n_paths=n_paths, seed=7).paths
+    products = v[:, :, None] * v[:, None, :]
+    pseudo = products.mean(axis=0)
+    se = products.std(axis=0) / np.sqrt(n_paths)
+    assert np.all(np.abs(pseudo) <= 5.0 * se)
+
+
 def test_gaussian_vector_deterministic():
     g = kf.gram(kf.brownian_min(), [1.0, 2.0])
     a = gpsim.sample_gaussian_vector(g, n_paths=10, seed=3).paths

@@ -310,3 +310,25 @@ def test_bad_point_raises_the_same_class_everywhere(spec, good, bad):
         with pytest.raises(kf.KernelForgeError) as exc:
             call()
         assert exc.type is scalar.type
+
+
+DOMAINS = {
+    "brownian-min": (kf.brownian_min(), "real-line"),
+    "brownian-line": (kf.brownian_line(), "real-line"),
+    "green-1d": (kf.green_1d(), "unit-interval"),
+    "shannon": (kf.shannon(), "real-line"),
+    "szego": (kf.szego(), "complex-disk"),
+    "cantor-product": (kf.cantor_product(trunc=3), "complex-disk"),
+    "drury-arveson": (kf.drury_arveson(dim=3), "complex-vector(3)"),
+    "overlap": (kf.overlap(kf.cantor4()), "interval-set"),
+}
+
+
+def test_every_family_has_its_domain_pinned():
+    assert set(DOMAINS) == set(kf.kernels.FAMILY_TABLE)
+
+
+@pytest.mark.parametrize("family", sorted(DOMAINS))
+def test_kernel_spec_domain(family):
+    spec, domain = DOMAINS[family]
+    assert spec.domain == domain

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_forge as kf
-from kernel_forge import factorize
+from kernel_forge import factorize, kernels
 from kernel_forge.kernels import point_key
 
 
@@ -301,6 +301,14 @@ def test_norm_chain_rejects_values_of_the_wrong_length():
         kf.rkhs_norm_sq(kf.brownian_min(), sample, [[1.0], [1.0]])
 
 
+def _patch_everywhere(monkeypatch, original, replacement):
+    for name, module in list(sys.modules.items()):
+        if name == "kernel_forge" or name.startswith("kernel_forge."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def test_one_cholesky_per_chain_question(monkeypatch):
     calls = []
     original = factorize.cholesky
@@ -309,11 +317,7 @@ def test_one_cholesky_per_chain_question(monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "kernel_forge" or name.startswith("kernel_forge."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    _patch_everywhere(monkeypatch, original, counted)
     x = 0.5
     levels = []
     for depth in range(3, 9):
@@ -330,3 +334,27 @@ def test_one_cholesky_per_chain_question(monkeypatch):
         kf.rkhs_norm_sq(spec, sample, values)
         assert len(calls) == 2
         calls.clear()
+
+
+def test_chain_questions_reuse_the_sample_keys(monkeypatch):
+    # the SampleSet hashed every chain point once, when it was built; a chain
+    # question hashes x and the points of the one Gram it factors, no more
+    x = 0.5
+    levels = []
+    for depth in range(3, 9):
+        h = 2.0**-depth
+        grid = [x + (i - 2) * h for i in range(5)]
+        levels.append(sorted(set(levels[-1]) | set(grid)) if levels else grid)
+    sample = kf.SampleSet(points=levels[-1], chain=levels)
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return point_key(p)
+
+    _patch_everywhere(monkeypatch, kernels.point_key, counted)
+    kf.delta_membership(kf.brownian_min(), x, sample)
+    assert len(calls) <= len(levels[-1]) + 1
+    calls.clear()
+    kf.rkhs_norm_sq(kf.brownian_min(), sample, [[1.0] * len(level) for level in levels])
+    assert len(calls) <= len(levels[-1]) + 1
