@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Each (sub)command is declared once, in `build_parser`, through `_command`:
-its parser, its `--out` (and `--format`, when it has one), its handler
-and the name of its report.  A handler only computes and returns its
-result, and `_emit` writes it: a payload dict becomes a JSON report, CSV
-text is written bare when the command has `--format` and after a
-`# {...}` config header when it has none.  `_config` builds the `config`
-record by one rule: every option the command's own parser declares, by
-argparse dest, except `--out` and `--help`.  The global `--threads` is
-never recorded, since no byte depends on it.  A check that spans flags
-(`frame check`'s tests, `witness`'s custom slopes) lives in its handler.
+its parser, its `--out` (and `--format`, when it has one) and its
+handler; its report is named by its command path, e.g. "frame check".  A
+handler only computes and returns its result, and `_emit` writes it: a
+payload dict becomes a JSON report, CSV text is written bare when the
+command has `--format` and after a `# {...}` config header when it has
+none.  `_config` builds the `config` record by one rule: every option
+the command's own parser declares, by argparse dest, except `--out` and
+`--help`.  The global `--threads` is never recorded, since no byte
+depends on it.  A check that spans flags (`frame check`'s tests,
+`witness`'s custom slopes) lives in its handler.
 
 Every run is reproducible: seeds default to 0 and are never time-based,
 JSON reports are schema-versioned with sorted keys, and identical argv
@@ -341,17 +342,18 @@ def _cmd_witness(args):
 # parser
 
 
-def _command(subs, name, handler, report, help=None, default_format=None):
+def _command(subs, name, handler, help=None, default_format=None):
     """Declare one (sub)command: its parser, --out, and what `_emit` needs.
 
-    default_format: the default of its --format flag (csv or json), or None
-    for a command without one.
+    The report name is the parser's prog less the program name, e.g.
+    "frame check".  default_format: the default of its --format flag (csv
+    or json), or None for a command without one.
     """
     p = subs.add_parser(name, help=help)
     if default_format:
         p.add_argument("--format", choices=("csv", "json"), default=default_format)
     p.add_argument("--out", help="output file (default: stdout)")
-    p.set_defaults(handler=handler, report=report, parser=p)
+    p.set_defaults(handler=handler, report=p.prog.partition(" ")[2], parser=p)
     return p
 
 
@@ -393,12 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = _command(subs, "gram", _cmd_gram, "gram",
+    p = _command(subs, "gram", _cmd_gram,
                  help="kernel Gram matrix on a point set", default_format="csv")
     _add_kernel_flags(p)
     p.add_argument("--points", required=True)
 
-    p = _command(subs, "chol", _cmd_chol, "chol", help="Cholesky factor", default_format="csv")
+    p = _command(subs, "chol", _cmd_chol, help="Cholesky factor", default_format="csv")
     _add_matrix_input_flags(p)
     p.add_argument("--ridge", type=float, default=0.0)
     p.add_argument(
@@ -408,10 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative pivot tolerance: a pivot below tol * max|G_ii| fails",
     )
 
-    p = _command(subs, "inv", _cmd_inv, "inv", help="inverse Gram matrix", default_format="csv")
+    p = _command(subs, "inv", _cmd_inv, help="inverse Gram matrix", default_format="csv")
     _add_matrix_input_flags(p)
 
-    p = _command(subs, "eig", _cmd_eig, "eig", help="eigenvalues (alternating Cholesky or Jacobi)")
+    p = _command(subs, "eig", _cmd_eig, help="eigenvalues (alternating Cholesky or Jacobi)")
     _add_matrix_input_flags(p)
     p.add_argument("--method", required=True, choices=("alt-chol", "jacobi"))
     p.add_argument("--max-iter", type=int, default=500)
@@ -423,14 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
         "or tol * ||G||_F (jacobi)",
     )
 
-    p = _command(subs, "project", _cmd_project, "project",
+    p = _command(subs, "project", _cmd_project,
                  help="orthogonal projection onto a sample span", default_format="json")
     _add_kernel_flags(p)
     p.add_argument("--points", required=True)
     p.add_argument("--values", required=True)
     p.add_argument("--eval", required=True)
 
-    p = _command(subs, "delta-test", _cmd_delta_test, "delta-test",
+    p = _command(subs, "delta-test", _cmd_delta_test,
                  help="Dirac-mass membership along a chain")
     _add_kernel_flags(p)
     p.add_argument("--point", type=float, required=True)
@@ -439,60 +441,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--growth", type=float, default=rkhs.MEMBERSHIP_GROWTH)
     p.add_argument("--rtol", type=float, default=1e-6)
 
-    p = _command(subs, "graph", _cmd_graph, "graph", help="graph induced by the inverse Gram")
+    p = _command(subs, "graph", _cmd_graph, help="graph induced by the inverse Gram")
     _add_kernel_flags(p)
     p.add_argument("--points", required=True)
     p.add_argument("--threshold", type=float, default=None)
 
-    p = _command(subs, "interpolate", _cmd_interpolate, "interpolate",
+    p = _command(subs, "interpolate", _cmd_interpolate,
                  help="minimal-norm piecewise-linear interpolant")
     p.add_argument("--data", required=True, help="CSV rows x,y")
     p.add_argument("--eval", help="points CSV of evaluation abscissae")
 
     p = subs.add_parser("cantor", help="Cantor-measure utilities")
     csubs = p.add_subparsers(dest="cantor_command", required=True)
-    c = _command(csubs, "cdf", _cmd_cantor_cdf, "cantor cdf")
+    c = _command(csubs, "cdf", _cmd_cantor_cdf)
     c.add_argument("--grid-file")
     c.add_argument("--grid-n", type=int, default=257)
-    c = _command(csubs, "cells", _cmd_cantor_cells, "cantor cells")
+    c = _command(csubs, "cells", _cmd_cantor_cells)
     c.add_argument("--measure", default="cantor4", choices=measures.KINDS)
     c.add_argument("--depth", type=int, required=True)
-    c = _command(csubs, "spectrum", _cmd_cantor_spectrum, "cantor spectrum")
+    c = _command(csubs, "spectrum", _cmd_cantor_spectrum)
     c.add_argument("--limit", type=int, required=True)
-    c = _command(csubs, "fourier-gram", _cmd_cantor_fourier_gram, "cantor fourier-gram")
+    c = _command(csubs, "fourier-gram", _cmd_cantor_fourier_gram)
     c.add_argument("--count", type=int, default=8)
     c.add_argument("--limit", type=int, default=1024)
     c.add_argument("--resolution", type=int, default=12)
     c.add_argument("--allow-any", action="store_true")
-    c = _command(csubs, "gen-fn", _cmd_cantor_gen_fn, "cantor gen-fn")
+    c = _command(csubs, "gen-fn", _cmd_cantor_gen_fn)
     c.add_argument("--s-re", type=float, required=True)
     c.add_argument("--s-im", type=float, default=0.0)
     c.add_argument("--trunc", type=int, default=8,
                    help="product factors; the sum side costs 2**trunc terms")
 
-    p = _command(subs, "simulate", _cmd_simulate, "simulate", help="synthesize sample paths")
+    p = _command(subs, "simulate", _cmd_simulate, help="synthesize sample paths")
     _add_example_flags(p)
 
-    p = _command(subs, "covcheck", _cmd_covcheck, "covcheck",
-                 help="empirical covariance vs kernel")
+    p = _command(subs, "covcheck", _cmd_covcheck, help="empirical covariance vs kernel")
     _add_example_flags(p)
 
-    p = _command(subs, "qvar", _cmd_qvar, "qvar", help="quadratic variation across resolutions")
+    p = _command(subs, "qvar", _cmd_qvar, help="quadratic variation across resolutions")
     p.add_argument("--measure", default="lebesgue", choices=measures.KINDS)
     p.add_argument("--interval", type=float, nargs=2, required=True)
     p.add_argument("--resolutions", type=int, nargs="+", required=True)
     p.add_argument("--paths", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 
-    p = _command(subs, "duality", _cmd_duality, "duality",
-                 help="factorization duality check, both halves")
+    p = _command(subs, "duality", _cmd_duality, help="factorization duality check, both halves")
     _add_example_flags(p)
     p.add_argument("--quad-tol", type=float, default=None)
     p.add_argument("--mc-tol", type=float, default=None)
 
     p = subs.add_parser("frame", help="Parseval checks, bounds, reconstruction")
     fsubs = p.add_subparsers(dest="frame_command", required=True)
-    f = _command(fsubs, "check", _cmd_frame_check, "frame check")
+    f = _command(fsubs, "check", _cmd_frame_check)
     _add_kernel_flags(f)
     f.add_argument("--set", required=True,
                    help="'integers', 'positive-integers', or a points CSV")
@@ -500,11 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--test", type=float, nargs="+", help="inline test locations")
     f.add_argument("--truncation", type=int, required=True)
     f.add_argument("--tol", type=float, default=1e-4)
-    f = _command(fsubs, "bounds", _cmd_frame_bounds, "frame bounds")
+    f = _command(fsubs, "bounds", _cmd_frame_bounds)
     _add_kernel_flags(f)
     f.add_argument("--points", required=True)
-    f = _command(fsubs, "reconstruct", _cmd_frame_reconstruct, "frame reconstruct",
-                 default_format="json")
+    f = _command(fsubs, "reconstruct", _cmd_frame_reconstruct, default_format="json")
     _add_kernel_flags(f)
     f.add_argument("--points", required=True)
     f.add_argument("--samples", required=True)
@@ -512,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("witness", help="non-density witness construction")
     wsubs = p.add_subparsers(dest="witness_command", required=True)
-    w = _command(wsubs, "sawtooth", _cmd_witness, "witness sawtooth")
+    w = _command(wsubs, "sawtooth", _cmd_witness)
     w.add_argument("--knots", required=True, help="CSV of knot abscissae")
     w.add_argument("--rule", default="harmonic", choices=("harmonic", "custom"))
     w.add_argument("--slopes", help="CSV of slopes (with --rule custom)")

@@ -161,20 +161,21 @@ def brownian_cholesky_closed_form(points) -> CholeskyFactor:
     increments.
     """
     if isinstance(points, SampleSet):
-        xs = [float(p) for p in points.points]
-    else:
-        xs = [float(p) for p in points]
-    if not xs:
-        return CholeskyFactor(L=np.zeros((0, 0)))
-    prev = 0.0
-    for x in xs:
-        if x <= prev:
-            raise NotIncreasingError(
-                f"points must be strictly increasing and positive, got {x} after {prev}"
-            )
-        prev = x
-    roots = np.sqrt(np.diff(np.concatenate(([0.0], xs))))
-    return CholeskyFactor(L=np.tril(np.tile(roots, (len(xs), 1))))
+        points = points.points
+    roots = np.sqrt(_increments_from_zero(points))
+    return CholeskyFactor(L=np.tril(np.tile(roots, (len(roots), 1))))
+
+
+def _increments_from_zero(xs) -> np.ndarray:
+    """x_k - x_{k-1} for abscissae x_1..x_N and x_0 = 0; NotIncreasingError
+    unless every increment is > 0 (NaN is not)."""
+    x = np.concatenate(([0.0], np.asarray(xs, dtype=float)))
+    dx = np.diff(x)
+    increasing = dx > 0.0
+    if not increasing.all():
+        k = increasing.argmin()  # the first False
+        raise NotIncreasingError(f"need 0 < x_1 < x_2 < ..., got {x[k + 1]} after {x[k]}")
+    return dx
 
 
 def invertible_cholesky(g) -> CholeskyFactor:

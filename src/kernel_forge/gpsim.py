@@ -70,8 +70,8 @@ from scipy.special import ndtri
 
 from .errors import NotPositiveDefiniteError, OutOfDomainError
 from .factorize import cholesky
-from .kernels import GramMatrix, KernelSpec, gram
-from .measures import MeasureModel, _values_at, cells, measure_of_intervals
+from .kernels import GramMatrix, KernelSpec, _points, gram
+from .measures import MeasureModel, _unit_points, _values_at, cells, measure_of_intervals
 
 __all__ = [
     "FactorizationPair",
@@ -328,7 +328,9 @@ class WienerIncrements:
 # ---------------------------------------------------------------------------
 # factorization pairs: feature functions + the measure they integrate against
 
-_PAIR_KINDS = ("indicator", "szego", "cantor-product", "custom")
+# built-in pair kind -> the kernel family it factors, whose points its grid takes
+_PAIR_FAMILIES = {"indicator": "brownian-min", "szego": "szego",
+                  "cantor-product": "cantor-product"}
 
 
 @dataclass(frozen=True)
@@ -350,7 +352,7 @@ class FactorizationPair:
     complex_valued: bool = False
 
     def __post_init__(self):
-        if self.kind not in _PAIR_KINDS:
+        if self.kind not in (*_PAIR_FAMILIES, "custom"):
             raise ValueError(f"unknown pair kind {self.kind!r}")
         if self.kind == "custom" and self.feature is None:
             raise ValueError("custom pairs need a feature callable")
@@ -362,10 +364,11 @@ class FactorizationPair:
     def feature_matrix(self, grid, reps: np.ndarray) -> np.ndarray:
         """(grid, cells) matrix of k_x(s) for x in grid, s in reps.
 
-        The built-in kinds broadcast one grid x cells evaluation; the
+        The built-in kinds check the grid with the point validator of the
+        kernel they factor and broadcast one grid x cells evaluation; the
         cell factors e(-4^n t) are computed once, and z^{4^n} stays a
         Python complex power per grid point.  A custom pair fills one row
-        per feature(x, reps), which must have shape (cells,).
+        per feature(x, reps), of shape (cells,), real unless complex_valued.
         """
         grid = list(grid)
         if self.kind == "custom":
@@ -377,18 +380,22 @@ class FactorizationPair:
                         f"feature({x!r}, reps) returned shape {vals.shape}, "
                         f"expected {row.shape}"
                     )
+                if np.iscomplexobj(vals) and not self.complex_valued:
+                    raise ValueError(
+                        f"feature({x!r}, reps) is complex: the pair needs "
+                        "complex_valued=True"
+                    )
                 row[...] = vals
             return out
+        xs = _points(KernelSpec(_PAIR_FAMILIES[self.kind], trunc=self.trunc), grid)
         if self.kind == "indicator":
-            xs = np.array([float(x) for x in grid])
             return (reps <= xs[:, None]).astype(float)
-        zs = [complex(x) for x in grid]
         if self.kind == "szego":
-            return 1.0 / (1.0 - np.array(zs)[:, None] * np.exp(-2j * np.pi * reps))
+            return 1.0 / (1.0 - xs[:, None] * np.exp(-2j * np.pi * reps))
         out = np.ones((len(grid), len(reps)), dtype=complex)
         for n in range(self.trunc):
             p = 4 ** n
-            powers = np.array([z ** p for z in zs])[:, None]
+            powers = np.array([z ** p for z in xs.tolist()])[:, None]
             out *= 1.0 + powers * np.exp(-2j * np.pi * p * reps)
         return out
 
@@ -504,14 +511,11 @@ def cumulative_path(increments: WienerIncrements, x_grid) -> PathEnsemble:
     cells carrying no mass contribute noise-free zeros only when the
     partition omits them, which the IFS partitions do.
     """
-    grid = [float(x) for x in x_grid]
-    if any(x < 0.0 or x > 1.0 for x in grid):
-        raise OutOfDomainError("cumulative grid must lie in [0, 1]")
+    xs = _unit_points(x_grid)[:, None]
     lefts = cells(increments.measure, increments.resolution).lefts
-    xs = np.array(grid, dtype=float)[:, None]
     mask = ((lefts <= xs) & (xs > 0.0)).astype(float).T  # cells x grid
     return PathEnsemble(
-        grid=grid,
+        grid=xs[:, 0].tolist(),
         paths=increments.matrix @ mask,
         seed=increments.seed,
         partition_resolution=increments.resolution,

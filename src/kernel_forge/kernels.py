@@ -21,7 +21,9 @@ list into an array (one row per point), and one elementwise formula
 k(X, Y) over broadcast point arrays.  `gram`, `cross_gram`,
 `kernel_diagonal` and `eval_kernel` all evaluate that formula, so a
 matrix of any size costs one vectorized call rather than one Python call
-per entry.
+per entry.  Each validator's domain test is True inside the domain, so
+NaN and +-inf points raise OutOfDomainError; `gpsim`'s factorization
+pairs check their grids with the validator of the family they factor.
 
 The overlap family knows its measure only through `measures.cdf`: each
 interval carries the CDF at its two ends, and mu(I intersect J) is a
@@ -119,31 +121,31 @@ def _scalars(points, kinds: str, dtype, check_one) -> np.ndarray:
     return arr.astype(dtype)
 
 
+def _inside(spec, points, inside, domain: str) -> np.ndarray:
+    """points, or OutOfDomainError at the first point where `inside` is False."""
+    if not inside.all():
+        raise OutOfDomainError(f"{spec.family} requires {domain}, got {points[inside.argmin()]}")
+    return points
+
+
 def _real_line(spec, points) -> np.ndarray:
-    return _scalars(points, "biuf", float, lambda p: _real_scalar(p, spec.family))
+    x = _scalars(points, "biuf", float, lambda p: _real_scalar(p, spec.family))
+    return _inside(spec, x, np.isfinite(x), "finite points")
 
 
 def _half_line(spec, points) -> np.ndarray:
     x = _real_line(spec, points)
-    if np.any(x < 0):
-        raise OutOfDomainError("brownian-min requires x, y >= 0")
-    return x
+    return _inside(spec, x, x >= 0.0, "x, y >= 0")
 
 
 def _open_unit_interval(spec, points) -> np.ndarray:
     x = _real_line(spec, points)
-    if not np.all((0.0 < x) & (x < 1.0)):
-        raise OutOfDomainError("green-1d requires points strictly inside (0, 1)")
-    return x
+    return _inside(spec, x, (0.0 < x) & (x < 1.0), "points strictly inside (0, 1)")
 
 
 def _disk(spec, points) -> np.ndarray:
     z = _scalars(points, "biufc", complex, lambda p: _complex_scalar(p, spec.family))
-    outside = np.abs(z) >= 1.0
-    if np.any(outside):
-        mag = abs(z[outside][0])
-        raise OutOfDomainError(f"{spec.family} requires |z| < 1, got |z| = {mag}")
-    return z
+    return _inside(spec, z, np.abs(z) < 1.0, "|z| < 1")
 
 
 def _ball(spec, points) -> np.ndarray:
@@ -153,9 +155,7 @@ def _ball(spec, points) -> np.ndarray:
             f"drury-arveson({spec.dim}) expects complex vectors of length {spec.dim}"
         )
     z = np.array(vecs, dtype=complex).reshape(len(vecs), spec.dim)
-    if np.any(np.sum(np.abs(z) ** 2, axis=1) >= 1.0):
-        raise OutOfDomainError("drury-arveson requires sum |z_j|^2 < 1")
-    return z
+    return _inside(spec, z, np.sum(np.abs(z) ** 2, axis=1) < 1.0, "sum |z_j|^2 < 1")
 
 
 def _interval_sets(spec, points) -> np.ndarray:
@@ -465,15 +465,20 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     dropped.
     """
     ss = as_sample_set(points)
-    _check_tag(spec, ss.domain)
-    n = len(ss)
-    x = _points(spec, ss.points)
+    return GramMatrix(n=len(ss), entries=_gram_array(spec, ss.points, ss.domain), points=ss)
+
+
+def _gram_array(spec: KernelSpec, points, tag: Optional[str]) -> np.ndarray:
+    """`gram`'s entries on a point list whose points are known distinct."""
+    _check_tag(spec, tag)
+    n = len(points)
+    x = _points(spec, points)
     g = _evaluate(spec, x[:, None], x[None, :], (n, n))
     lower = np.tril_indices(n, -1)
     g[lower] = g.T[lower].conj()
     if spec.is_complex:
         g[np.diag_indices(n)] = g.diagonal().real
-    return GramMatrix(n=n, entries=g, points=ss)
+    return g
 
 
 def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:

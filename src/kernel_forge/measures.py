@@ -34,8 +34,6 @@ import numpy as np
 
 from .errors import CellMisalignmentError, OutOfDomainError
 
-MASS_TOL = 1.0e-12
-
 # cells() materializes 2^resolution intervals; beyond this the arrays no
 # longer fit in desk-scale memory.
 MAX_RESOLUTION = 26
@@ -141,6 +139,15 @@ def cells(m: MeasureModel, resolution: int) -> PartitionCells:
     return PartitionCells(lefts=lefts, rights=rights, masses=mass)
 
 
+def _unit_points(x) -> np.ndarray:
+    """x as a float array; OutOfDomainError unless every x is in [0, 1]."""
+    x = np.array(x, dtype=float)
+    inside = (0.0 <= x) & (x <= 1.0)  # False for NaN
+    if not inside.all():
+        raise OutOfDomainError(f"points must satisfy 0 <= x <= 1, got {x[~inside].flat[0]}")
+    return x
+
+
 def cdf(m: MeasureModel, x) -> np.ndarray:
     """mu([0, x]) elementwise, as a float array of x's shape.
 
@@ -155,11 +162,7 @@ def cdf(m: MeasureModel, x) -> np.ndarray:
     digit of every walk still running.  The walk is capped at 64 digits;
     the remaining uncertainty is then at most 2^-64.
     """
-    x = np.array(x, dtype=float)
-    inside = (0.0 <= x) & (x <= 1.0)  # False for NaN
-    if not inside.all():
-        bad = x[~inside].flat[0]
-        raise OutOfDomainError(f"a CDF needs 0 <= x <= 1, got {bad}")
+    x = _unit_points(x)
     if m.kind == "lebesgue":
         return x
     out = np.array(x == 1.0, dtype=float)  # 0.0 where the walk has no digits
@@ -280,7 +283,7 @@ def generating_function(s: complex, trunc: int):
     Cost of the sum is 2^trunc terms.
     """
     s = complex(s)
-    if abs(s) >= 1.0:
+    if not abs(s) < 1.0:
         raise OutOfDomainError(f"generating_function requires |s| < 1, got |s|={abs(s)}")
     if trunc < 1:
         raise ValueError("trunc must be >= 1")

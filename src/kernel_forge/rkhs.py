@@ -28,8 +28,8 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import ChainError, NotIncreasingError, OutOfDomainError
-from .factorize import invertible_cholesky, inverse_gram, solve_gram
+from .errors import ChainError, OutOfDomainError
+from .factorize import _increments_from_zero, invertible_cholesky, inverse_gram, solve_gram
 from .kernels import KernelSpec, SampleSet, as_sample_set, cross_gram, gram
 
 __all__ = [
@@ -103,8 +103,7 @@ def _chain_factor(spec: KernelSpec, sample: SampleSet, order):
     """(G, L): the Gram on the last level with its points in `order`, and
     its lower Cholesky factor.  Raises SingularMatrixError.
     """
-    points = [sample.chain[-1][i] for i in order]
-    g = gram(spec, SampleSet(points=points, domain=sample.domain)).entries
+    g = kernels._gram_array(spec, [sample.chain[-1][i] for i in order], sample.domain)
     return g, invertible_cholesky(g).L
 
 
@@ -233,10 +232,6 @@ class InducedGraph:
     edges: list
     threshold: float
 
-    def edge_points(self):
-        pts = self.vertices.points
-        return [(pts[i], pts[j]) for i, j in self.edges]
-
 
 def induced_graph(
     spec: KernelSpec, sample, threshold: Optional[float] = None
@@ -286,17 +281,9 @@ def min_norm_interpolant(data):
     Among all interpolants of the data in the min-kernel space this energy
     is minimal: straight segments minimise the Dirichlet integral.
     """
-    pairs = [(float(x), float(y)) for x, y in data]
-    if not pairs:
+    pairs = [(0.0, 0.0)] + [(float(x), float(y)) for x, y in data]
+    if len(pairs) == 1:
         raise ValueError("need at least one data point")
-    prev = 0.0
-    for x, _ in pairs:
-        if x <= prev:
-            raise NotIncreasingError(
-                f"abscissae must satisfy 0 < x_1 < x_2 < ..., got {x} after {prev}"
-            )
-        prev = x
-    xs = np.array([0.0] + [x for x, _ in pairs])
-    ys = np.array([0.0] + [y for _, y in pairs])
-    norm_sq = float(np.sum(np.diff(ys) ** 2 / np.diff(xs)))
+    xs, ys = np.array(pairs).T
+    norm_sq = float(np.sum(np.diff(ys) ** 2 / _increments_from_zero(xs[1:])))
     return PiecewiseLinearSpline(knots_x=xs, knots_y=ys), norm_sq

@@ -202,7 +202,7 @@ def sawtooth_witness(knots, slope_rule: Union[str, list] = "harmonic") -> Sawtoo
     if len(xs) < 2:
         raise ValueError("need at least two knots")
     dx = np.diff(xs)
-    if np.any(dx <= 0):
+    if not np.all(dx > 0):
         raise NotIncreasingError("knots must be strictly increasing")
     if isinstance(slope_rule, str):
         if slope_rule != "harmonic":

@@ -365,6 +365,29 @@ def test_simulate_ex3_rejects_zero_trunc(tmp_path, disk_grid_file, capsys):
     assert "cantor-product pairs need trunc >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point", ["1.5,0.0", "0.0,1.0"])
+@pytest.mark.parametrize("command", ["simulate", "duality"])
+def test_a_grid_outside_the_pair_domain_exits_2(tmp_path, capsys, command, point):
+    grid = tmp_path / "grid.csv"
+    grid.write_text(f"complex-disk\n0.2,0.0\n{point}\n")
+    out = tmp_path / "out.txt"
+    assert cli.run([command, "--example", "ex2", "--paths", "4", "--resolution", "3",
+                    "--grid-file", str(grid), "--out", str(out)]) == 2
+    assert "szego requires |z| < 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "covcheck"])
+def test_a_nan_grid_point_exits_2(tmp_path, capsys, command):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("unit-interval\n0.5\nnan\n")
+    out = tmp_path / "out.txt"
+    assert cli.run([command, "--example", "ex1", "--paths", "4", "--resolution", "3",
+                    "--grid-file", str(grid), "--out", str(out)]) == 2
+    assert "nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_qvar_rejects_zero_paths(capsys):
     assert cli.run(["qvar", "--interval", "0", "1", "--resolutions", "2",
                     "--paths", "0"]) == 2

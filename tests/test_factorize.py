@@ -246,6 +246,12 @@ def test_closed_form_requires_increasing_positive():
         kf.brownian_cholesky_closed_form([2.0, 1.0])
 
 
+def test_closed_form_rejects_a_nan_point():
+    for pts in ([math.nan], [1.0, math.nan, 3.0]):
+        with pytest.raises(kf.NotIncreasingError):
+            kf.brownian_cholesky_closed_form(pts)
+
+
 def test_closed_form_matches_generic():
     rng = np.random.default_rng(5)
     for _ in range(25):

@@ -5,6 +5,7 @@ each is pinned to a fixed seed so a failure is a real regression, not noise.
 """
 
 import hashlib
+import math
 import re
 import sys
 import threading
@@ -239,6 +240,12 @@ def test_cumulative_path_domain():
         gpsim.cumulative_path(inc, [1.5])
 
 
+def test_cumulative_path_rejects_a_nan_point():
+    inc = gpsim.wiener_increments(kf.lebesgue(), 3, n_paths=2, seed=0)
+    with pytest.raises(kf.OutOfDomainError):
+        gpsim.cumulative_path(inc, [0.5, float("nan")])
+
+
 def test_cantor_staircase_path_variance():
     # mass accumulates only on the fractal support
     inc = gpsim.wiener_increments(kf.cantor4(), 6, n_paths=50_000, seed=9)
@@ -417,6 +424,39 @@ def test_custom_feature_of_the_wrong_shape_is_rejected(feature, returned):
         pair.feature_matrix([0.5], reps)
     with pytest.raises(ValueError, match=re.escape(message)):
         gpsim.ito_synthesize(pair, 3, [0.5], 10)
+
+
+def test_complex_custom_feature_needs_a_complex_pair():
+    # numpy would keep only the real part of exp(i x s) in a float row
+    pair = custom_pair(lambda x, s: np.exp(1j * x * s), kf.lebesgue())
+    message = "feature(2.0, reps) is complex: the pair needs complex_valued=True"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gpsim.transform_adjoint(pair, lambda s: np.ones_like(s), [2.0], 8)
+    complex_pair = custom_pair(lambda x, s: np.exp(1j * x * s), kf.lebesgue(), True)
+    value = gpsim.transform_adjoint(complex_pair, lambda s: np.ones_like(s), [2.0], 8)
+    # integral of exp(-2i s) over [0, 1] is (1 - exp(-2i)) / 2i; left-endpoint
+    # quadrature on 256 cells is within 2 / 256 of it
+    assert abs(value[0] - (1 - np.exp(-2j)) / 2j) < 2.0 / 256
+
+
+@pytest.mark.parametrize(
+    "pair, grid",
+    [
+        (gpsim.pair_ex1(), [0.5, math.nan]),
+        (gpsim.pair_ex1(), [0.5, math.inf]),
+        (gpsim.pair_ex1(), [-0.25]),
+        (gpsim.pair_ex2(), [1.5]),
+        (gpsim.pair_ex2(), [0.5, 1j]),
+        (gpsim.pair_ex3(trunc=3), [complex(math.nan, 0.0)]),
+    ],
+    ids=["ex1-nan", "ex1-inf", "ex1-negative", "ex2-outside", "ex2-circle", "ex3-nan"],
+)
+def test_pair_grids_take_their_kernel_domain(pair, grid):
+    # a pair and the kernel it factors take the same points
+    with pytest.raises(kf.OutOfDomainError):
+        gpsim.ito_synthesize(pair, 3, grid, 4)
+    with pytest.raises(kf.OutOfDomainError):
+        gpsim.transform_adjoint(pair, lambda s: np.ones_like(s), grid, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,35 @@ def test_bad_point_raises_the_same_class_everywhere(spec, good, bad):
         assert exc.type is scalar.type
 
 
+_NAN, _INF = float("nan"), float("inf")
+NOT_FINITE = [
+    (spec, 0.5, bad)
+    for spec in (kf.brownian_min(), kf.brownian_line(), kf.green_1d(), kf.shannon())
+    for bad in (_NAN, _INF, -_INF)
+] + [
+    (kf.szego(), 0.5j, complex(_NAN, 0.0)),
+    (kf.szego(), 0.5j, complex(0.0, _NAN)),
+    (kf.cantor_product(), 0.5j, complex(_NAN, 0.0)),
+    (kf.drury_arveson(dim=2), np.array([0.1, 0.2]), np.array([0.1, _NAN])),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, good, bad", NOT_FINITE, ids=[f"{s.family}-{b}" for s, _, b in NOT_FINITE]
+)
+def test_a_nan_or_infinite_point_is_out_of_domain(spec, good, bad):
+    for call in (
+        lambda: kf.eval_kernel(spec, good, bad),
+        lambda: kf.eval_kernel(spec, bad, good),
+        lambda: kf.gram(spec, [good, bad]),
+        lambda: kf.cross_gram(spec, [good], [bad]),
+        lambda: kf.cross_gram(spec, [bad], [good]),
+        lambda: kf.kernel_diagonal(spec, [bad]),
+    ):
+        with pytest.raises(kf.OutOfDomainError):
+            call()
+
+
 DOMAINS = {
     "brownian-min": (kf.brownian_min(), "real-line"),
     "brownian-line": (kf.brownian_line(), "real-line"),

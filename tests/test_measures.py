@@ -236,6 +236,12 @@ def test_generating_function_at_zero():
     assert prod == 1.0 and total == 1.0 and gap == 0.0
 
 
+@pytest.mark.parametrize("s", [complex(math.nan), complex(0.0, math.nan)])
+def test_generating_function_rejects_nan(s):
+    with pytest.raises(kf.OutOfDomainError):
+        kf.generating_function(s, 3)
+
+
 def test_generating_function_frozen_value():
     # oracle: 1.5 * (1 + 0.5**4) * (1 + 0.5**16)
     prod, total, gap = kf.generating_function(0.5, 3)

@@ -133,3 +133,8 @@ def test_sawtooth_validates_knots():
         kf.sawtooth_witness([1.0])  # an interval needs two endpoints
     with pytest.raises(ValueError):
         kf.sawtooth_witness([1.0, 2.0, 3.0], slope_rule=[1.0])  # wrong count
+
+
+def test_sawtooth_rejects_a_nan_knot():
+    with pytest.raises(kf.NotIncreasingError):
+        kf.sawtooth_witness([1.0, float("nan"), 3.0])
