@@ -9,12 +9,13 @@ factorization disintegrates the kernel's reproducing space.  Modules:
 - `kernels`: kernel families, sample sets, Gram and cross-Gram matrices.
 - `factorize`: Cholesky (closed-form and generic), inverse Grams and Gram
   solves, and two independent eigenvalue routes (shifted alternating
-  Cholesky, round-robin Jacobi).
+  Cholesky, round-robin Jacobi); all of them take a complex Hermitian
+  matrix as it is, n x n.
 - `rkhs`: projections, Dirac-mass membership tests and norms along chains
   (one Cholesky factor per chain), induced graphs, minimal-norm
   interpolation.
-- `measures`: the scale-4 Cantor measure, its cells, CDF, Fourier
-  spectrum, and quadrature.
+- `measures`: the scale-4 Cantor measure, its cells, CDF (`cdf`, one
+  vectorized call), Fourier spectrum, and quadrature.
 - `gpsim`: deterministic Gaussian simulation, factorization/duality
   checks, quadratic variation.
 - `sampling`: Parseval/frame diagnostics, reconstruction, and sawtooth
@@ -88,15 +89,14 @@ from .measures import (
     PartitionCells,
     SpectrumSet,
     cantor4,
+    cdf,
     cells,
-    check_cell_alignment,
     fourier_gram,
     generating_function,
     integrate,
     lambda4,
     lebesgue,
     measure_of_intervals,
-    mu4_cdf,
     mu4_fourier,
 )
 from .rkhs import (
@@ -105,7 +105,6 @@ from .rkhs import (
     NormChainReport,
     PiecewiseLinearSpline,
     delta_membership,
-    extend_spline,
     induced_graph,
     laplacian_apply,
     min_norm_interpolant,
@@ -162,8 +161,8 @@ __all__ = [
     "brownian_min",
     "cantor4",
     "cantor_product",
+    "cdf",
     "cells",
-    "check_cell_alignment",
     "cholesky",
     "cross_gram",
     "cumulative_path",
@@ -172,7 +171,6 @@ __all__ = [
     "duality_check",
     "empirical_covariance",
     "eval_kernel",
-    "extend_spline",
     "fourier_gram",
     "frame_bounds",
     "frame_reconstruct",
@@ -191,7 +189,6 @@ __all__ = [
     "lebesgue",
     "measure_of_intervals",
     "min_norm_interpolant",
-    "mu4_cdf",
     "mu4_fourier",
     "overlap",
     "pair_ex1",

@@ -16,11 +16,10 @@ PSD and frame-bound verdicts need only the two extreme eigenvalues, and
 solver is accurate to a few ulps of the matrix scale, far inside the
 relative thresholds those verdicts apply.
 
-Complex Hermitian matrices factor as they are: `cholesky` returns the
-n x n complex lower factor with L @ L^H = G, and the inverse and the
-solve follow from it.  The two eigen routes alone go through the real
-block embedding [[Re, -Im], [Im, Re]], which is symmetric, positive
-definite exactly when the original is, and carries each eigenvalue twice.
+Complex Hermitian matrices are taken as they are, n x n: `cholesky`
+returns the complex lower factor with L @ L^H = G, the inverse and the
+solve follow from it, and the eigen routes iterate on G itself (the LR
+step A^H A, and Jacobi's Hermitian rotation).
 
 Every tolerance is relative to the matrix it judges: pivots and eigenvalue
 floors are measured in units of `matrix_scale` (the largest |G_ii|), and
@@ -41,7 +40,6 @@ from .kernels import GramMatrix, SampleSet
 __all__ = [
     "CholeskyFactor",
     "SpectralResult",
-    "real_embedding",
     "cholesky",
     "brownian_cholesky_closed_form",
     "invertible_cholesky",
@@ -90,17 +88,6 @@ def _check_hermitian(arr: np.ndarray) -> None:
     dev = float(np.abs(arr - arr.conj().T).max())
     if dev > 1e-8 * float(np.abs(arr).max()):
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-
-
-def real_embedding(arr: np.ndarray) -> np.ndarray:
-    """Real symmetric 2n x 2n block embedding [[Re, -Im], [Im, Re]].
-
-    The embedding is an algebra homomorphism (products and inverses pass
-    through) and its spectrum is that of the complex matrix with every
-    eigenvalue repeated twice.
-    """
-    re, im = arr.real, arr.imag
-    return np.block([[re, -im], [im, re]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,11 +215,8 @@ class SpectralResult:
     converged: bool
 
 
-def _finish_spectrum(values, iterations, converged, scale, deduplicate):
+def _finish_spectrum(values, iterations, converged, scale):
     vals = np.sort(np.asarray(values, dtype=float))[::-1]
-    if deduplicate:
-        # embedded spectra carry each eigenvalue twice; average the pairs
-        vals = 0.5 * (vals[0::2] + vals[1::2])
     floor = _EIG_FLOOR * scale
     vals = np.where((vals < 0.0) & (vals > -floor), 0.0, vals)
     return SpectralResult(
@@ -241,21 +225,23 @@ def _finish_spectrum(values, iterations, converged, scale, deduplicate):
 
 
 def _lr_step_2x2(a, b, d, stop, start, max_iter):
-    """Scalar alternating-Cholesky iteration on [[a, b], [b, d]].
+    """Scalar alternating-Cholesky iteration on [[a, b], [conj(b), d]].
 
     Tiny trailing blocks dominate late convergence, so this path avoids
-    per-call array overhead entirely.
+    per-call array overhead entirely.  a and d are real and b is real or
+    complex; a real b runs the real step, since conjugating it is exact.
     """
     it = start
     while abs(b) >= stop and it < max_iter:
         if not a > 0.0:
             raise NotPositiveDefiniteError(f"2x2 iterate has nonpositive pivot {a:.6e}")
-        shifted = d - b * b / a
+        bb = (b * b.conjugate()).real  # |b|^2
+        shifted = d - bb / a
         if shifted < 0.0:
             raise NotPositiveDefiniteError(
                 f"2x2 iterate has nonpositive pivot {shifted:.6e}"
             )
-        a, b, d = a + b * b / a, b * math.sqrt(shifted / a), shifted
+        a, b, d = a + bb / a, b * math.sqrt(shifted / a), shifted
         it += 1
     return (a, d), it, abs(b) < stop
 
@@ -267,7 +253,7 @@ def _gershgorin_shift(block: np.ndarray, off: np.ndarray) -> float:
     lowered by m * eps * max_i(B_ii + R_i), which covers the rounding in
     the row sums; a bound at or below 0 gives no shift.
     """
-    diagonal = np.diagonal(block)
+    diagonal = np.diagonal(block).real
     radii = off.sum(axis=1)
     bound = float(np.min(diagonal - radii))
     reach = float(np.max(diagonal + radii))
@@ -275,7 +261,7 @@ def _gershgorin_shift(block: np.ndarray, off: np.ndarray) -> float:
 
 
 def _lr_factor(block: np.ndarray, diag, shift: float):
-    """(A, s) with A @ A.T = block - s*I, for one shifted LR step.
+    """(A, s) with A @ A^H = block - s*I, for one shifted LR step.
 
     A shift whose factorization fails falls back to s = 0; if the unshifted
     factorization fails too, the block is not positive definite.  It is
@@ -321,8 +307,8 @@ def _components(coupled: np.ndarray) -> np.ndarray:
 def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralResult:
     """Spectrum of a positive-definite matrix by shifted alternating Cholesky.
 
-    Iterate B_0 = G, B_{k+1} = A_k.T @ A_k + s_k I where
-    B_k - s_k I = A_k @ A_k.T is the Cholesky factorization (Rutishauser's
+    Iterate B_0 = G, B_{k+1} = A_k^H @ A_k + s_k I where
+    B_k - s_k I = A_k @ A_k^H is the Cholesky factorization (Rutishauser's
     LR iteration with shifts); the iterates share G's spectrum and converge
     to the diagonal eigenvalue matrix.  Iteration stops when the
     off-diagonal infinity norm drops below ``tol * trace(G)``.
@@ -347,19 +333,19 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
     need far more than the default budget; non-convergence returns
     ``converged=False`` with the current diagonal.
 
-    Complex Hermitian input goes through the real block embedding and
-    the doubled spectrum is de-duplicated afterwards.
+    Complex Hermitian input iterates as it is, n x n, and an iterate's
+    diagonal is read by its real part (on real input every conjugation is
+    exact).  `iterations` counts LR steps along the deepest chain; the
+    unshifted 2 x 2 step can make a complex chain longer: 30 steps on the
+    4 x 4 Szego Gram of the CLI golden tests, 16 on its real 8 x 8 embedding.
     """
     arr = _as_matrix(g)
     _check_hermitian(arr)
-    dedup = np.iscomplexobj(arr)
-    if dedup:
-        arr = real_embedding(arr)
     n = arr.shape[0]
     scale = matrix_scale(arr)
     if n == 0:
-        return _finish_spectrum([], 0, True, scale, False)
-    trace = float(np.trace(arr))
+        return _finish_spectrum([], 0, True, scale)
+    trace = float(np.trace(arr).real)
     stop = tol * max(trace, 1e-300)
     deflate = 0.01 * stop / n
     finished: list[float] = []
@@ -372,13 +358,13 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
         block, depth, local = pending.pop()
         m = block.shape[0]
         if m == 1:
-            finished.append(float(block[0, 0]))
+            finished.append(float(block[0, 0].real))
             deepest = max(deepest, depth)
             continue
         if m == 2:
-            # Python floats: the same doubles as numpy scalars, but faster
+            # Python scalars: the same numbers as numpy scalars, but faster
             pair, depth, ok = _lr_step_2x2(
-                float(block[0, 0]), float(block[0, 1]), float(block[1, 1]),
+                float(block[0, 0].real), block[0, 1].item(), float(block[1, 1].real),
                 stop, depth, max_iter,
             )
             finished.extend(pair)
@@ -390,11 +376,11 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
             off = np.abs(block)
             off[diag] = 0.0
             if off.max() < stop:
-                finished.extend(np.diag(block))
+                finished.extend(np.diag(block).real)
                 deepest = max(deepest, depth)
                 break
             if depth >= max_iter:
-                finished.extend(np.diag(block))
+                finished.extend(np.diag(block).real)
                 deepest = max(deepest, depth)
                 converged = False
                 break
@@ -409,17 +395,17 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
                     for root in roots:
                         comp = np.flatnonzero(labels == root)
                         if comp.size == 1:
-                            finished.append(float(block[comp[0], comp[0]]))
+                            finished.append(float(block[comp[0], comp[0]].real))
                         else:
                             pending.append((block[np.ix_(comp, comp)], depth, 1))
                     break
             lower, shift = _lr_factor(block, diag, _gershgorin_shift(block, off))
-            block = lower.T @ lower
+            block = lower.conj().T @ lower
             if shift:
                 block[diag] += shift
             depth += 1
             local += 1
-    return _finish_spectrum(finished, deepest, converged, scale, dedup)
+    return _finish_spectrum(finished, deepest, converged, scale)
 
 
 def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -447,6 +433,46 @@ def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
     return seat, slot_of_seat[previous[seat]]
 
 
+def _turn_real(a, app, apq, aqq, rot, step):
+    """One round's rotations of a real symmetric `a`, then its reseating."""
+    # tan(2 phi) = 2 a_pq / (a_qq - a_pp) with |phi| <= pi/4; a skipped
+    # pair gets phi = 0, so c = 1 and s = 0
+    diff = aqq - app
+    twice = np.arctan2(apq * np.copysign(rot, diff), 0.5 * np.abs(diff))
+    # a column pair read as a_p + i a_q turns by c + i s: a_p <- c a_p - s a_q
+    # and a_q <- s a_p + c a_q.  Turning the columns of a, then those of its
+    # transpose, gives J' a J; the next round's row gather rides along
+    turn = np.exp(0.5j * twice)
+    a = (a.view(complex) * turn).view(float).T.take(step, 0)
+    return (a.view(complex) * turn).view(float).take(step, 1)
+
+
+def _turn_hermitian(a, app, apq, aqq, rot, step):
+    """One round's rotations of a complex Hermitian `a`, then its reseating.
+
+    The rotation of Forsythe and Henrici (Trans. AMS 94, 1960): with
+    tan(2 phi) = 2 |a_pq| / (a_qq - a_pp) and sigma = sin(phi) a_pq / |a_pq|,
+    a_p <- c a_p - conj(sigma) a_q and a_q <- sigma a_p + c a_q zero the
+    coupling a_pq.  The same column step on the conjugate transpose turns
+    the rows, giving J^H a J.
+    """
+    diff = (aqq - app).real
+    mag = np.abs(apq)
+    phi = 0.5 * np.arctan2(mag * np.copysign(rot, diff), 0.5 * np.abs(diff))
+    c = np.cos(phi)
+    sigma = np.sin(phi) * np.divide(apq, mag, out=np.zeros_like(apq), where=rot)
+
+    def columns(x):
+        x_p, x_q = x[:, 0::2], x[:, 1::2]
+        out = np.empty_like(x)
+        out[:, 0::2] = c * x_p - sigma.conj() * x_q
+        out[:, 1::2] = sigma * x_p + c * x_q
+        return out
+
+    a = columns(a).conj().T.take(step, 0)
+    return columns(a).take(step, 1)
+
+
 def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
     """Spectrum of a Hermitian matrix by round-robin Jacobi sweeps.
 
@@ -462,17 +488,21 @@ def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
     noise terminates once a full sweep performs no rotations.  No LAPACK
     eigensolver is involved, so this serves as the independent reference
     oracle for `alt_cholesky_eigs`.
+
+    Real input takes real rotations, and complex Hermitian input the
+    complex rotation of Forsythe and Henrici on the n x n matrix as it is
+    (`_turn_hermitian`).  `iterations` counts sweeps: 7 on the 4 x 4 Szego
+    Gram of the CLI golden tests, where its real 8 x 8 embedding takes 8.
     """
     arr = _as_matrix(g)
     _check_hermitian(arr)
-    dedup = np.iscomplexobj(arr)
-    if dedup:
-        arr = real_embedding(arr)
     n = arr.shape[0]
     scale = matrix_scale(arr)
     if n <= 1:
-        return _finish_spectrum(np.diag(arr), 0, True, scale, dedup)
-    stop = tol * float(np.sqrt(np.sum(arr * arr)))
+        return _finish_spectrum(np.diag(arr).real, 0, True, scale)
+    turn = _turn_hermitian if np.iscomplexobj(arr) else _turn_real
+    # conj() of a real array is the array itself
+    stop = tol * float(np.sqrt(np.sum((arr * arr.conj()).real)))
     # an odd size gains a zero row and column: its couplings are 0, so it
     # is never rotated and stays exactly zero
     m = n + n % 2
@@ -482,7 +512,7 @@ def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
 
     def off_frobenius():
         off = a - np.diag(np.diag(a))
-        return float(np.sqrt(np.sum(off * off)))
+        return float(np.sqrt(np.sum((off * off.conj()).real)))
 
     sweeps = 0
     while sweeps < _MAX_JACOBI_SWEEPS:
@@ -500,24 +530,14 @@ def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
             rot = np.abs(apq) > np.maximum(gate, 1e-15 * (np.abs(app) + np.abs(aqq)))
             if rot.any():
                 rotated = True
-                # tan(2 phi) = 2 a_pq / (a_qq - a_pp) with |phi| <= pi/4; a
-                # skipped pair gets phi = 0, so c = 1 and s = 0
-                diff = aqq - app
-                twice = np.arctan2(apq * np.copysign(rot, diff), 0.5 * np.abs(diff))
-                # a column pair read as a_p + i a_q turns by c + i s:
-                # a_p <- c a_p - s a_q and a_q <- s a_p + c a_q.  Turning the
-                # columns of a, then those of its transpose, gives J' a J;
-                # the row gather of the next round's seating rides along
-                turn = np.exp(0.5j * twice)
-                a = (a.view(complex) * turn).view(float).T.take(step, 0)
-                a = (a.view(complex) * turn).view(float).take(step, 1)
+                a = turn(a, app, apq, aqq, rot, step)
             else:
                 a = a.take(step, 0).take(step, 1)  # the next round's seating
         sweeps += 1
         if not rotated:
             break
-    values = np.diag(a)[order < n]
-    return _finish_spectrum(values, sweeps, off_frobenius() <= stop, scale, dedup)
+    values = np.diag(a).real[order < n]
+    return _finish_spectrum(values, sweeps, off_frobenius() <= stop, scale)
 
 
 def eig_range(g) -> tuple[float, float]:
@@ -537,5 +557,5 @@ def eig_range(g) -> tuple[float, float]:
     if arr.size == 0:
         return math.inf, -math.inf
     vals = np.linalg.eigvalsh(arr)
-    vals = _finish_spectrum(vals, 0, True, matrix_scale(arr), False).eigenvalues
+    vals = _finish_spectrum(vals, 0, True, matrix_scale(arr)).eigenvalues
     return float(vals[-1]), float(vals[0])

@@ -313,10 +313,6 @@ class KernelSpec:
     def is_complex(self) -> bool:
         return FAMILY_TABLE[self.family].is_complex
 
-    @property
-    def domain(self) -> str:
-        return FAMILY_TABLE[self.family].tags[0].format(dim=self.dim)
-
 
 def brownian_min() -> KernelSpec:
     return KernelSpec("brownian-min")

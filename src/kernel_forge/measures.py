@@ -185,11 +185,6 @@ def cdf(m: MeasureModel, x) -> np.ndarray:
     return out
 
 
-def mu4_cdf(x: float) -> float:
-    """Cumulative distribution of the Cantor measure mu4 at one x in [0,1]."""
-    return float(cdf(cantor4(), x))
-
-
 def measure_of_intervals(m: MeasureModel, intervals) -> float:
     """Measure of a finite union of disjoint intervals [(a,b), ...].
 
@@ -319,7 +314,12 @@ class Mu4Fourier:
 
 
 def mu4_fourier(t: float, trunc: int, oracle_depth: int = 10) -> Mu4Fourier:
-    """Truncated transform product at t, plus the quadrature oracle."""
+    """Truncated transform product at t, plus the quadrature oracle.
+
+    A NaN or infinite t raises OutOfDomainError.
+    """
+    if not math.isfinite(t):
+        raise OutOfDomainError(f"frequency t must be finite, got {t}")
     if trunc < 1:
         raise ValueError("trunc must be >= 1")
     prod = 1.0 + 0.0j
@@ -385,13 +385,3 @@ def fourier_gram(lams, resolution: int, allow_any: bool = False):
     np.fill_diagonal(g, complex(np.sum(c.masses)))
     pts = SampleSet(points=[float(v) for v in lams], domain="real-line")
     return GramMatrix(n=lams.size, entries=g, points=pts)
-
-
-def check_cell_alignment(m: MeasureModel, intervals, resolution: int) -> np.ndarray:
-    """Indices of cells of `cells(m, resolution)` wholly inside the union
-    `intervals` (`PartitionCells.inside`).
-
-    Raises CellMisalignmentError if any cell partially overlaps the union
-    (cells must be wholly in or wholly out).
-    """
-    return cells(m, resolution).inside(intervals)

@@ -42,7 +42,6 @@ __all__ = [
     "delta_membership",
     "laplacian_apply",
     "induced_graph",
-    "extend_spline",
     "min_norm_interpolant",
 ]
 
@@ -252,10 +251,6 @@ def induced_graph(
     )
 
 
-# spline extension is projection with F = S: it reproduces h on S
-extend_spline = project
-
-
 @dataclass(frozen=True, eq=False)
 class PiecewiseLinearSpline:
     """Piecewise-linear interpolant anchored at (0, 0), constant after the
@@ -266,8 +261,9 @@ class PiecewiseLinearSpline:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0.0):
-            raise OutOfDomainError("interpolant domain is t >= 0")
+        inside = arr >= 0.0  # False for NaN
+        if not inside.all():
+            raise OutOfDomainError(f"interpolant domain is t >= 0, got {arr[~inside][0]}")
         out = np.interp(arr, self.knots_x, self.knots_y)
         return float(out) if arr.ndim == 0 else out
 

@@ -119,7 +119,7 @@ def test_criterion_04_spectrum_and_generating_function():
 
 
 def test_criterion_05_cantor_measure():
-    cdf_ok = [kf.mu4_cdf(x) for x in (0.0, 0.25, 0.5, 0.75, 1.0)] == [
+    cdf_ok = kf.cdf(kf.cantor4(), [0.0, 0.25, 0.5, 0.75, 1.0]).tolist() == [
         0.0, 0.5, 0.5, 1.0, 1.0,
     ]
     mass_worst = max(

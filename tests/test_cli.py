@@ -291,6 +291,18 @@ def test_interpolate_needs_x_y_rows(tmp_path, capsys, text, width):
     assert not out.exists()
 
 
+def test_interpolate_rejects_a_nan_eval_point(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("1.0,1.0\n2.0,3.0\n")
+    grid = tmp_path / "eval.csv"
+    grid.write_text("real-line\nnan\n0.5\n")
+    out = tmp_path / "out.json"
+    argv = ["interpolate", "--data", str(data), "--eval", str(grid), "--out", str(out)]
+    assert cli.run(argv) == 2
+    assert "interpolant domain is t >= 0, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # measure commands
 
@@ -674,8 +686,10 @@ GOLDEN_OUTPUTS = [
      "1a067a69dc1c11aaf95ab452025a0e66f5eea77775d0e8e04ff005f51d61bea5"),
     (["eig", "--matrix", "gram.csv", "--method", "alt-chol", "--max-iter", "100000"],
      "fbe1c37bd1dae3323b0caa9771cad3a1b62690bed32b34250454e2ff9d360406"),
+    (["eig", "--matrix", "gram.csv", "--method", "jacobi"],
+     "1d0bf7349fe0c2b8eeec7ecb8e023eb1026c34ceabb0e207d053286151e6b9f0"),
     (["eig", "--kernel", "szego", "--points", "disk.csv", "--method", "jacobi"],
-     "5ad27464131887125621f1faa6618688ae73492677bda433c48c2a30a6dfe619"),
+     "913982c1cd6e04d14e42b21c1708852c07ee04019b3fb55939a10c2179a9c49d"),
     (["delta-test", "--kernel", "brownian-line", "--point", "1.0",
       "--chain-file", "chain.csv"],
      "b2ae5705486de8cd0214d42895b4cfe427028e9619c4424e92e19ddab6b57857"),

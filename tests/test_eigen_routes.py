@@ -1,11 +1,13 @@
 """The two eigen routes against their plain-loop references and LAPACK.
 
 The references below are the loops the package used before the
-round-robin ordering and the LR shift: cyclic Jacobi, one rotation at a
-time in row order, and the unshifted alternating-Cholesky (LR) iteration.
-They share the skip rule, the stop rules and the deflation rule with the
-package routes, so the spectra must agree to rounding; the package routes
-only reorder the rotations and shift the LR iterates.  LAPACK's
+round-robin ordering, the LR shift and the Hermitian-native routes:
+cyclic Jacobi, one rotation at a time in row order, and the unshifted
+alternating-Cholesky (LR) iteration, both real, taking complex input
+through the real block embedding.  They share the skip rule, the stop
+rules and the deflation rule with the package routes, so the spectra must
+agree to rounding; the package routes reorder the rotations, shift the LR
+iterates and iterate on a complex matrix as it is.  LAPACK's
 `eigvalsh` is the third, independent opinion.  It is also the route of
 `factorize.eig_range`, the extremes behind the PSD and frame verdicts,
 which Jacobi checks in turn.
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 import kernel_forge as kf
 from kernel_forge.factorize import (
     _MAX_JACOBI_SWEEPS,
+    SpectralResult,
     _as_matrix,
     _check_hermitian,
     _components,
@@ -31,25 +34,44 @@ from kernel_forge.factorize import (
     _round_robin,
     eig_range,
     matrix_scale,
-    real_embedding,
 )
 
 # ---------------------------------------------------------------------------
 # references
 
 
-def reference_jacobi(g, tol=1e-12):
+def real_embedding(arr):
+    """Real symmetric 2n x 2n block embedding [[Re, -Im], [Im, Re]].
+
+    It is positive definite exactly when the complex matrix is, and its
+    spectrum is that of the complex matrix with every eigenvalue twice.
+    """
+    return np.block([[arr.real, -arr.imag], [arr.imag, arr.real]])
+
+
+def _embedded(reference):
+    """`reference` taking complex input through `real_embedding`, with the
+    doubled spectrum's pairs averaged."""
+
+    def route(g, *args, **kwargs):
+        arr = _as_matrix(g)
+        _check_hermitian(arr)
+        if not np.iscomplexobj(arr):
+            return reference(arr, *args, **kwargs)
+        res = reference(real_embedding(arr), *args, **kwargs)
+        vals = res.eigenvalues
+        return SpectralResult(0.5 * (vals[0::2] + vals[1::2]), res.iterations, res.converged)
+
+    return route
+
+
+@_embedded
+def reference_jacobi(a, tol=1e-12):
     """Cyclic Jacobi: rotate (p, q) for p < q in row order, one at a time."""
-    arr = _as_matrix(g)
-    _check_hermitian(arr)
-    dedup = np.iscomplexobj(arr)
-    if dedup:
-        arr = real_embedding(arr)
-    a = np.array(arr, dtype=float)
     n = a.shape[0]
     scale = matrix_scale(a)
     if n <= 1:
-        return _finish_spectrum(np.diag(a), 0, True, scale, dedup)
+        return _finish_spectrum(np.diag(a), 0, True, scale)
     stop = tol * float(np.sqrt(np.sum(a * a)))
 
     def off_frobenius():
@@ -85,7 +107,7 @@ def reference_jacobi(g, tol=1e-12):
         sweeps += 1
         if not rotated:
             break
-    return _finish_spectrum(np.diag(a), sweeps, off_frobenius() <= stop, scale, dedup)
+    return _finish_spectrum(np.diag(a), sweeps, off_frobenius() <= stop, scale)
 
 
 def _split_components(mask):
@@ -106,17 +128,13 @@ def _split_components(mask):
     return comps
 
 
-def reference_lr(g, max_iter=500, tol=1e-12):
+@_embedded
+def reference_lr(arr, max_iter=500, tol=1e-12):
     """Unshifted alternating Cholesky: B <- A.T A where B = A A.T."""
-    arr = _as_matrix(g)
-    _check_hermitian(arr)
-    dedup = np.iscomplexobj(arr)
-    if dedup:
-        arr = real_embedding(arr)
     n = arr.shape[0]
     scale = matrix_scale(arr)
     if n == 0:
-        return _finish_spectrum([], 0, True, scale, False)
+        return _finish_spectrum([], 0, True, scale)
     stop = tol * max(float(np.trace(arr)), 1e-300)
     deflate = 0.01 * stop / n
     finished = []
@@ -167,7 +185,7 @@ def reference_lr(g, max_iter=500, tol=1e-12):
             block = lower.T @ lower
             depth += 1
             local += 1
-    return _finish_spectrum(finished, deepest, converged, scale, dedup)
+    return _finish_spectrum(finished, deepest, converged, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +336,60 @@ def test_alt_cholesky_matches_unshifted_reference(n, seed, kind):
     bound = _lr_bound(g)
     np.testing.assert_allclose(res.eigenvalues, ref.eigenvalues, rtol=0, atol=bound)
     np.testing.assert_allclose(res.eigenvalues, _sorted_lapack(g), rtol=0, atol=bound)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**31))
+def test_hermitian_routes_match_the_embedded_references(n, seed):
+    g = _hermitian(np.random.default_rng(seed), n)
+    want = _sorted_lapack(g)
+    jac, jac_ref = kf.jacobi_eigs(g), reference_jacobi(g)
+    assert jac.converged and jac_ref.converged
+    bound = 1e-11 * _yardstick(g)
+    np.testing.assert_allclose(jac.eigenvalues, jac_ref.eigenvalues, rtol=0, atol=bound)
+    np.testing.assert_allclose(jac.eigenvalues, want, rtol=0, atol=bound)
+    lr, lr_ref = kf.alt_cholesky_eigs(g, max_iter=200_000), reference_lr(g, max_iter=200_000)
+    assert lr.converged and lr_ref.converged
+    bound = _lr_bound(g)
+    np.testing.assert_allclose(lr.eigenvalues, lr_ref.eigenvalues, rtol=0, atol=bound)
+    np.testing.assert_allclose(lr.eigenvalues, want, rtol=0, atol=bound)
+
+
+def test_complex_input_iterates_at_its_own_size(monkeypatch):
+    # the n x n complex matrix is what both routes iterate on: no LR
+    # factor and no Jacobi round ever sees a 2n x 2n real array
+    seen = []
+
+    def spy(route):
+        def wrapped(a, *args):
+            seen.append((a.shape, a.dtype))
+            return route(a, *args)
+        return wrapped
+
+    monkeypatch.setattr(kf.factorize, "_lr_factor", spy(kf.factorize._lr_factor))
+    monkeypatch.setattr(kf.factorize, "_turn_hermitian", spy(kf.factorize._turn_hermitian))
+    g = _hermitian(np.random.default_rng(5), 7)
+    kf.alt_cholesky_eigs(g)
+    kf.jacobi_eigs(g)
+    assert seen and all(dtype == complex for _, dtype in seen)
+    assert max(shape[0] for shape, _ in seen) == 8  # Jacobi pads 7 to 8
+
+
+def test_alt_cholesky_takes_the_near_singular_szego_ring():
+    # 40 points on the ring |z| = 0.6: the Gram is positive definite, but
+    # its smallest eigenvalue is about 5e-18 of its largest, below working
+    # precision.  Iterated through the real 80 x 80 embedding the LR route
+    # raised NotPositiveDefiniteError here; on the 40 x 40 complex Gram it
+    # converges, and agrees with LAPACK and with Jacobi
+    z = 0.6 * np.exp(2j * np.pi * np.arange(40) / 40)
+    g = kf.gram(kf.szego(), [complex(p) for p in z]).entries
+    res = kf.alt_cholesky_eigs(g)
+    assert res.converged
+    bound = 1e-12 * _yardstick(g)
+    np.testing.assert_allclose(res.eigenvalues, _sorted_lapack(g), rtol=0, atol=bound)
+    jac = kf.jacobi_eigs(g)
+    assert jac.converged
+    np.testing.assert_allclose(res.eigenvalues, jac.eigenvalues, rtol=0, atol=1e-11 * _yardstick(g))
 
 
 def _clearly_indefinite(rng, n):

@@ -796,7 +796,7 @@ def per_resolution_qvar(m, interval, resolutions, n_paths, seed):
     mean_q, e_sq = [], []
     for r in resolutions:
         part = kf.cells(m, r)
-        idx = kf.check_cell_alignment(m, [(a, b)], r)
+        idx = part.inside([(a, b)])
         roots = np.sqrt(part.masses[idx])
         total = 0.0
         total_sq = 0.0
@@ -823,7 +823,7 @@ def test_qvar_one_tile_equals_a_tile_per_resolution(m, interval, resolutions):
     assert rep.mean_q == mean_q
     assert rep.e_sq == e_sq
     for r, expected in zip(resolutions, rep.expected_e_sq):
-        idx = kf.check_cell_alignment(m, [interval], r)
+        idx = kf.cells(m, r).inside([interval])
         assert expected == float(2.0 * np.sum(kf.cells(m, r).masses[idx] ** 2))
 
 

@@ -129,14 +129,16 @@ def test_cell_masses_sum_to_one(depth):
 def test_cdf_landmarks():
     xs = [0.0, 0.25, 0.5, 0.75, 1.0]
     expected = [0.0, 0.5, 0.5, 1.0, 1.0]
-    got = [kf.mu4_cdf(x) for x in xs]
+    got = kf.cdf(kf.cantor4(), xs).tolist()
     assert got == expected
 
 
 def test_cdf_matches_digit_walk_oracle():
     rng = np.random.default_rng(11)
     for x in rng.uniform(0.0, 1.0, size=200):
-        assert kf.mu4_cdf(float(x)) == pytest.approx(digit_walk_cdf(float(x)), abs=1e-12)
+        assert float(kf.cdf(kf.cantor4(), float(x))) == pytest.approx(
+            digit_walk_cdf(float(x)), abs=1e-12
+        )
 
 
 def test_cdf_matches_cell_counting():
@@ -144,7 +146,7 @@ def test_cdf_matches_cell_counting():
     part = kf.cells(kf.cantor4(), 8)
     for x in (0.1, 0.3, 0.55, 0.62, 0.9):
         counted = float(np.sum(part.masses[part.rights <= x]))
-        assert abs(kf.mu4_cdf(x) - counted) <= 2.0 ** (-8)
+        assert abs(float(kf.cdf(kf.cantor4(), x)) - counted) <= 2.0 ** (-8)
 
 
 def _walk_inputs():
@@ -158,7 +160,7 @@ def test_cdf_matches_the_scalar_walk_bitwise():
     xs = _walk_inputs()
     want = np.array([scalar_mu4_cdf(x) for x in xs])
     assert measures.cdf(kf.cantor4(), xs).tobytes() == want.tobytes()
-    assert [kf.mu4_cdf(x) for x in xs] == want.tolist()
+    assert [float(kf.cdf(kf.cantor4(), x)) for x in xs] == want.tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -203,7 +205,7 @@ def test_cdf_rejects_values_outside_the_unit_interval(m, bad):
 )
 def test_cdf_monotone(x, y):
     lo, hi = sorted((x, y))
-    assert kf.mu4_cdf(lo) <= kf.mu4_cdf(hi)
+    assert kf.cdf(kf.cantor4(), lo) <= kf.cdf(kf.cantor4(), hi)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +288,12 @@ def test_mu4_fourier_modulus_bounded():
         assert abs(rep.quadrature_value) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_mu4_fourier_rejects_a_non_finite_frequency(t):
+    with pytest.raises(ValueError, match="must be finite"):
+        kf.mu4_fourier(t, trunc=3)
+
+
 def test_mu4_fourier_comparison_report_at_one():
     # the report carries both readings; they use different frequency
     # conventions and are not reconciled, so only the fields themselves
@@ -341,11 +349,12 @@ def test_measure_of_intervals_clips_to_the_unit_interval():
 
 
 def test_check_cell_alignment():
+    # the cells wholly inside a union, and a cell cut by it
     m = kf.lebesgue()
-    idx = kf.check_cell_alignment(m, [(0.25, 0.75)], 2)
+    idx = kf.cells(m, 2).inside([(0.25, 0.75)])
     assert list(idx) == [1, 2]
     with pytest.raises(kf.CellMisalignmentError):
-        kf.check_cell_alignment(m, [(0.1, 0.6)], 2)
+        kf.cells(m, 2).inside([(0.1, 0.6)])
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,9 @@ def test_induced_graph_edges_are_row_major_int_pairs():
     assert all(type(i) is int and type(j) is int for i, j in g.edges)
 
 
+# spline extension is projection with F = S: it reproduces h on S
+
+
 def test_extend_spline_tent():
     spec = kf.brownian_line()
     pts = [2.0, 3.0, 4.0]
@@ -133,7 +136,7 @@ def test_extend_spline_tent():
     g = kf.gram(spec, pts)
     delta = np.array([0.0, 1.0, 0.0])
     h = g.entries @ kf.inverse_gram(g) @ delta  # h == delta on the sample
-    got = kf.extend_spline(spec, pts, delta, [3.5, 5.0, 3.0])
+    got = kf.project(spec, pts, delta, [3.5, 5.0, 3.0])
     assert got[0] == pytest.approx(0.5, abs=1e-12)
     assert got[1] == pytest.approx(0.0, abs=1e-12)
     assert got[2] == pytest.approx(1.0, abs=1e-12)
@@ -144,7 +147,7 @@ def test_extend_spline_reproduces_samples():
     spec = kf.brownian_min()
     pts = [0.5, 1.5, 2.0]
     vals = [0.3, -0.2, 0.9]
-    got = kf.extend_spline(spec, pts, vals, pts)
+    got = kf.project(spec, pts, vals, pts)
     np.testing.assert_allclose(got, vals, atol=1e-12)
 
 
@@ -183,6 +186,14 @@ def test_min_norm_interpolant_rejects_a_nan_abscissa():
     for data in ([(float("nan"), 1.0)], [(1.0, 0.0), (float("nan"), 1.0), (3.0, 0.0)]):
         with pytest.raises(kf.NotIncreasingError):
             kf.min_norm_interpolant(data)
+
+
+def test_interpolant_rejects_a_nan_evaluation_point():
+    f, _ = kf.min_norm_interpolant([(1.0, 1.0), (2.0, 3.0)])
+    for t in (float("nan"), np.array([0.5, float("nan")]), [[1.0], [float("nan")]]):
+        with pytest.raises(kf.OutOfDomainError, match="t >= 0, got nan"):
+            f(t)
+    assert f(float("inf")) == 3.0  # the constant tail reaches +inf
 
 
 def test_min_norm_matches_projection_route():
