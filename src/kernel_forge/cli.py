@@ -279,12 +279,12 @@ def _cmd_duality(args):
 
 
 def _cmd_frame_check(args):
-    if not args.test_points and not args.test:
-        raise ValueError("frame check needs --test-points or --test")
+    if (args.test_points is None) == (args.test is None):
+        raise ValueError("frame check needs one of --test-points and --test")
     spec = _build_kernel(args)
     s = args.set if args.set in ("integers", "positive-integers") else None
     sample = s or fileio.read_points(args.set)
-    if args.test_points:
+    if args.test is None:
         tests = fileio.read_points(args.test_points).points
     else:
         tests = [float(x) for x in args.test]

@@ -7,7 +7,8 @@ increment square roots, and the generic routine must reproduce it.
 Spectra come from two independent routes that the test suite
 cross-checks against each other: a shifted alternating Cholesky
 iteration (factor B - sI, transpose-swap, add sI back, repeat, until the
-matrix is numerically diagonal) and Jacobi rotation sweeps in Brent-Luk
+matrix is numerically diagonal; every block of size 2 or more takes the
+same shifted LAPACK step) and Jacobi rotation sweeps in Brent-Luk
 round-robin order, where each round rotates up to n/2 disjoint pairs at
 once.  Neither uses a LAPACK eigensolver.
 
@@ -24,7 +25,9 @@ step A^H A, and Jacobi's Hermitian rotation).
 Every tolerance is relative to the matrix it judges: pivots and eigenvalue
 floors are measured in units of `matrix_scale` (the largest |G_ii|), and
 the Jacobi stop in units of the Frobenius norm.  Scaling a matrix by
-c > 0 therefore never changes a verdict.
+c > 0 therefore never changes a verdict.  A tolerance, ridge or step
+budget must be finite and >= 0; anything else, NaN included, raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -118,8 +121,7 @@ def cholesky(g, ridge: float = 0.0, tol: float = 1e-12) -> CholeskyFactor:
     of G; a positive `ridge` is added to the diagonal before factoring
     (and reported in the result).
     """
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    _nonnegative(ridge=ridge, tol=tol)
     arr = _as_matrix(g)
     _check_hermitian(arr)
     threshold = tol * matrix_scale(arr)
@@ -151,6 +153,15 @@ def brownian_cholesky_closed_form(points) -> CholeskyFactor:
         points = points.points
     roots = np.sqrt(_increments_from_zero(points))
     return CholeskyFactor(L=np.tril(np.tile(roots, (len(roots), 1))))
+
+
+def _nonnegative(**values) -> None:
+    """ValueError unless 0 <= value < inf for each value given (None is a
+    default still to be chosen): the domain of every tolerance, ridge,
+    threshold, cap and step budget, as an inside-test, so NaN fails it."""
+    for name, value in values.items():
+        if value is not None and not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _increments_from_zero(xs) -> np.ndarray:
@@ -224,31 +235,10 @@ def _finish_spectrum(values, iterations, converged, scale):
     )
 
 
-def _lr_step_2x2(a, b, d, stop, start, max_iter):
-    """Scalar alternating-Cholesky iteration on [[a, b], [conj(b), d]].
-
-    Tiny trailing blocks dominate late convergence, so this path avoids
-    per-call array overhead entirely.  a and d are real and b is real or
-    complex; a real b runs the real step, since conjugating it is exact.
-    """
-    it = start
-    while abs(b) >= stop and it < max_iter:
-        if not a > 0.0:
-            raise NotPositiveDefiniteError(f"2x2 iterate has nonpositive pivot {a:.6e}")
-        bb = (b * b.conjugate()).real  # |b|^2
-        shifted = d - bb / a
-        if shifted < 0.0:
-            raise NotPositiveDefiniteError(
-                f"2x2 iterate has nonpositive pivot {shifted:.6e}"
-            )
-        a, b, d = a + bb / a, b * math.sqrt(shifted / a), shifted
-        it += 1
-    return (a, d), it, abs(b) < stop
-
-
 def _gershgorin_shift(block: np.ndarray, off: np.ndarray) -> float:
     """A shift below lambda_min(block): the Gershgorin bound, backed off.
 
+    Every LR step takes one, whatever the block's size (2 or more).
     `off` is |block| with a zero diagonal.  The bound min_i(B_ii - R_i) is
     lowered by m * eps * max_i(B_ii + R_i), which covers the rounding in
     the row sums; a bound at or below 0 gives no shift.
@@ -313,14 +303,16 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
     to the diagonal eigenvalue matrix.  Iteration stops when the
     off-diagonal infinity norm drops below ``tol * trace(G)``.
 
-    The shift s_k of a block of size 3 or more is its Gershgorin lower
-    bound on lambda_min, lowered by a rounding margin and clipped at 0.
-    If the shifted factorization fails anyway, the step retries with
-    s_k = 0, and if that fails too the iterate, hence G, is not positive
-    definite and NotPositiveDefiniteError is raised.  The shift turns the
-    convergence ratio lambda_j / lambda_i of a coupling into
-    (lambda_j - s) / (lambda_i - s), so the bottom of the spectrum splits
-    off within a few steps.  2 x 2 blocks iterate unshifted on scalars.
+    Every block of size 2 or more takes the same step.  Its shift s_k is
+    the block's Gershgorin lower bound on lambda_min, lowered by a
+    rounding margin and clipped at 0.  If the shifted factorization fails
+    anyway, the step retries with s_k = 0, and if that fails too the
+    iterate, hence G, is not positive definite and NotPositiveDefiniteError
+    is raised: the pivot rule is LAPACK's (a pivot must be > 0), the one
+    `cholesky` applies, so a singular 2 x 2 input is rejected as a singular
+    3 x 3 one is.  The shift turns the convergence ratio lambda_j / lambda_i
+    of a coupling into (lambda_j - s) / (lambda_i - s), so the bottom of
+    the spectrum splits off within a few steps.
 
     Couplings already below 1% of the stop threshold (divided by n) are
     treated as converged zeros, which splits the matrix into independent
@@ -335,16 +327,16 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
 
     Complex Hermitian input iterates as it is, n x n, and an iterate's
     diagonal is read by its real part (on real input every conjugation is
-    exact).  `iterations` counts LR steps along the deepest chain; the
-    unshifted 2 x 2 step can make a complex chain longer: 30 steps on the
-    4 x 4 Szego Gram of the CLI golden tests, 16 on its real 8 x 8 embedding.
+    exact).  `iterations` counts LR steps along the deepest chain: 14 on
+    the 4 x 4 Szego Gram of the CLI golden tests.
     """
+    _nonnegative(max_iter=max_iter, tol=tol)
     arr = _as_matrix(g)
     _check_hermitian(arr)
     n = arr.shape[0]
     scale = matrix_scale(arr)
-    if n == 0:
-        return _finish_spectrum([], 0, True, scale)
+    if n <= 1:
+        return _finish_spectrum(np.diag(arr).real, 0, True, scale)
     trace = float(np.trace(arr).real)
     stop = tol * max(trace, 1e-300)
     deflate = 0.01 * stop / n
@@ -357,20 +349,6 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
     while pending:
         block, depth, local = pending.pop()
         m = block.shape[0]
-        if m == 1:
-            finished.append(float(block[0, 0].real))
-            deepest = max(deepest, depth)
-            continue
-        if m == 2:
-            # Python scalars: the same numbers as numpy scalars, but faster
-            pair, depth, ok = _lr_step_2x2(
-                float(block[0, 0].real), block[0, 1].item(), float(block[1, 1].real),
-                stop, depth, max_iter,
-            )
-            finished.extend(pair)
-            deepest = max(deepest, depth)
-            converged &= ok
-            continue
         diag = np.diag_indices(m)
         while True:
             off = np.abs(block)
@@ -494,6 +472,7 @@ def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
     (`_turn_hermitian`).  `iterations` counts sweeps: 7 on the 4 x 4 Szego
     Gram of the CLI golden tests, where its real 8 x 8 embedding takes 8.
     """
+    _nonnegative(tol=tol)
     arr = _as_matrix(g)
     _check_hermitian(arr)
     n = arr.shape[0]

@@ -132,8 +132,15 @@ def write_points(path: str, sample: SampleSet) -> None:
 
 
 def read_values(path: str) -> np.ndarray:
-    """Sample values: one column of reals, or re,im pairs for complex."""
-    parsed = [_cells(path, n, text) for n, text in _data_lines(path)]
+    """Sample values: one column of reals, or re,im pairs for complex.
+
+    A NaN or infinite value raises ValueError naming its file and line.
+    """
+    lines = _data_lines(path)
+    parsed = [_cells(path, n, text) for n, text in lines]
+    for (n, text), row in zip(lines, parsed):
+        if not np.isfinite(row).all():
+            raise ValueError(f"{path}: line {n}: NaN or infinite value in {text!r}")
     widths = {len(p) for p in parsed}
     if widths == {1}:
         return np.array([p[0] for p in parsed])

@@ -69,7 +69,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import NotPositiveDefiniteError, OutOfDomainError
-from .factorize import cholesky
+from .factorize import _nonnegative, cholesky
 from .kernels import GramMatrix, KernelSpec, _points, gram
 from .measures import MeasureModel, _unit_points, _values_at, cells, measure_of_intervals
 
@@ -638,9 +638,11 @@ def duality_check(
     the pair's measure, compared entrywise to the Gram matrix (default
     tolerance 2^-resolution).  Stochastic half: empirical covariance of
     the `ito_synthesize` ensemble against the Gram matrix (default
-    tolerance 5 max|K| / sqrt(P), five standard errors).  Both halves read
-    one partition and one feature matrix.
+    tolerance 5 max|K| / sqrt(P), five standard errors); a given
+    tolerance must be finite and >= 0.  Both halves read one partition
+    and one feature matrix.
     """
+    _nonnegative(quad_tol=quad_tol, mc_tol=mc_tol)
     grid = list(grid)
     target = gram(spec, grid).entries
     part = cells(pair.measure, resolution)

@@ -29,7 +29,9 @@ import numpy as np
 
 from . import kernels
 from .errors import ChainError, OutOfDomainError
-from .factorize import _increments_from_zero, invertible_cholesky, inverse_gram, solve_gram
+from .factorize import (
+    _increments_from_zero, _nonnegative, invertible_cholesky, inverse_gram, solve_gram,
+)
 from .kernels import KernelSpec, SampleSet, as_sample_set, cross_gram, gram
 
 __all__ = [
@@ -185,8 +187,9 @@ def delta_membership(
     (K_F^{-1})_{xx} = 1 / (K_xx - sum_{i < |F|-1} |L[x, i]|^2), the
     reciprocal squared distance from k_x to the span of the level's other
     sections.  A level without x raises ChainError, a singular Gram
-    SingularMatrixError.
+    SingularMatrixError; `cap`, `growth` and `rtol` must be finite, >= 0.
     """
+    _nonnegative(cap=cap, growth=growth, rtol=rtol)
     sample = as_sample_set(sample)
     order, sizes = _leading_order(sample, last=x)
     g, lower = _chain_factor(spec, sample, order)
@@ -238,8 +241,10 @@ def induced_graph(
     """Build the graph whose weight matrix is the inverse Gram on S.
 
     The default threshold 1e-8 * max|D| stands in for the exact-zero edge
-    test, which is numerically meaningless.
+    test, which is numerically meaningless; a given one must be finite and
+    >= 0.
     """
+    _nonnegative(threshold=threshold)
     sample = as_sample_set(sample)
     weights = inverse_gram(gram(spec, sample))
     if threshold is None:
@@ -275,11 +280,15 @@ def min_norm_interpolant(data):
     in increasing-x order, constant after the last knot, and
     norm_sq = sum (y_{j+1} - y_j)^2 / (x_{j+1} - x_j) with (x_0,y_0)=(0,0).
     Among all interpolants of the data in the min-kernel space this energy
-    is minimal: straight segments minimise the Dirichlet integral.
+    is minimal: straight segments minimise the Dirichlet integral.  A NaN
+    or infinite y raises ValueError.
     """
     pairs = [(0.0, 0.0)] + [(float(x), float(y)) for x, y in data]
     if len(pairs) == 1:
         raise ValueError("need at least one data point")
     xs, ys = np.array(pairs).T
+    finite = np.isfinite(ys)
+    if not finite.all():
+        raise ValueError(f"interpolant data needs finite y, got {ys[finite.argmin()]}")
     norm_sq = float(np.sum(np.diff(ys) ** 2 / _increments_from_zero(xs[1:])))
     return PiecewiseLinearSpline(knots_x=xs, knots_y=ys), norm_sq

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import NotIncreasingError, SingularMatrixError
-from .factorize import eig_range, matrix_scale
+from .factorize import _nonnegative, eig_range, matrix_scale
 from .kernels import KernelSpec, SampleSet, as_sample_set, cross_gram, gram, kernel_diagonal
 
 __all__ = [
@@ -83,8 +83,10 @@ def parseval_check(
     when the worst deficit is within tol and the window frame bounds are
     both within bound_tol of 1; otherwise "not-parseval".  For the
     Shannon kernel the reported tail bound 2 / (pi^2 (N - |x|)) makes the
-    truncated verdict rigorous.
+    truncated verdict rigorous.  `tol` and `bound_tol` must be finite
+    and >= 0.
     """
+    _nonnegative(tol=tol, bound_tol=bound_tol)
     pts = _lattice_points(s, truncation)
     tests = list(test_points)
     sections = cross_gram(spec, tests, pts)  # tests x |S|

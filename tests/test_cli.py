@@ -6,6 +6,7 @@ installed console script to cover the real entry point.
 
 import argparse
 import hashlib
+import itertools
 import json
 import re
 import subprocess
@@ -685,11 +686,13 @@ GOLDEN_OUTPUTS = [
     (["cantor", "spectrum", "--limit", "1000"],
      "1a067a69dc1c11aaf95ab452025a0e66f5eea77775d0e8e04ff005f51d61bea5"),
     (["eig", "--matrix", "gram.csv", "--method", "alt-chol", "--max-iter", "100000"],
-     "fbe1c37bd1dae3323b0caa9771cad3a1b62690bed32b34250454e2ff9d360406"),
+     "c50088c28f79d4934a7a82fac46aa19e59b32590684ad184fb8b5ed4e592a7a9"),
     (["eig", "--matrix", "gram.csv", "--method", "jacobi"],
      "1d0bf7349fe0c2b8eeec7ecb8e023eb1026c34ceabb0e207d053286151e6b9f0"),
     (["eig", "--kernel", "szego", "--points", "disk.csv", "--method", "jacobi"],
      "913982c1cd6e04d14e42b21c1708852c07ee04019b3fb55939a10c2179a9c49d"),
+    (["eig", "--kernel", "szego", "--points", "disk.csv", "--method", "alt-chol"],
+     "7b1fdb4d249fa4fa95ce451c4f4970cbf6c7806372bcc1e5e22b2b8d1c6842ca"),
     (["delta-test", "--kernel", "brownian-line", "--point", "1.0",
       "--chain-file", "chain.csv"],
      "b2ae5705486de8cd0214d42895b4cfe427028e9619c4424e92e19ddab6b57857"),
@@ -766,6 +769,89 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
     # 8 x 5 runs (each golden run writes gram.csv first), one build
     assert cli._parser.cache_info().misses == 1
     assert cli._parser.cache_info().hits == 39
+
+
+def _float_option_runs(argv, action, bad):
+    """argv with one value of a float option set to `bad`, one argv per
+    value the option takes there; an option argv lacks is appended."""
+    flag = action.option_strings[0]
+    at = [i for i, word in enumerate(argv) if word in action.option_strings]
+    if not at:
+        yield argv + [flag] + [bad] * (action.nargs if isinstance(action.nargs, int) else 1)
+        return
+    start = at[0] + 1
+    end = start
+    while end < len(argv) and not argv[end].startswith("--"):
+        end += 1
+    for k in range(start, end):
+        yield argv[:k] + [bad] + argv[k + 1:]
+
+
+def test_no_float_option_writes_nan(tmp_path, monkeypatch, capsys):
+    # every float option of every command, set to nan and then to inf on
+    # each golden argv of the command: the run rejects the value (exit 2)
+    # or succeeds without writing NaN
+    _golden_run(tmp_path, monkeypatch, GOLDEN_OUTPUTS[0][0])
+    out = tmp_path / "out.txt"
+    guarded = []
+    for words, leaf in _leaf_parsers(cli.build_parser()):
+        floats = [a for a in leaf._actions if a.type is float]
+        if not floats:
+            continue
+        argvs = [argv for argv, _ in GOLDEN_OUTPUTS if argv[: len(words)] == words]
+        assert argvs, f"no golden argv covers {' '.join(words)}"
+        for argv, action, bad in itertools.product(argvs, floats, ("nan", "inf")):
+            for run in _float_option_runs(argv, action, bad):
+                out.unlink(missing_ok=True)
+                code = cli.run(run + ["--out", str(out)])
+                assert code == 2 or (code == 0 and b"NaN" not in out.read_bytes()), (run, code)
+        guarded.append(" ".join(words))
+    capsys.readouterr()
+    assert sorted(guarded) == ["cantor gen-fn", "chol", "delta-test", "duality", "eig",
+                               "frame check", "graph", "qvar"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eig", "--method", "alt-chol", "--tol", "nan"],
+    ["eig", "--method", "jacobi", "--tol", "nan"],
+    ["chol", "--ridge", "nan"],
+    ["chol", "--tol", "nan"],
+], ids=["eig-alt-chol-tol", "eig-jacobi-tol", "chol-ridge", "chol-tol"])
+def test_a_nan_tolerance_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # exit 2 (bad argument), not 1 (numerical failure), and no report
+    _golden_run(tmp_path, monkeypatch, GOLDEN_OUTPUTS[0][0])
+    out = tmp_path / "nan.json"
+    assert cli.run(argv + ["--matrix", "gram.csv", "--out", str(out)]) == 2
+    assert "must be finite and >= 0, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each command with a value file (or data file), and the golden input
+# whose second value a test replaces
+VALUE_FILE_RUNS = [
+    (["project", "--kernel", "brownian-min", "--points", "line.csv",
+      "--values", "bad.csv", "--eval", "eval_line.csv"], "vals_line.csv"),
+    (["frame", "reconstruct", "--kernel", "shannon", "--points", "line.csv",
+      "--samples", "bad.csv", "--eval", "eval_line.csv"], "vals_line.csv"),
+    (["witness", "sawtooth", "--knots", "knots.csv", "--rule", "custom",
+      "--slopes", "bad.csv"], "slopes.csv"),
+    (["interpolate", "--data", "bad.csv"], "data.csv"),
+]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("argv,source", VALUE_FILE_RUNS,
+                         ids=["project", "frame-reconstruct", "witness", "interpolate"])
+def test_a_non_finite_value_file_entry_exits_2(tmp_path, monkeypatch, capsys, argv, source, bad):
+    _golden_run(tmp_path, monkeypatch, GOLDEN_OUTPUTS[0][0])
+    rows = GOLDEN_INPUTS[source].splitlines()
+    rows[1] = ",".join(rows[1].split(",")[:-1] + [bad])
+    (tmp_path / "bad.csv").write_text("\n".join(rows) + "\n")
+    out = tmp_path / "bad.json"
+    assert cli.run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.csv: line 2: NaN or infinite value" in err or "finite y, got" in err
+    assert not out.exists()
 
 
 # The outputs that factor a Gram, with their digests when the factor came

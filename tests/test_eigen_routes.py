@@ -3,7 +3,8 @@
 The references below are the loops the package used before the
 round-robin ordering, the LR shift and the Hermitian-native routes:
 cyclic Jacobi, one rotation at a time in row order, and the unshifted
-alternating-Cholesky (LR) iteration, both real, taking complex input
+alternating-Cholesky (LR) iteration, whose 2 x 2 blocks iterate on
+scalars (`_lr_step_2x2`), both real, taking complex input
 through the real block embedding.  They share the skip rule, the stop
 rules and the deflation rule with the package routes, so the spectra must
 agree to rounding; the package routes reorder the rotations, shift the LR
@@ -30,7 +31,6 @@ from kernel_forge.factorize import (
     _check_hermitian,
     _components,
     _finish_spectrum,
-    _lr_step_2x2,
     _round_robin,
     eig_range,
     matrix_scale,
@@ -126,6 +126,24 @@ def _split_components(mask):
                     stack.append(int(j))
         comps.append(sorted(comp))
     return comps
+
+
+def _lr_step_2x2(a, b, d, stop, start, max_iter):
+    """Unshifted LR iteration on the real 2 x 2 block [[a, b], [b, d]].
+
+    Its pivots pass only when > 0, as in LAPACK's `potrf`, so a singular
+    block is rejected, as the package route rejects it.
+    """
+    it = start
+    while abs(b) >= stop and it < max_iter:
+        if not a > 0.0:
+            raise kf.NotPositiveDefiniteError(f"2x2 iterate has nonpositive pivot {a:.6e}")
+        shifted = d - b * b / a
+        if not shifted > 0.0:
+            raise kf.NotPositiveDefiniteError(f"2x2 iterate has nonpositive pivot {shifted:.6e}")
+        a, b, d = a + b * b / a, b * math.sqrt(shifted / a), shifted
+        it += 1
+    return (a, d), it, abs(b) < stop
 
 
 @_embedded
@@ -390,6 +408,36 @@ def test_alt_cholesky_takes_the_near_singular_szego_ring():
     jac = kf.jacobi_eigs(g)
     assert jac.converged
     np.testing.assert_allclose(res.eigenvalues, jac.eigenvalues, rtol=0, atol=1e-11 * _yardstick(g))
+
+
+# a converged LR spectrum against LAPACK's, in units of max|G|
+EIG_AGREE = 1e-12
+
+
+@pytest.mark.parametrize("kind", ["psd", "hermitian"])
+def test_alt_cholesky_converges_within_the_default_budget(kind):
+    # every block of size 2 or more takes the shifted step, so a random
+    # A A^H (n from 3 to 50) needs at most about 200 of the default 500
+    # steps; a close pair iterated unshifted can take thousands
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        g = KINDS[kind](rng, int(rng.integers(3, 51)))
+        res = kf.alt_cholesky_eigs(g)
+        assert res.converged, seed
+        np.testing.assert_allclose(
+            res.eigenvalues, _sorted_lapack(g), rtol=0, atol=EIG_AGREE * _yardstick(g)
+        )
+
+
+@pytest.mark.parametrize("v", [[1.0, 2.0], [1.0, 2.0, 3.0]], ids=["2x2", "3x3"])
+def test_alt_cholesky_rejects_an_exactly_singular_matrix(v):
+    # an integer rank-one matrix: elimination meets a pivot of exactly 0,
+    # which LAPACK's rule (a pivot must be > 0) rejects at every size
+    g = np.outer(v, v)
+    with pytest.raises(kf.NotPositiveDefiniteError):
+        kf.alt_cholesky_eigs(g)
+    with pytest.raises(kf.NotPositiveDefiniteError):
+        kf.cholesky(g)
 
 
 def _clearly_indefinite(rng, n):

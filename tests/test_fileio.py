@@ -79,6 +79,15 @@ def test_values_roundtrip(tmp_path):
     np.testing.assert_array_equal(fileio.read_values(str(p)), [1 + 2j, -1j])
 
 
+@pytest.mark.parametrize("row", ["nan", "inf", "-inf", "1.0,nan", "inf,0.0"])
+def test_values_reject_a_non_finite_value(tmp_path, row):
+    p = tmp_path / "v.csv"
+    width = row.count(",") + 1
+    p.write_text(",".join(["1.5"] * width) + "\n" + row + "\n")
+    with pytest.raises(ValueError, match=f"v.csv: line 2: NaN or infinite value in {row!r}"):
+        fileio.read_values(str(p))
+
+
 def test_chain_file(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("# comment\n1.0\n1.0,2.0\n1.0,2.0,3.0\n")

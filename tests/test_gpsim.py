@@ -564,6 +564,13 @@ def test_duality_mismatched_pair_fails_loudly():
     assert rep.quad_error >= 0.2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("option", ["quad_tol", "mc_tol"])
+def test_duality_tolerances_outside_their_domain_raise(option, bad):
+    with pytest.raises(ValueError, match=f"{option} must be finite and >= 0"):
+        gpsim.duality_check(gpsim.pair_ex1(), kf.brownian_min(), [0.5], 3, 4, **{option: bad})
+
+
 def test_duality_report_fields_round():
     rep = gpsim.duality_check(
         gpsim.pair_ex1(), kf.brownian_min(), [0.5], resolution=6, n_paths=4000, seed=2

@@ -188,6 +188,26 @@ def test_min_norm_interpolant_rejects_a_nan_abscissa():
             kf.min_norm_interpolant(data)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_min_norm_interpolant_rejects_a_non_finite_value(bad):
+    with pytest.raises(ValueError, match="finite y"):
+        kf.min_norm_interpolant([(0.5, 1.0), (1.5, bad), (2.0, 3.0)])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("option", ["cap", "growth", "rtol"])
+def test_delta_membership_options_outside_their_domain_raise(option, bad):
+    sample = kf.SampleSet(points=[-1.0, 1.0, 2.0], chain=[[-1.0, 1.0], [-1.0, 1.0, 2.0]])
+    with pytest.raises(ValueError, match=f"{option} must be finite and >= 0"):
+        kf.delta_membership(kf.brownian_line(), 1.0, sample, **{option: bad})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_induced_graph_threshold_outside_its_domain_raises(bad):
+    with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
+        kf.induced_graph(kf.brownian_min(), [1.0, 2.0, 3.0], threshold=bad)
+
+
 def test_interpolant_rejects_a_nan_evaluation_point():
     f, _ = kf.min_norm_interpolant([(1.0, 1.0), (2.0, 3.0)])
     for t in (float("nan"), np.array([0.5, float("nan")]), [[1.0], [float("nan")]]):

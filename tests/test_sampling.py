@@ -135,6 +135,13 @@ def test_sawtooth_validates_knots():
         kf.sawtooth_witness([1.0, 2.0, 3.0], slope_rule=[1.0])  # wrong count
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("option", ["tol", "bound_tol"])
+def test_parseval_tolerances_outside_their_domain_raise(option, bad):
+    with pytest.raises(ValueError, match=f"{option} must be finite and >= 0"):
+        kf.parseval_check(kf.shannon(), "integers", [0.5], 20, **{option: bad})
+
+
 def test_sawtooth_rejects_a_nan_knot():
     with pytest.raises(kf.NotIncreasingError):
         kf.sawtooth_witness([1.0, float("nan"), 3.0])
