@@ -14,18 +14,16 @@ import kernel_forge as kf
 N_PATHS = 20000
 SEED = 7
 
-# --- white noise on a measure, then cumulative integration -------------
+# --- white noise on a measure, integrated against chi_[0, x] ------------
 
-inc = kf.wiener_increments(kf.lebesgue(), resolution=6, n_paths=N_PATHS,
-                           seed=SEED)
-paths = kf.cumulative_path(inc, [0.25, 0.5, 1.0])
+paths = kf.ito_synthesize(kf.pair_ex1(kf.lebesgue()), 6, [0.25, 0.5, 1.0],
+                          N_PATHS, SEED)
 var = np.var(paths.paths, axis=0)
 print("cumulative-path variance at x=0.25, 0.5, 1.0:", np.round(var, 4))
 print("(Lebesgue base measure: variance should match x itself)")
 
-inc = kf.wiener_increments(kf.cantor4(), resolution=6, n_paths=N_PATHS,
-                           seed=SEED)
-paths = kf.cumulative_path(inc, [0.25, 0.5, 1.0])
+paths = kf.ito_synthesize(kf.pair_ex1(kf.cantor4()), 6, [0.25, 0.5, 1.0],
+                          N_PATHS, SEED)
 var = np.var(paths.paths, axis=0)
 print("same grid over the Cantor measure:", np.round(var, 4),
       " -- the staircase CDF shows through")

@@ -49,8 +49,6 @@ from .gpsim import (
     PathEnsemble,
     QuadraticVariationReport,
     RngSeedPolicy,
-    WienerIncrements,
-    cumulative_path,
     duality_check,
     empirical_covariance,
     frame_synthesize,
@@ -61,7 +59,6 @@ from .gpsim import (
     quadratic_variation,
     sample_gaussian_vector,
     transform_adjoint,
-    wiener_increments,
 )
 from .kernels import (
     FAMILIES,
@@ -153,7 +150,6 @@ __all__ = [
     "SingularMatrixError",
     "SpectralResult",
     "SpectrumSet",
-    "WienerIncrements",
     "alt_cholesky_eigs",
     "as_sample_set",
     "brownian_cholesky_closed_form",
@@ -165,7 +161,6 @@ __all__ = [
     "cells",
     "cholesky",
     "cross_gram",
-    "cumulative_path",
     "delta_membership",
     "drury_arveson",
     "duality_check",
@@ -204,6 +199,5 @@ __all__ = [
     "szego",
     "transform_adjoint",
     "validate_psd",
-    "wiener_increments",
     "__version__",
 ]

@@ -310,9 +310,11 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
     iterate, hence G, is not positive definite and NotPositiveDefiniteError
     is raised: the pivot rule is LAPACK's (a pivot must be > 0), the one
     `cholesky` applies, so a singular 2 x 2 input is rejected as a singular
-    3 x 3 one is.  The shift turns the convergence ratio lambda_j / lambda_i
-    of a coupling into (lambda_j - s) / (lambda_i - s), so the bottom of
-    the spectrum splits off within a few steps.
+    3 x 3 one is.  The finished diagonal must pass it too, so an input that
+    no step factors (1 x 1, or diag(-1, 2)) is checked.  The shift turns
+    the convergence ratio lambda_j / lambda_i of a coupling into
+    (lambda_j - s) / (lambda_i - s), so the bottom of the spectrum splits
+    off within a few steps.
 
     Couplings already below 1% of the stop threshold (divided by n) are
     treated as converged zeros, which splits the matrix into independent
@@ -335,15 +337,14 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
     _check_hermitian(arr)
     n = arr.shape[0]
     scale = matrix_scale(arr)
-    if n <= 1:
-        return _finish_spectrum(np.diag(arr).real, 0, True, scale)
     trace = float(np.trace(arr).real)
     stop = tol * max(trace, 1e-300)
-    deflate = 0.01 * stop / n
-    finished: list[float] = []
+    deflate = 0.01 * stop / max(n, 1)
+    # a 1 x 1 input is finished as it is; the pivot rule below still applies
+    finished: list[float] = list(np.diag(arr).real) if n <= 1 else []
     # (block, depth, local): a block split off as a component is connected,
     # so its first split test waits a full period
-    pending = [(arr, 0, 0)]
+    pending = [(arr, 0, 0)] if n > 1 else []
     deepest = 0
     converged = True
     while pending:
@@ -383,6 +384,8 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
                 block[diag] += shift
             depth += 1
             local += 1
+    if not all(value > 0.0 for value in finished):  # the pivot rule; NaN fails it
+        raise NotPositiveDefiniteError("finished diagonal has a pivot <= 0")
     return _finish_spectrum(finished, deepest, converged, scale)
 
 

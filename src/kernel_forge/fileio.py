@@ -9,7 +9,9 @@ sorted keys so identical runs produce identical bytes.
 
 Every value is converted once: arrays become Python floats through one
 `tolist()`, a CSV cell is exactly `repr(float)`, and a report is exactly
-`json.dumps(sort_keys=True, indent=2)` of the converted record.  Readers
+`json.dumps(sort_keys=True, indent=2)` of the converted record.  NaN and
++-inf are not JSON: a report or header holding one raises ValueError
+(`allow_nan=False`) instead of writing `NaN` or `Infinity`.  Readers
 parse a whole matrix with `float()` first and take the per-cell route
 only for complex or parenthesised cells.  Malformed input raises
 `ValueError` naming the file and the line; it is never truncated.
@@ -264,9 +266,9 @@ def render_report(command: str, config: dict, payload: dict, seed=None) -> str:
     """Schema-versioned JSON report with deterministic serialization."""
     doc = _record(command, config, seed)
     doc.update(json_value(payload))
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def config_header(command: str, config: dict) -> str:
     """One-line `# {...}` JSON header of a CSV body: schema, command, config."""
-    return "# " + json.dumps(_record(command, config), sort_keys=True) + "\n"
+    return "# " + json.dumps(_record(command, config), sort_keys=True, allow_nan=False) + "\n"

@@ -8,6 +8,13 @@ both halves of the factorization identity K(x, y) = integral of
 conj(k_x) k_y dmu — deterministic quadrature on one side, empirical
 covariance on the other.
 
+Brownian motion over a base measure mu is `ito_synthesize(pair_ex1(mu),
+...)`: W([0, x]) sums the increments of the cells whose left end is <= x
+(the quadrature's left-endpoint rule), so at x = 0, as at every dyadic x,
+it carries the cell that starts at x.  The grid passes the brownian-min
+check (finite, >= 0); for x > 1 the path is W([0, 1]).  Increments are
+drawn a tile at a time and never stored, so no paths x cells cap applies.
+
 Randomness policy (pinned for bit-exact reproducibility): path p of a
 run with master seed s draws from a Philox counter-based generator keyed
 by (s, p).  Raw 64-bit words map to open-interval uniforms via
@@ -71,13 +78,12 @@ from scipy.special import ndtri
 from .errors import NotPositiveDefiniteError, OutOfDomainError
 from .factorize import _nonnegative, cholesky
 from .kernels import GramMatrix, KernelSpec, _points, gram
-from .measures import MeasureModel, _unit_points, _values_at, cells, measure_of_intervals
+from .measures import MeasureModel, _values_at, cells, measure_of_intervals
 
 __all__ = [
     "FactorizationPair",
     "PathEnsemble",
     "RngSeedPolicy",
-    "WienerIncrements",
     "DualityReport",
     "QuadraticVariationReport",
     "pair_ex1",
@@ -85,8 +91,6 @@ __all__ = [
     "pair_ex3",
     "custom_pair",
     "sample_gaussian_vector",
-    "wiener_increments",
-    "cumulative_path",
     "ito_synthesize",
     "frame_synthesize",
     "empirical_covariance",
@@ -96,7 +100,6 @@ __all__ = [
 ]
 
 _PATH_TILE = 2048  # paths per draw and product; fixed, so rounding is too
-MAX_MATERIALIZED_ENTRIES = 1 << 27  # ~1 GiB of float64; beyond this, stream
 
 _TWO_NEG53 = 2.0 ** -53
 _CHUNK_NORMALS = 1 << 16  # per chunk: the 512 KiB word buffer stays in cache
@@ -311,20 +314,6 @@ class PathEnsemble:
         return self.paths.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class WienerIncrements:
-    """Independent N(0, mass) increments over the cells of a partition.
-
-    `matrix` is paths x cells; the measure and resolution ride along so
-    cumulative sums can apply the cell-inclusion rule.
-    """
-
-    measure: MeasureModel
-    resolution: int
-    matrix: np.ndarray
-    seed: int
-
-
 # ---------------------------------------------------------------------------
 # factorization pairs: feature functions + the measure they integrate against
 
@@ -479,46 +468,6 @@ def sample_gaussian_vector(g, n_paths: int, seed: int = 0) -> PathEnsemble:
     out = _mix_paths(policy, n_paths, mixer)
     return PathEnsemble(
         grid=grid, paths=out, seed=policy.master_seed, ridge_used=ridge
-    )
-
-
-def wiener_increments(
-    m: MeasureModel, resolution: int, n_paths: int, seed: int = 0
-) -> WienerIncrements:
-    """Independent W_A ~ N(0, mu(A)) per partition cell, per path."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    part = cells(m, resolution)
-    policy = RngSeedPolicy(seed)
-    n_cells = len(part.masses)
-    if n_paths * n_cells > MAX_MATERIALIZED_ENTRIES:
-        raise ValueError(
-            f"{n_paths} x {n_cells} increments would exceed the materialization "
-            "cap; lower the resolution or synthesize in streamed form"
-        )
-    matrix = policy.normal_block(0, n_paths, n_cells)
-    matrix *= np.sqrt(part.masses)
-    return WienerIncrements(
-        measure=m, resolution=resolution, matrix=matrix, seed=policy.master_seed
-    )
-
-
-def cumulative_path(increments: WienerIncrements, x_grid) -> PathEnsemble:
-    """W([0, x]) by summing increments of cells with left endpoint <= x.
-
-    W(0) = 0 by convention (the rule would otherwise pick up the first
-    cell at x = 0).  Paths are constant across gaps of the support —
-    cells carrying no mass contribute noise-free zeros only when the
-    partition omits them, which the IFS partitions do.
-    """
-    xs = _unit_points(x_grid)[:, None]
-    lefts = cells(increments.measure, increments.resolution).lefts
-    mask = ((lefts <= xs) & (xs > 0.0)).astype(float).T  # cells x grid
-    return PathEnsemble(
-        grid=xs[:, 0].tolist(),
-        paths=increments.matrix @ mask,
-        seed=increments.seed,
-        partition_resolution=increments.resolution,
     )
 
 

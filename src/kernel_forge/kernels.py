@@ -60,7 +60,7 @@ _LOG_TINY = math.log(5e-324)
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """A finite union of disjoint closed intervals [a_i, b_i], ascending."""
+    """A finite union of disjoint closed finite intervals [a_i, b_i], ascending."""
 
     intervals: tuple
 
@@ -68,8 +68,8 @@ class IntervalSet:
         ivs = tuple((float(a), float(b)) for a, b in self.intervals)
         object.__setattr__(self, "intervals", ivs)
         for a, b in ivs:
-            if not a <= b:  # also False for NaN
-                raise ValueError(f"interval [{a}, {b}] is not an interval a <= b")
+            if not -math.inf < a <= b < math.inf:  # also False for NaN
+                raise ValueError(f"interval [{a}, {b}] is not a finite interval a <= b")
         for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
             if b1 >= a2:
                 raise ValueError("intervals must be pairwise disjoint and ascending")

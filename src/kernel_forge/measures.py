@@ -288,8 +288,8 @@ def generating_function(s: complex, trunc: int):
     total = 0.0 + 0.0j
     for lam in lambda4(4 ** trunc):
         total += s ** lam
-    q = abs(s) ** (4 ** trunc)  # underflows to 0 for large trunc: gap below eps
-    gap = abs(prod) * q / (1.0 - q) if q < 1.0 else math.inf
+    q = abs(s) ** (4 ** trunc)  # < 1 as |s| < 1; underflows to 0 for large trunc
+    gap = abs(prod) * q / (1.0 - q)
     return prod, total, gap
 
 

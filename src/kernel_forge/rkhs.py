@@ -259,16 +259,16 @@ def induced_graph(
 @dataclass(frozen=True, eq=False)
 class PiecewiseLinearSpline:
     """Piecewise-linear interpolant anchored at (0, 0), constant after the
-    last knot (zero-derivative tail).  Defined for t >= 0."""
+    last knot (zero-derivative tail).  Defined for finite t >= 0."""
 
     knots_x: np.ndarray
     knots_y: np.ndarray
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        inside = arr >= 0.0  # False for NaN
+        inside = (0.0 <= arr) & (arr < np.inf)  # False for NaN
         if not inside.all():
-            raise OutOfDomainError(f"interpolant domain is t >= 0, got {arr[~inside][0]}")
+            raise OutOfDomainError(f"interpolant domain is finite t >= 0, got {arr[~inside][0]}")
         out = np.interp(arr, self.knots_x, self.knots_y)
         return float(out) if arr.ndim == 0 else out
 

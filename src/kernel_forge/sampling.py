@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import NotIncreasingError, SingularMatrixError
+from .errors import NotIncreasingError, OutOfDomainError, SingularMatrixError
 from .factorize import _nonnegative, eig_range, matrix_scale
 from .kernels import KernelSpec, SampleSet, as_sample_set, cross_gram, gram, kernel_diagonal
 
@@ -170,8 +170,9 @@ class SawtoothWitness:
     c_n up to the midpoint and -c_n down, so the apex value is
     c_n (x_{n+1} - x_n) / 2 and the energy contribution is c_n^2 dx_n.
     The object is callable: it IS the evaluation function (zero outside
-    the knot range).  By the reproducing property, inner products against
-    kernel sections at the knots equal the knot values — exactly zero.
+    the knot range, defined for finite t).  By the reproducing property,
+    inner products against kernel sections at the knots equal the knot
+    values — exactly zero.
     """
 
     knots: np.ndarray
@@ -182,6 +183,9 @@ class SawtoothWitness:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
+        inside = np.isfinite(arr)
+        if not inside.all():
+            raise OutOfDomainError(f"witness domain is finite t, got {arr[~inside][0]}")
         out = np.interp(arr, self.breakpoints, self.heights, left=0.0, right=0.0)
         return float(out) if arr.ndim == 0 else out
 

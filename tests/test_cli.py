@@ -300,7 +300,22 @@ def test_interpolate_rejects_a_nan_eval_point(tmp_path, capsys):
     out = tmp_path / "out.json"
     argv = ["interpolate", "--data", str(data), "--eval", str(grid), "--out", str(out)]
     assert cli.run(argv) == 2
-    assert "interpolant domain is t >= 0, got nan" in capsys.readouterr().err
+    assert "interpolant domain is finite t >= 0, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv,domain", [
+    (["witness", "sawtooth", "--knots", "knots.csv"], "witness domain is finite t"),
+    (["interpolate", "--data", "data.csv"], "interpolant domain is finite t >= 0"),
+], ids=["witness", "interpolate"])
+def test_a_non_finite_eval_point_exits_2(tmp_path, monkeypatch, capsys, argv, domain, bad):
+    # NaN and Infinity are not JSON: the point is rejected, not reported
+    _golden_run(tmp_path, monkeypatch, GOLDEN_OUTPUTS[0][0])
+    (tmp_path / "bad.csv").write_text(f"real-line\n0.4\n{bad}\n")
+    out = tmp_path / "bad.json"
+    assert cli.run(argv + ["--eval", "bad.csv", "--out", str(out)]) == 2
+    assert f"{domain}, got {bad}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -804,11 +819,64 @@ def test_no_float_option_writes_nan(tmp_path, monkeypatch, capsys):
             for run in _float_option_runs(argv, action, bad):
                 out.unlink(missing_ok=True)
                 code = cli.run(run + ["--out", str(out)])
-                assert code == 2 or (code == 0 and b"NaN" not in out.read_bytes()), (run, code)
+                assert code == 2 or (code == 0 and not _writes_non_finite(out)), (run, code)
         guarded.append(" ".join(words))
     capsys.readouterr()
     assert sorted(guarded) == ["cantor gen-fn", "chol", "delta-test", "duality", "eig",
                                "frame check", "graph", "qvar"]
+
+
+def _writes_non_finite(out) -> bool:
+    """Whether the output holds a NaN or Infinity token, which JSON lacks,
+    or a CSV cell `nan` or `inf`."""
+    return re.search(rb"NaN|Infinity|\bnan\b|\binf\b", out.read_bytes()) is not None
+
+
+FILE_OPTIONS = ("--points", "--grid-file", "--eval", "--test-points", "--set", "--chain-file",
+                "--matrix", "--data", "--knots", "--values", "--samples", "--slopes")
+_FILE_NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _number_rewrites(text, bad):
+    """text with its first number, then its last, replaced by `bad`."""
+    numbers = list(_FILE_NUMBER.finditer(text))
+    for start, end in dict.fromkeys((numbers[0].span(), numbers[-1].span())):
+        yield text[:start] + bad + text[end:]
+
+
+def test_no_file_number_writes_nan(tmp_path, monkeypatch, capsys):
+    # every file option of every command, on each golden argv of the
+    # command that names a file there: the file's first, then its last
+    # number set to nan, inf or -inf is rejected (exit 2), or the run
+    # writes neither NaN nor Infinity
+    _golden_run(tmp_path, monkeypatch, GOLDEN_OUTPUTS[0][0])
+    out = tmp_path / "out.txt"
+    with_files, guarded = [], set()
+    for words, leaf in _leaf_parsers(cli.build_parser()):
+        if not any(set(a.option_strings) & set(FILE_OPTIONS) for a in leaf._actions):
+            continue
+        with_files.append(" ".join(words))
+        for argv, _ in GOLDEN_OUTPUTS:
+            if argv[: len(words)] != words:
+                continue
+            for k in range(len(words), len(argv) - 1):
+                source = tmp_path / argv[k + 1]
+                if argv[k] not in FILE_OPTIONS or not source.is_file():
+                    continue
+                for bad in ("nan", "inf", "-inf"):
+                    for text in _number_rewrites(source.read_text(), bad):
+                        (tmp_path / "bad.csv").write_text(text)
+                        run = argv[: k + 1] + ["bad.csv"] + argv[k + 2:]
+                        out.unlink(missing_ok=True)
+                        code = cli.run(run + ["--out", str(out)])
+                        assert code == 2 or (code == 0 and not _writes_non_finite(out)), (
+                            run, text, code)
+                guarded.add(" ".join(words))
+    capsys.readouterr()
+    assert sorted(guarded) == sorted(with_files) == [
+        "cantor cdf", "chol", "covcheck", "delta-test", "duality", "eig", "frame bounds",
+        "frame check", "frame reconstruct", "gram", "graph", "interpolate", "inv", "project",
+        "simulate", "witness sawtooth"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -203,6 +203,10 @@ def reference_lr(arr, max_iter=500, tol=1e-12):
             block = lower.T @ lower
             depth += 1
             local += 1
+    # a block that split off diagonal was never factored: its values are
+    # its last pivots, and LAPACK's rule (> 0, so NaN fails) applies
+    if not all(value > 0.0 for value in finished):
+        raise kf.NotPositiveDefiniteError("finished diagonal has a pivot <= 0")
     return _finish_spectrum(finished, deepest, converged, scale)
 
 
@@ -429,6 +433,26 @@ def test_alt_cholesky_converges_within_the_default_budget(kind):
         )
 
 
+@pytest.mark.parametrize(
+    "diagonal", [[-1.0, 2.0], [-1.0], [-1.0, 2.0, 3.0], [0.0], [0.0, 1.0]],
+    ids=["diag(-1,2)", "[-1]", "diag(-1,2,3)", "[0]", "diag(0,1)"])
+def test_alt_cholesky_rejects_a_diagonal_it_never_factors(diagonal):
+    # already diagonal, so no step runs: the finished values are the pivots
+    g = np.diag(diagonal)
+    with pytest.raises(kf.NotPositiveDefiniteError):
+        kf.alt_cholesky_eigs(g)
+    with pytest.raises(kf.NotPositiveDefiniteError):
+        reference_lr(g)
+    with pytest.raises(kf.NotPositiveDefiniteError):
+        kf.cholesky(g)
+
+
+def test_alt_cholesky_finishes_a_1x1_input_at_once():
+    # no step runs, also at tol = 0, where no coupling is below the stop
+    res = kf.alt_cholesky_eigs([[2.0]], tol=0.0)
+    assert (res.eigenvalues.tolist(), res.iterations, res.converged) == ([2.0], 0, True)
+
+
 @pytest.mark.parametrize("v", [[1.0, 2.0], [1.0, 2.0, 3.0]], ids=["2x2", "3x3"])
 def test_alt_cholesky_rejects_an_exactly_singular_matrix(v):
     # an integer rank-one matrix: elimination meets a pivot of exactly 0,
@@ -456,10 +480,10 @@ def _exactly_singular(rng, n):
     v[0] = rng.integers(1, 10)
     g = np.outer(v, v)
     if rng.integers(2):
-        k = rng.integers(n)
+        # row 0 keeps its pivot v[0]^2 >= 1, so elimination starts
+        k = rng.integers(1, n)
         g[k, :] = 0.0
         g[:, k] = 0.0
-        g[0, 0] = max(g[0, 0], 1.0)
     return g
 
 
@@ -478,9 +502,7 @@ def test_alt_cholesky_rejects_what_the_reference_rejects(n, seed, make):
             outcomes.append("ok")
         except kf.NotPositiveDefiniteError:
             outcomes.append("not-pd")
-    assert outcomes[0] == outcomes[1]
-    if make is _clearly_indefinite:
-        assert outcomes[0] == "not-pd"
+    assert outcomes == ["not-pd", "not-pd"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -613,4 +635,15 @@ def test_cli_eig_non_finite_exits_two(tmp_path, capsys, method, text):
     argv = ["eig", "--matrix", str(m), "--method", method, "--out", str(out)]
     assert cli.run(argv) == 2
     assert "NaN or infinite" in capsys.readouterr().err
+    assert not out.exists() or out.read_text() == ""
+
+
+def test_cli_eig_alt_chol_on_an_indefinite_diagonal_exits_one(tmp_path, capsys):
+    from kernel_forge import cli
+
+    m = tmp_path / "m.csv"
+    m.write_text("-1.0,0.0\n0.0,2.0\n")
+    out = tmp_path / "out.json"
+    assert cli.run(["eig", "--matrix", str(m), "--method", "alt-chol", "--out", str(out)]) == 1
+    assert "pivot <= 0" in capsys.readouterr().err
     assert not out.exists() or out.read_text() == ""

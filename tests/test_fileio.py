@@ -105,6 +105,17 @@ def test_render_report_shape():
     assert text == fileio.render_report("demo", {"alpha": 1}, {"value": 0.5 + 0.25j}, seed=3)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_reports_refuse_non_finite_values(bad):
+    # NaN and Infinity are not JSON: the writers raise rather than emit them
+    with pytest.raises(ValueError):
+        fileio.render_report("demo", {}, {"value": bad})
+    with pytest.raises(ValueError):
+        fileio.render_report("demo", {}, {"values": np.array([0.5, complex(0.0, bad)])})
+    with pytest.raises(ValueError):
+        fileio.config_header("demo", {"tol": bad})
+
+
 def test_json_value_handles_numpy():
     out = fileio.json_value({"a": np.float64(1.5), "b": np.arange(3), "c": np.int64(2)})
     assert out == {"a": 1.5, "b": [0, 1, 2], "c": 2}
@@ -227,7 +238,7 @@ def ref_render_report(command, config, payload, seed=None):
     if seed is not None:
         doc["seed"] = int(seed)
     doc.update(ref_json_value(payload))
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def ref_matrix_json(arr, points=None):
@@ -341,8 +352,14 @@ PAYLOADS = st.recursive(
        st.dictionaries(st.text(max_size=4), SCALARS, max_size=3),
        st.one_of(st.none(), st.integers(0, 2**64)))
 def test_render_report_matches_recursive_loop(payload, config, seed):
-    text = fileio.render_report("cmd", config, payload, seed=seed)
-    assert text == ref_render_report("cmd", config, payload, seed=seed)
+    # a NaN or +-inf anywhere makes both raise: neither is JSON
+    try:
+        want = ref_render_report("cmd", config, payload, seed=seed)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fileio.render_report("cmd", config, payload, seed=seed)
+    else:
+        assert fileio.render_report("cmd", config, payload, seed=seed) == want
     assert_plain(fileio.json_value(payload))
 
 

@@ -206,67 +206,77 @@ def test_gaussian_vector_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Wiener increments and cumulative paths
+# Brownian paths over a base measure: the Ito sum of chi_[0, x]
 
 
-def test_wiener_increment_variances():
-    for m, res in ((kf.lebesgue(), 5), (kf.cantor4(), 4)):
-        inc = gpsim.wiener_increments(m, res, n_paths=40_000, seed=2)
-        var = np.var(inc.matrix, axis=0)
-        np.testing.assert_allclose(var, 2.0**-res, rtol=0.1)
+def _cumulative_reference(m, resolution, x_grid, n_paths, seed):
+    """W([0, x]) summed from one stored block of increments,
+    (z sqrt(m)) @ (lefts <= x): the route the Ito sum replaced, which
+    agreed with it for x in (0, 1] and forced W(0) = 0."""
+    part = kf.cells(m, resolution)
+    increments = RngSeedPolicy(seed).normal_block(0, n_paths, len(part.masses))
+    increments *= np.sqrt(part.masses)
+    mask = (part.lefts[:, None] <= np.asarray(x_grid, dtype=float)).astype(float)
+    return increments @ mask
 
 
-def test_cumulative_path_starts_at_zero():
-    inc = gpsim.wiener_increments(kf.lebesgue(), 4, n_paths=20, seed=0)
-    ens = gpsim.cumulative_path(inc, [0.0, 0.5, 1.0])
-    np.testing.assert_array_equal(ens.paths[:, 0], np.zeros(20))
+@pytest.mark.parametrize("measure", ["lebesgue", "cantor4"])
+@pytest.mark.parametrize("resolution", [1, 3, 6, 9])
+@pytest.mark.parametrize("n_paths", [1, 7, 2048, 2049, 5000])
+def test_brownian_paths_match_the_cumulative_increment_sums(measure, resolution, n_paths):
+    # only the summation order differs: z @ (mask sqrt(m)) per tile against
+    # (z sqrt(m)) @ mask, so the two agree to a few ulps of max |V|
+    m = kf.MeasureModel(measure)
+    grid = np.sort(1.0 - np.random.default_rng(resolution).random(6))  # in (0, 1]
+    grid[-1] = 1.0
+    got = gpsim.ito_synthesize(gpsim.pair_ex1(m), resolution, grid, n_paths, seed=3).paths
+    want = _cumulative_reference(m, resolution, grid, n_paths, seed=3)
+    assert got.shape == want.shape == (n_paths, 6)
+    ulp = np.finfo(float).eps * np.abs(want).max()
+    np.testing.assert_allclose(got, want, rtol=0, atol=8 * ulp)
 
 
-def test_cumulative_path_telescopes():
-    inc = gpsim.wiener_increments(kf.lebesgue(), 3, n_paths=10, seed=5)
-    ens = gpsim.cumulative_path(inc, [1.0])
-    np.testing.assert_allclose(ens.paths[:, 0], np.sum(inc.matrix, axis=1), atol=1e-12)
+@pytest.mark.parametrize("measure", ["lebesgue", "cantor4"])
+def test_brownian_paths_equal_the_cumulative_sums_at_the_demo_sizes(measure):
+    m = kf.MeasureModel(measure)
+    grid = [0.25, 0.5, 1.0]
+    got = gpsim.ito_synthesize(gpsim.pair_ex1(m), 6, grid, 20_000, seed=7).paths
+    assert got.tobytes() == _cumulative_reference(m, 6, grid, 20_000, seed=7).tobytes()
+
+
+def test_brownian_path_at_zero_and_beyond_one():
+    # x = 0 carries the cell that starts there, as every dyadic x does,
+    # and past 1 the path is W([0, 1])
+    pair = gpsim.pair_ex1(kf.lebesgue())
+    v = gpsim.ito_synthesize(pair, 3, [0.0, 1.0, 1.5], n_paths=10, seed=5).paths
+    want = _cumulative_reference(kf.lebesgue(), 3, [0.0, 1.0], 10, seed=5)
+    np.testing.assert_allclose(v[:, :2], want, rtol=0, atol=1e-15)
+    assert np.all(v[:, 0] != 0.0)
+    assert v[:, 1].tobytes() == v[:, 2].tobytes()
 
 
 def test_cumulative_path_on_an_empty_grid():
-    inc = gpsim.wiener_increments(kf.cantor4(), 3, n_paths=7, seed=0)
-    ens = gpsim.cumulative_path(inc, [])
+    ens = gpsim.ito_synthesize(gpsim.pair_ex1(kf.cantor4()), 3, [], n_paths=7, seed=0)
     assert ens.paths.shape == (7, 0) and ens.paths.dtype == float
 
 
-def test_cumulative_path_domain():
-    inc = gpsim.wiener_increments(kf.lebesgue(), 3, n_paths=2, seed=0)
-    with pytest.raises(kf.OutOfDomainError):
-        gpsim.cumulative_path(inc, [1.5])
-
-
 def test_cumulative_path_rejects_a_nan_point():
-    inc = gpsim.wiener_increments(kf.lebesgue(), 3, n_paths=2, seed=0)
     with pytest.raises(kf.OutOfDomainError):
-        gpsim.cumulative_path(inc, [0.5, float("nan")])
+        gpsim.ito_synthesize(gpsim.pair_ex1(kf.lebesgue()), 3, [0.5, float("nan")], n_paths=2)
 
 
 def test_cantor_staircase_path_variance():
     # mass accumulates only on the fractal support
-    inc = gpsim.wiener_increments(kf.cantor4(), 6, n_paths=50_000, seed=9)
-    ens = gpsim.cumulative_path(inc, [0.25, 0.5, 1.0])
+    pair = gpsim.pair_ex1(kf.cantor4())
+    ens = gpsim.ito_synthesize(pair, 6, [0.25, 0.5, 1.0], n_paths=50_000, seed=9)
     var = np.var(ens.paths, axis=0)
     np.testing.assert_allclose(var, [0.5, 0.5, 1.0], rtol=0.05)
-
-
-def test_wiener_increments_are_one_scaled_normal_block():
-    # 4100 paths span three 2048-path blocks
-    m = kf.cantor4()
-    masses = kf.cells(m, 3).masses
-    inc = gpsim.wiener_increments(m, 3, n_paths=4100, seed=6)
-    want = RngSeedPolicy(6).normal_block(0, 4100, len(masses)) * np.sqrt(masses)
-    assert inc.matrix.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_paths", [0, -5])
 def test_wiener_routines_need_a_path(n_paths):
     with pytest.raises(ValueError, match="n_paths must be >= 1"):
-        gpsim.wiener_increments(kf.lebesgue(), 3, n_paths=n_paths)
+        gpsim.ito_synthesize(gpsim.pair_ex1(kf.lebesgue()), 3, [0.5], n_paths=n_paths)
     with pytest.raises(ValueError, match="n_paths must be >= 1"):
         gpsim.quadratic_variation(kf.lebesgue(), (0.0, 1.0), [2], n_paths=n_paths)
 

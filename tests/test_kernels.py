@@ -89,6 +89,14 @@ def test_interval_set_rejects_nan_and_reversed_endpoints(interval):
         kf.IntervalSet((interval, (0.8, 0.9)))
 
 
+@pytest.mark.parametrize("interval",
+                         [(-math.inf, 0.5), (0.5, math.inf), (-math.inf, math.inf)])
+def test_interval_set_rejects_infinite_endpoints(interval):
+    # an infinite end would reach reports as Infinity, which JSON lacks
+    with pytest.raises(ValueError, match="not a finite interval"):
+        kf.IntervalSet((interval,))
+
+
 @pytest.mark.parametrize("m,mass", [(kf.lebesgue(), 0.25), (kf.cantor4(), 0.5)],
                          ids=["lebesgue", "cantor4"])
 def test_overlap_gram_of_empty_sets(m, mass):

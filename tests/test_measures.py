@@ -253,6 +253,13 @@ def test_generating_function_frozen_value():
     assert abs(prod - total) < 1e-12
 
 
+@pytest.mark.parametrize("s", [np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0),
+                               complex(0.0, np.nextafter(1.0, 0.0))])
+def test_generating_function_gap_is_finite_below_the_boundary(s):
+    # |s| < 1 makes q = |s|^(4^trunc) < 1, so the gap bound never overflows
+    assert math.isfinite(kf.generating_function(s, 1)[2])
+
+
 def test_generating_function_rejects_boundary():
     with pytest.raises(kf.OutOfDomainError):
         kf.generating_function(1.0, 3)

@@ -213,7 +213,8 @@ def test_interpolant_rejects_a_nan_evaluation_point():
     for t in (float("nan"), np.array([0.5, float("nan")]), [[1.0], [float("nan")]]):
         with pytest.raises(kf.OutOfDomainError, match="t >= 0, got nan"):
             f(t)
-    assert f(float("inf")) == 3.0  # the constant tail reaches +inf
+    with pytest.raises(kf.OutOfDomainError, match="finite t >= 0, got inf"):
+        f(float("inf"))  # the tail is constant, but inf is no point of [0, inf)
 
 
 def test_min_norm_matches_projection_route():
