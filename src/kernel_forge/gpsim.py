@@ -13,14 +13,15 @@ Brownian motion over a base measure mu is `ito_synthesize(pair_ex1(mu),
 (the quadrature's left-endpoint rule), so at x = 0, as at every dyadic x,
 it carries the cell that starts at x.  The grid passes the brownian-min
 check (finite, >= 0); for x > 1 the path is W([0, 1]).  Increments are
-drawn a tile at a time and never stored, so no paths x cells cap applies.
+drawn a block at a time and never stored, so no paths x cells cap applies.
 
 Randomness policy (pinned for bit-exact reproducibility): path p of a
 run with master seed s draws from a Philox counter-based generator keyed
 by (s, p).  Raw 64-bit words map to open-interval uniforms via
 u = ((word >> 11) + 0.5) * 2^-53, and to normals via the inverse CDF
-(scipy.special.ndtri).  Draws depend only on (seed, path, position), so
-results are identical across chunk sizes, worker counts, and platforms.
+(scipy.special.ndtri).  Draws depend only on (seed, path, position), and
+a mixed path only on (seed, path, mixer): results are identical across
+path counts, chunk sizes, worker counts and BLAS thread counts.
 
 Increments and frame coefficients stay real; complex-valued processes
 arise only through complex feature functions, except for direct sampling
@@ -28,36 +29,39 @@ of a complex Gram matrix, which widens its complex Cholesky factor L into
 the n x 2n factor M = [L, -iL] / sqrt(2): M M^H = G, and M M^T = 0, so
 the samples are circular.
 
-`RngSeedPolicy.normal_block` is the one draw engine.  It fills its
-(paths, count) output in place, in row chunks of about 64k normals, so
-each chunk's word buffer stays in cache: one Philox generator per chunk
-is rekeyed per path, and the shift, the offset, the scale and ndtri all
-write into the output.  A block of at least 2^20 normals runs its chunks
-on a thread pool (Philox, the ufuncs and ndtri release the GIL) with
-min(cap, usable cores, chunks) workers, the cap coming from the CLI's
---threads / KERNEL_FORGE_THREADS; smaller blocks run the same chunk
-function inline.  Chunks write disjoint rows, so neither the chunking nor
-the worker count can change a bit of the output.  The synthesizers draw
-and mix one fixed tile of 2048 paths at a time, aligned to path 0 (BLAS
-rounds a product's rows by its shape); a complex mixer is applied as two
-real products, so the draws are never upcast to complex.
+One block runner, `_run_blocks`, runs every draw job: on a thread pool
+of min(cap, usable cores, blocks) workers for a job of at least 2^20
+normals (Philox, the ufuncs, ndtri and BLAS release the GIL), the cap
+coming from the CLI's --threads / KERNEL_FORGE_THREADS; smaller jobs run
+the same blocks inline.  `_fill_chunk` draws a block's rows in place:
+one Philox generator is rekeyed per path, and the shift, the offset, the
+scale and ndtri all write into the rows.  Every block writes only its
+own rows, so neither the blocking nor the worker count can change a bit.
 
-The Ito sum draws many normals per path and mixes them into a few grid
-points, so its draws, not its products, take the time.  `ito_synthesize`
-(and `duality_check` around it, with its quadrature product) therefore
-holds numpy's OpenBLAS to one thread while it runs, and restores the
-previous count on exit.  After a multi-threaded product an OpenBLAS
-worker busy-waits for about 0.1 s and holds a core that the Philox/ndtri
-workers need; on two cores that cost the pool about half its speed.  So
-while the draws are made and mixed, the draw pool is the only thread
-pool and --threads / KERNEL_FORGE_THREADS bound it.  Direct sampling of
-a Gram matrix keeps BLAS threads: its mixer is as wide as its draws, and
-there the threaded product gains more than the spin costs the pool.
-Frame synthesis keeps them too; it draws one normal per frame function,
-rarely enough to reach the pool.  The OpenBLAS is the one numpy loaded,
-found with ctypes on first use (scipy's own copy is not on this path);
-with another BLAS (MKL, Accelerate) the hold does nothing.  Output bytes
-are the same with and without it; the tests compare both.
+`RngSeedPolicy.normal_block` returns the normals themselves, filled in
+row chunks of about 64k normals.  The synthesizers never hold them:
+`_mix_paths` cuts the paths into blocks of B = _block_rows(draws) paths
+(about 2^17 normals, at most 2048 paths) aligned to path 0, and the
+worker that draws a block into its cache-sized buffer multiplies it by
+the mixer there and writes only its rows of z @ mixer.  The last block
+is zero-padded to B rows, so every product has one shape, and BLAS,
+which rounds a product's rows by its shape, rounds a path the same way
+in every run.  A complex mixer is one real product with its float view,
+whose columns interleave [re | im]; the draws are never upcast.
+
+One BLAS rule: every Monte Carlo product (the Ito sum, direct sampling
+of a Gram matrix, frame synthesis) runs under `_one_blas_thread`, which
+holds numpy's OpenBLAS to one thread and restores the previous count on
+exit; `duality_check` holds it around its quadrature product and
+empirical covariance too.  After a multi-threaded product an OpenBLAS
+worker busy-waits for about 0.1 s and holds a core that the draw workers
+need; on two cores that cost the pool about half its speed.  So the draw
+pool is the only thread pool, and --threads / KERNEL_FORGE_THREADS bound
+it: a wide mixer's products run in parallel as the pool's blocks.  The
+OpenBLAS is the one numpy loaded, found with ctypes on first use
+(scipy's own copy is not on this path); with another BLAS (MKL,
+Accelerate) the hold does nothing.  Output bytes are the same with and
+without it; the tests compare both.
 """
 
 from __future__ import annotations
@@ -99,10 +103,11 @@ __all__ = [
     "transform_adjoint",
 ]
 
-_PATH_TILE = 2048  # paths per draw and product; fixed, so rounding is too
+_PATH_TILE = 2048  # paths per quadratic-variation tile, and at most per mixed block
 
 _TWO_NEG53 = 2.0 ** -53
-_CHUNK_NORMALS = 1 << 16  # per chunk: the 512 KiB word buffer stays in cache
+_CHUNK_NORMALS = 1 << 16  # per normal_block chunk: 512 KiB stays in cache
+_BLOCK_NORMALS = 1 << 17  # per mixed block; sets the product shape, so its rounding
 _PARALLEL_MIN_NORMALS = 1 << 20  # smaller blocks fill their chunks inline
 _worker_cap: Optional[int] = None  # the CLI's --threads; None means usable cores
 
@@ -226,19 +231,12 @@ class RngSeedPolicy:
         """
         out = np.empty((n_paths, count))
         per_chunk = max(1, _CHUNK_NORMALS // max(count, 1))
-        starts = range(0, n_paths, per_chunk)
 
-        def fill(start):
+        def fill(chunk):
+            start = chunk * per_chunk
             self._fill_chunk(first_path + start, out[start : start + per_chunk])
 
-        workers = _worker_count(len(starts)) if out.size >= _PARALLEL_MIN_NORMALS else 1
-        if workers > 1:
-            with ThreadPoolExecutor(workers) as pool:
-                for _ in pool.map(fill, starts):
-                    pass
-        else:
-            for start in starts:
-                fill(start)
+        _run_blocks(fill, -(-n_paths // per_chunk), out.size)
         return out
 
     def _fill_chunk(self, first_path: int, rows: np.ndarray) -> None:
@@ -267,29 +265,63 @@ class RngSeedPolicy:
         ndtri(rows, out=rows)
 
 
-def _mix_paths(policy: RngSeedPolicy, n_paths: int, mixer: np.ndarray) -> np.ndarray:
-    """(n_paths, cols) rows z @ mixer, with z drawn one path tile at a time.
+def _run_blocks(work: Callable[[int], None], n_blocks: int, normals: int) -> None:
+    """work(0), ..., work(n_blocks - 1): on the draw pool for a job of at
+    least _PARALLEL_MIN_NORMALS normals, else inline in this thread."""
+    workers = _worker_count(n_blocks) if normals >= _PARALLEL_MIN_NORMALS else 1
+    if workers == 1:
+        for block in range(n_blocks):
+            work(block)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(work, range(n_blocks)):
+            pass
 
-    BLAS rounds a row of a product differently for different row counts,
-    so each product is one fixed tile of _PATH_TILE paths aligned to path
-    0, drawn by one normal_block call.  A complex mixer is applied as two
-    real products, out.real = z @ re and out.imag = z @ im; `z @ mixer`
-    would copy z to complex and run a complex gemm, at twice the memory
-    and several times the time.
+
+def _block_rows(draws: int) -> int:
+    """Paths per mixed block, a pure function of the draw count: about
+    _BLOCK_NORMALS normals, and at most one tile of short paths."""
+    return max(1, min(_PATH_TILE, _BLOCK_NORMALS // max(draws, 1)))
+
+
+def _mix_block(policy: RngSeedPolicy, first_path: int, mixer: np.ndarray, dest) -> None:
+    """Write rows first_path, ... of z @ mixer into dest (at most B rows).
+
+    z is one block of B paths, drawn into a buffer that is zero past
+    dest's rows, so the product has the same shape in every block.
     """
-    draws = mixer.shape[0]
-    out = np.empty((n_paths, mixer.shape[1]), dtype=mixer.dtype)
+    z = np.empty((_block_rows(mixer.shape[0]), mixer.shape[0]))
+    n = len(dest)
+    policy._fill_chunk(first_path, z[:n])
+    z[n:] = 0.0
+    dest[...] = (z @ mixer)[:n]
+
+
+def _mix_paths(policy: RngSeedPolicy, n_paths: int, mixer: np.ndarray) -> np.ndarray:
+    """(n_paths, cols) rows z @ mixer, drawn and mixed one block at a time.
+
+    Block b holds paths bB, ..., bB + B - 1, B = _block_rows(draws); the
+    worker that draws a block multiplies it and writes only its rows of
+    the output, so no paths x draws array is ever made, and a path's
+    value depends on (seed, path, mixer) alone.  A complex mixer is one
+    real product: its float view interleaves [re | im] column by column,
+    as the float view of a complex output row does.
+    """
+    mixer = np.asarray(mixer, dtype=np.result_type(mixer.dtype, np.float64))
+    draws, cols = mixer.shape
+    out = np.empty((n_paths, cols), dtype=mixer.dtype)
     if np.iscomplexobj(mixer):
-        parts = (
-            (out.real, np.ascontiguousarray(mixer.real)),
-            (out.imag, np.ascontiguousarray(mixer.imag)),
-        )
+        mixer, dest = np.ascontiguousarray(mixer).view(np.float64), out.view(np.float64)
     else:
-        parts = ((out, mixer),)
-    for start in range(0, n_paths, _PATH_TILE):
-        z = policy.normal_block(start, min(_PATH_TILE, n_paths - start), draws)
-        for dest, m in parts:
-            dest[start : start + len(z)] = z @ m
+        dest = out
+    rows = _block_rows(draws)
+
+    def mix(block):
+        start = block * rows
+        _mix_block(policy, start, mixer, dest[start : start + rows])
+
+    with _one_blas_thread():  # also on the workers: no BLAS thread may spin
+        _run_blocks(mix, -(-n_paths // rows), n_paths * draws)
     return out
 
 
@@ -297,8 +329,9 @@ def _mix_paths(policy: RngSeedPolicy, n_paths: int, mixer: np.ndarray) -> np.nda
 class PathEnsemble:
     """P sample paths over a fixed evaluation grid.
 
-    Deterministic for fixed (seed, resolution, grid, P) regardless of
-    chunk size, worker count or execution order.  `ridge_used` is the
+    Path p depends on the seed, p and the synthesizer's other inputs
+    alone: not on P, the chunk size, the worker count or the execution
+    order.  `ridge_used` is the
     ridge that `sample_gaussian_vector` added to a singular covariance,
     else 0.0.
     """
@@ -481,7 +514,8 @@ def ito_synthesize(
     """Discretized stochastic integral V_x = sum_i k_x(s_i) W_{A_i}.
 
     s_i are the left-endpoint cell representatives; increments are
-    drawn one path tile at a time so only the P x |grid| result materializes.
+    drawn and mixed one path block at a time, so only the P x |grid|
+    result materializes.
     """
     part = cells(pair.measure, resolution)
     grid = list(x_grid)
@@ -495,8 +529,7 @@ def _ito_ensemble(phi, masses, grid, resolution, n_paths, seed) -> PathEnsemble:
         raise ValueError("n_paths must be >= 1")
     policy = RngSeedPolicy(seed)
     mixer = (phi * np.sqrt(masses)).T  # cells x grid: z @ mixer = sum k(s_i) sqrt(m_i) z_i
-    with _one_blas_thread():  # no BLAS thread may spin while the draws run
-        out = _mix_paths(policy, n_paths, mixer)
+    out = _mix_paths(policy, n_paths, mixer)
     return PathEnsemble(
         grid=grid, paths=out, seed=policy.master_seed, partition_resolution=resolution
     )
@@ -586,17 +619,19 @@ def duality_check(
     Deterministic half: left-endpoint quadrature of conj(k_x) k_y against
     the pair's measure, compared entrywise to the Gram matrix (default
     tolerance 2^-resolution).  Stochastic half: empirical covariance of
-    the `ito_synthesize` ensemble against the Gram matrix (default
-    tolerance 5 max|K| / sqrt(P), five standard errors); a given
-    tolerance must be finite and >= 0.  Both halves read one partition
-    and one feature matrix.
+    the Ito ensemble against the Gram matrix (default tolerance
+    5 max|K| / sqrt(P), five standard errors); a given tolerance must be
+    finite and >= 0.  Both halves read one partition and one feature
+    matrix: the ensemble is mixed by `_ito_ensemble` from that matrix,
+    not by a second `ito_synthesize` call, and equals its paths bit for
+    bit.
     """
     _nonnegative(quad_tol=quad_tol, mc_tol=mc_tol)
     grid = list(grid)
     target = gram(spec, grid).entries
     part = cells(pair.measure, resolution)
     phi = pair.feature_matrix(grid, part.reps)
-    with _one_blas_thread():  # no BLAS thread may spin while the draws run
+    with _one_blas_thread():  # the Monte Carlo half's rule, for all three products
         quad = (phi.conj() * part.masses) @ phi.T
         ensemble = _ito_ensemble(phi, part.masses, grid, resolution, n_paths, seed)
         emp = empirical_covariance(ensemble)

@@ -121,6 +121,9 @@ def test_mc_bytes_independent_of_threads_and_blocks(
 ):
     argv = [command, "--example", example, "--grid-file", disk_grid_file,
             "--resolution", "7", "--paths", "300", "--seed", "2"]
+    # blocks of 7 paths: the block size sets the products' shape, so the
+    # reference is made with it too
+    monkeypatch.setattr(gpsim, "_BLOCK_NORMALS", 1000)
     code, ref = run_to_file(tmp_path, argv)
     assert code == 0
     pools = []
@@ -130,8 +133,8 @@ def test_mc_bytes_independent_of_threads_and_blocks(
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    # a low threshold and small chunks make every block run on the pool;
-    # a chunk of 7 normals holds one path, one of 1000 several
+    # a low threshold makes every job run on the pool; the draw chunk
+    # (7 normals: one path, 1000: several) must not reach the mix
     monkeypatch.setattr(gpsim, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(gpsim, "_usable_cores", lambda: 4)
     monkeypatch.setattr(gpsim, "_PARALLEL_MIN_NORMALS", 1)
@@ -684,10 +687,10 @@ GOLDEN_OUTPUTS = [
      "cf717a72a430b4fd54d006cd7a087b5a45c0e87c469b8b0db305f8457717e74d"),
     (["simulate", "--example", "ex1", "--paths", "40", "--resolution", "5",
       "--grid-file", "grid.csv", "--seed", "11"],
-     "7ae3af3a5d71fe48998a06a9868945cf7dc5cfd316f7aa7d946aad49666ed621"),
+     "2bf00c25ed78ed3e7bac2faa9d77e4fdb9ba18d2187d50a2a56cda2974996209"),
     (["simulate", "--example", "ex2", "--paths", "40", "--resolution", "5",
       "--grid-file", "disk.csv", "--seed", "11"],
-     "867bb3014b774bb13144c7909618c65e34b6902cdc65c875e2d4526ec3b46713"),
+     "1e1e873f72c62c223d327f1270030412c84ce2f10870d327132540da6b435d55"),
     (["project", "--kernel", "brownian-min", "--points", "line.csv",
       "--values", "vals_line.csv", "--eval", "eval_line.csv", "--format", "csv"],
      "49bddeb781311815dec45ffcae9d4ddcf886df164c81a1737699a6188576e40a"),
@@ -727,7 +730,7 @@ GOLDEN_OUTPUTS = [
      "9aeb82271a0cb3c702e861939e110e8fe0d29252adae64154ec3885420cff59e"),
     (["duality", "--example", "ex3", "--grid-file", "disk.csv", "--resolution", "6",
       "--paths", "64", "--seed", "5", "--trunc", "4"],
-     "ef3b4a41d49856214eaac516a99592c6d6c5caa6a8f250b431c31d0083c88d11"),
+     "f63744c5a9f18ab39bc608be764d1f324b2011b82498c8d4f7c4695340ad30e6"),
     (["frame", "check", "--kernel", "shannon", "--set", "integers",
       "--truncation", "200", "--test", "0.5", "0.25"],
      "85a5c634c300da0fefb4f9afb344f1600b445f7ba61c43b0568dd0d212358664"),

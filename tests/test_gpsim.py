@@ -9,9 +9,12 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kernel_forge as kf
 from kernel_forge import gpsim
@@ -305,8 +308,8 @@ def test_ito_cantor_product_second_moment():
 
 
 def test_ito_deterministic_across_block_sizes(monkeypatch):
-    # the draw engine's chunk is the one block size left; a threshold of
-    # 1 sends every tile through the pool
+    # the draw chunk does not reach the mix; a threshold of 1 sends every
+    # block through the pool
     pair = gpsim.pair_ex1()
     grid = [0.25, 0.5, 1.0]
     a = gpsim.ito_synthesize(pair, 6, grid, n_paths=300, seed=8).paths
@@ -329,31 +332,141 @@ def test_ito_complex_deterministic_across_block_sizes(monkeypatch):
         np.testing.assert_array_equal(a, b)
 
 
-def test_mix_paths_draws_one_block_per_tile(monkeypatch):
-    # 4100 paths: two full 2048-path tiles and one of 4 paths
-    calls = []
-    normal_block = RngSeedPolicy.normal_block
+@pytest.mark.parametrize("example", ["ex1", "ex3"])
+@pytest.mark.parametrize("resolution", [6, 12])
+def test_a_path_is_the_same_in_every_run(monkeypatch, example, resolution):
+    # path p is a pure function of (seed, p, mixer): neither the path
+    # count, the workers, the draw chunk nor the BLAS hold moves a bit
+    pair, _, grid = DUALITY_EXAMPLES[example]
+    rows = gpsim._block_rows(1 << resolution)
+    counts = (1, 27, rows - 1, rows, rows + 1, 3 * rows + 5)
 
-    def recording(self, first_path, n_paths, count):
-        calls.append((first_path, n_paths, count))
-        return normal_block(self, first_path, n_paths, count)
+    def paths(n_paths):
+        return gpsim.ito_synthesize(pair(), resolution, grid, n_paths, seed=2**63 + 9).paths
 
-    monkeypatch.setattr(RngSeedPolicy, "normal_block", recording)
-    gpsim._mix_paths(RngSeedPolicy(3), 4100, np.ones((5, 2)))
-    assert calls == [(0, 2048, 5), (2048, 2048, 5), (4096, 4, 5)]
+    ref = paths(max(counts))
+    monkeypatch.setattr(gpsim, "_PARALLEL_MIN_NORMALS", 1)
+    monkeypatch.setattr(gpsim, "_usable_cores", lambda: 4)
+    for hold in (True, False):
+        if not hold:  # the products take numpy's own BLAS threads
+            monkeypatch.setattr(gpsim, "_blas_controls", lambda: None)
+        for chunk in (7, 1000):
+            monkeypatch.setattr(gpsim, "_CHUNK_NORMALS", chunk)
+            for workers in (1, 2, 4):
+                with gpsim._capped_workers(workers):
+                    for n_paths in counts:
+                        got = paths(n_paths)
+                        assert got.tobytes() == ref[:n_paths].tobytes(), (
+                            hold, chunk, workers, n_paths)
+
+
+def _block_oracle(policy, n_paths, mixer):
+    """normal_block(start, n, K), zero-padded to B rows, times the mixer
+    (a complex one as its [re | im] float view), block by block."""
+    draws = mixer.shape[0]
+    rows = gpsim._block_rows(draws)
+    real = np.ascontiguousarray(mixer).view(float) if np.iscomplexobj(mixer) else mixer
+    out = np.empty((n_paths, real.shape[1]))
+    for start in range(0, n_paths, rows):
+        n = min(rows, n_paths - start)
+        z = np.zeros((rows, draws))
+        z[:n] = policy.normal_block(start, n, draws)
+        out[start : start + n] = (z @ real)[:n]
+    return out.view(complex) if np.iscomplexobj(mixer) else out
+
+
+_rng = np.random.default_rng(1)
+MIXERS = {
+    "real-F-ordered": _rng.normal(size=(5, 40)).T,
+    "complex": _rng.normal(size=(256, 6)) + 1j * _rng.normal(size=(256, 6)),
+    "4096-draws": _rng.normal(size=(4096, 9)),
+    "one-draw": _rng.normal(size=(1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXERS))
+def test_mix_paths_is_the_zero_padded_block_product(monkeypatch, name):
+    mixer = MIXERS[name]
+    pol = RngSeedPolicy(3)
+    rows = gpsim._block_rows(mixer.shape[0])
+    monkeypatch.setattr(gpsim, "_PARALLEL_MIN_NORMALS", 1)  # blocks on the pool
+    for n_paths in sorted({1, rows - 1, rows, rows + 1, 2 * rows + 3} - {0}):
+        out = gpsim._mix_paths(pol, n_paths, mixer)
+        assert out.dtype == mixer.dtype and out.shape == (n_paths, mixer.shape[1])
+        assert out.tobytes() == _block_oracle(pol, n_paths, mixer).tobytes(), n_paths
 
 
 def test_mix_real_mixer_is_plain_product():
+    # one whole block has no padding: its mix is the plain product
     pol = RngSeedPolicy(17)
     mixer = np.random.default_rng(1).normal(size=(40, 5)).T.copy().T  # F-ordered
-    out = gpsim._mix_paths(pol, 30, mixer)
-    assert out.tobytes() == (pol.normal_block(0, 30, 40) @ mixer).tobytes()
+    rows = gpsim._block_rows(40)
+    out = gpsim._mix_paths(pol, rows, mixer)
+    assert out.tobytes() == (pol.normal_block(0, rows, 40) @ mixer).tobytes()
+
+
+def test_mix_integer_and_single_mixers_give_double_paths():
+    # an int or float32 output would truncate or round the mixed normals
+    pol = RngSeedPolicy(4)
+    exact = gpsim._mix_paths(pol, 9, np.array([[1.0, 2.0], [3.0, -1.0]]))
+    for mixer in (np.array([[1, 2], [3, -1]]), np.array([[1, 2], [3, -1]], np.float32)):
+        out = gpsim._mix_paths(pol, 9, mixer)
+        assert out.dtype == np.float64 and out.tobytes() == exact.tobytes()
+    single = np.array([[1 + 2j], [0.5j]], np.complex64)
+    assert gpsim._mix_paths(pol, 9, single).dtype == np.complex128
+
+
+def test_frame_synthesize_of_integer_functions_is_not_truncated():
+    ints = gpsim.frame_synthesize([lambda x: 1, lambda x: 2], [0.1, 0.5], 4, seed=1)
+    floats = gpsim.frame_synthesize([lambda x: 1.0, lambda x: 2.0], [0.1, 0.5], 4, seed=1)
+    assert ints.paths.dtype == np.float64
+    assert ints.paths.tobytes() == floats.paths.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    draws=st.integers(1, 600),
+    cols=st.integers(0, 7),
+    n_paths=st.integers(1, 700),
+    complex_mixer=st.booleans(),
+    scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e150]),
+)
+def test_mix_is_within_rounding_of_the_dense_product(
+    seed, draws, cols, n_paths, complex_mixer, scale
+):
+    # each value is one dot product, summed in another order than the
+    # dense product's: 4 eps (|z| @ |mixer|) bounds the gap
+    rng = np.random.default_rng(seed)
+    mixer = scale * rng.normal(size=(draws, cols))
+    if complex_mixer:
+        mixer = mixer + 1j * scale * rng.normal(size=(draws, cols))
+    pol = RngSeedPolicy(seed)
+    out = gpsim._mix_paths(pol, n_paths, mixer)
+    z = pol.normal_block(0, n_paths, draws)
+    bound = 4 * np.finfo(float).eps * (np.abs(z) @ np.abs(mixer))
+    assert out.shape == (n_paths, cols) and out.dtype == mixer.dtype
+    assert np.all(np.abs(out - z @ mixer) <= bound)
+
+
+def test_mixing_holds_no_paths_by_cells_tile(monkeypatch):
+    # numpy reports its buffers to tracemalloc; each of two workers holds
+    # one block and its words, where one 2048 x 4096 tile took 64 MiB
+    monkeypatch.setattr(gpsim, "_usable_cores", lambda: 2)
+    grid = [k / 8 for k in range(9)]
+    tracemalloc.start()
+    try:
+        ens = gpsim.ito_synthesize(gpsim.pair_ex1(), 12, grid, 4096, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - ens.paths.nbytes < 8 * 2**20
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mix_complex_mixer_within_rounding_of_complex_product(seed):
-    # the real-split mix rounds differently from a complex gemm, but each
-    # part is one real dot product: 4 eps (|z| @ |mixer|) bounds the gap
+    # the mix's real product rounds differently from a complex gemm, but
+    # each part is one real dot product: 4 eps (|z| @ |mixer|) bounds the gap
     rng = np.random.default_rng(seed)
     mixer = rng.normal(size=(256, 6)) + 1j * rng.normal(size=(256, 6))
     pol = RngSeedPolicy(seed)
@@ -616,32 +729,50 @@ def test_duality_bytes_equal_with_and_without_blas_cap(monkeypatch, blas_threads
         bypassed.quad_error, bypassed.mc_error, bypassed.mc_tol)
 
 
-@pytest.mark.parametrize("caller", ["duality_check", "ito_synthesize"])
-def test_pooled_draws_and_mixing_see_one_blas_thread(monkeypatch, blas_threads, caller):
-    # simulate calls ito_synthesize directly, outside duality_check
-    get_n = blas_threads
-    seen, mixed = [], []
-    fill = gpsim.RngSeedPolicy._fill_chunk
-    mix = gpsim._mix_paths
-
-    def recording_fill(self, first_path, rows):
-        seen.append((threading.current_thread() is threading.main_thread(), get_n()))
-        fill(self, first_path, rows)
-
-    def recording_mix(*args):
-        mixed.append(get_n())  # the products run inside, at this count
-        return mix(*args)
-
-    monkeypatch.setattr(gpsim.RngSeedPolicy, "_fill_chunk", recording_fill)
-    monkeypatch.setattr(gpsim, "_mix_paths", recording_mix)
-    monkeypatch.setattr(gpsim, "_usable_cores", lambda: 2)
+def _monte_carlo_call(caller):
+    """One call of each Monte Carlo route, at 2^20 normals or more."""
     if caller == "duality_check":
         _duality("ex1")
-    else:
+    elif caller == "ito_synthesize":  # simulate calls it outside duality_check
         gpsim.ito_synthesize(gpsim.pair_ex1(), 10, [0.25, 0.5, 1.0], 3000, seed=3)
-    assert seen and {count for _, count in seen} == {1}
-    assert not all(main for main, _ in seen)  # the pool ran some chunks
-    assert mixed == [1] and get_n() == 2
+    elif caller == "sample_gaussian_vector":
+        g = kf.gram(kf.szego(), [0.9 * np.exp(2j * np.pi * k / 256) for k in range(256)])
+        gpsim.sample_gaussian_vector(g, 3000, seed=3)  # 512 draws a path
+    else:
+        gs = [(lambda n: lambda x: np.sinc(x - n))(n) for n in range(512)]
+        gpsim.frame_synthesize(gs, [0.0, 0.5, 1.25], 3000, seed=3)
+
+
+@pytest.mark.parametrize(
+    "caller", ["duality_check", "ito_synthesize", "sample_gaussian_vector", "frame_synthesize"])
+def test_pooled_draws_and_mixing_see_one_blas_thread(monkeypatch, blas_threads, caller):
+    # every block is drawn and multiplied by one worker, at one BLAS thread
+    get_n = blas_threads
+    blocks, fills = [], []
+    inside = threading.local()
+    fill = gpsim.RngSeedPolicy._fill_chunk
+    mix_block = gpsim._mix_block
+
+    def recording_fill(self, first_path, rows):
+        fills.append((getattr(inside, "block", None), first_path, get_n()))
+        fill(self, first_path, rows)
+
+    def recording_mix_block(policy, first_path, mixer, dest):
+        blocks.append((threading.current_thread() is threading.main_thread(), get_n()))
+        inside.block = first_path  # the product runs below, in this thread
+        try:
+            mix_block(policy, first_path, mixer, dest)
+        finally:
+            del inside.block
+
+    monkeypatch.setattr(gpsim.RngSeedPolicy, "_fill_chunk", recording_fill)
+    monkeypatch.setattr(gpsim, "_mix_block", recording_mix_block)
+    monkeypatch.setattr(gpsim, "_usable_cores", lambda: 2)
+    _monte_carlo_call(caller)
+    assert len(blocks) > 1 and {count for _, count in blocks} == {1}
+    assert not all(main for main, _ in blocks)  # the pool mixed some blocks
+    assert fills and all(block == first and count == 1 for block, first, count in fills)
+    assert get_n() == 2
 
 
 def test_blas_cap_shared_by_interleaved_threads(blas_threads):
