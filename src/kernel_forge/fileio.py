@@ -9,17 +9,24 @@ sorted keys so identical runs produce identical bytes.
 
 Every value is converted once: arrays become Python floats through one
 `tolist()`, a CSV cell is exactly `repr(float)`, and a report is exactly
-`json.dumps(sort_keys=True, indent=2)` of the converted record.  NaN and
-+-inf are not JSON: a report or header holding one raises ValueError
-(`allow_nan=False`) instead of writing `NaN` or `Infinity`.  Readers
-parse a whole matrix with `float()` first and take the per-cell route
-only for complex or parenthesised cells.  Malformed input raises
-`ValueError` naming the file and the line; it is never truncated.
+the bytes of `json.dumps(sort_keys=True, indent=2, allow_nan=False)` of
+the converted record.  `_render` writes them without json's pure-Python
+indenting encoder: it walks dicts and nested lists itself, and each list
+of plain scalars (a matrix's entries, a grid) is one call of json's C
+encoder, whose item separator carries the newline and the indent.  NaN
+and +-inf are not JSON: a report or header holding one raises
+ValueError (`allow_nan=False`), with json's message naming the value,
+instead of writing `NaN` or `Infinity`.  Readers parse a whole matrix
+with `float()` first and take the per-cell route only for complex or
+parenthesised cells.  Malformed input raises `ValueError` naming the
+file and the line; it is never truncated.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -262,11 +269,75 @@ def _record(command: str, config: dict, seed=None) -> dict:
     return doc
 
 
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _scalar(v) -> str:
+    """One value's JSON text; a NaN or +-inf raises json's error, value named."""
+    try:
+        return _encode(v)
+    except ValueError:
+        if isinstance(v, float):  # Python 3.11's C encoder leaves the value out
+            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}") from None
+        raise
+
+
+@functools.cache
+def _leaf_encoder(pad: str):
+    """C encoder of a list of plain scalars whose items start lines indented by pad."""
+    return json.JSONEncoder(separators=(",\n" + pad, ": "), allow_nan=False).encode
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: a str as is, a float, int, bool or None as its JSON text."""
+    if not isinstance(k, str):
+        if not (k is None or isinstance(k, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+        k = _scalar(k)
+    return encode_basestring_ascii(k)
+
+
+def _render(v, pad: str, out: list) -> None:
+    """Append to out the `indent=2` JSON text of v, which starts on a line indented by pad."""
+    kind = type(v)
+    if kind is not dict and kind is not list:
+        out.append(_scalar(v))
+    elif not v:
+        out.append("{}" if kind is dict else "[]")
+    elif kind is dict:
+        inner, sep = pad + "  ", "{\n"
+        for k, x in sorted(v.items()):
+            out.append(f"{sep}{inner}{_key(k)}: ")
+            _render(x, inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}}}")
+    elif _PLAIN.issuperset(map(type, v)):
+        inner = pad + "  "
+        try:
+            text = _leaf_encoder(inner)(v)
+        except ValueError:
+            for x in v:
+                _scalar(x)  # raises json's error for the first bad item
+            raise
+        out.append(f"[\n{inner}{text[1:-1]}\n{pad}]")
+    else:
+        inner, sep = pad + "  ", "[\n"
+        for x in v:
+            out.append(sep + inner)
+            _render(x, inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}]")
+
+
 def render_report(command: str, config: dict, payload: dict, seed=None) -> str:
-    """Schema-versioned JSON report with deterministic serialization."""
+    """Schema-versioned JSON report: `json.dumps(doc, sort_keys=True, indent=2,
+    allow_nan=False)` byte for byte, leaf lists C-encoded."""
     doc = _record(command, config, seed)
     doc.update(json_value(payload))
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    out = []
+    _render(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def config_header(command: str, config: dict) -> str:

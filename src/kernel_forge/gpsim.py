@@ -19,9 +19,10 @@ Randomness policy (pinned for bit-exact reproducibility): path p of a
 run with master seed s draws from a Philox counter-based generator keyed
 by (s, p).  Raw 64-bit words map to open-interval uniforms via
 u = ((word >> 11) + 0.5) * 2^-53, and to normals via the inverse CDF
-(scipy.special.ndtri).  Draws depend only on (seed, path, position), and
-a mixed path only on (seed, path, mixer): results are identical across
-path counts, chunk sizes, worker counts and BLAS thread counts.
+(scipy.special.ndtri, imported on the first draw, so a run that never
+draws never loads scipy).  Draws depend only on (seed, path, position),
+and a mixed path only on (seed, path, mixer): results are identical
+across path counts, chunk sizes, worker counts and BLAS thread counts.
 
 Increments and frame coefficients stay real; complex-valued processes
 arise only through complex feature functions, except for direct sampling
@@ -33,10 +34,12 @@ One block runner, `_run_blocks`, runs every draw job: on a thread pool
 of min(cap, usable cores, blocks) workers for a job of at least 2^20
 normals (Philox, the ufuncs, ndtri and BLAS release the GIL), the cap
 coming from the CLI's --threads / KERNEL_FORGE_THREADS; smaller jobs run
-the same blocks inline.  `_fill_chunk` draws a block's rows in place:
-one Philox generator is rekeyed per path, and the shift, the offset, the
-scale and ndtri all write into the rows.  Every block writes only its
-own rows, so neither the blocking nor the worker count can change a bit.
+the same blocks inline.  The runner imports ndtri in its own thread
+before a pool starts, so no two workers import scipy at once.
+`_fill_chunk` draws a block's rows in place: one Philox generator is
+rekeyed per path, and the shift, the offset, the scale and ndtri all
+write into the rows.  Every block writes only its own rows, so neither
+the blocking nor the worker count can change a bit.
 
 `RngSeedPolicy.normal_block` returns the normals themselves, filled in
 row chunks of about 64k normals.  The synthesizers never hold them:
@@ -77,7 +80,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import NotPositiveDefiniteError, OutOfDomainError
 from .factorize import _nonnegative, cholesky
@@ -134,6 +136,14 @@ def _capped_workers(cap: Optional[int]):
         yield
     finally:
         _worker_cap = previous
+
+
+@functools.cache
+def _ndtri():
+    """scipy.special.ndtri, imported on the first call: only a draw needs scipy."""
+    from scipy.special import ndtri
+
+    return ndtri
 
 
 @functools.cache
@@ -221,7 +231,7 @@ class RngSeedPolicy:
         return ((self.raw(path, count) >> np.uint64(11)) + 0.5) * _TWO_NEG53
 
     def normals(self, path: int, count: int) -> np.ndarray:
-        return ndtri(self.uniforms(path, count))
+        return _ndtri()(self.uniforms(path, count))
 
     def normal_block(self, first_path: int, n_paths: int, count: int) -> np.ndarray:
         """(n_paths, count) standard normals, row k from path first_path + k.
@@ -262,7 +272,7 @@ class RngSeedPolicy:
         words >>= np.uint64(11)
         np.add(words, 0.5, out=rows)
         rows *= _TWO_NEG53
-        ndtri(rows, out=rows)
+        _ndtri()(rows, out=rows)
 
 
 def _run_blocks(work: Callable[[int], None], n_blocks: int, normals: int) -> None:
@@ -273,6 +283,7 @@ def _run_blocks(work: Callable[[int], None], n_blocks: int, normals: int) -> Non
         for block in range(n_blocks):
             work(block)
         return
+    _ndtri()  # import scipy here, not in two workers at once
     with ThreadPoolExecutor(workers) as pool:
         for _ in pool.map(work, range(n_blocks)):
             pass

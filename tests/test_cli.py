@@ -573,6 +573,42 @@ def test_eig_byte_identical_via_script(tmp_path, points_file):
     assert a.stdout == b.stdout
 
 
+_SCIPY_PROBE = """
+import json, sys
+import kernel_forge, kernel_forge.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+pts, grid, d = sys.argv[1:]
+loaded = {}
+for name, argv in [
+    ("gram", ["gram", "--kernel", "brownian-min", "--points", pts, "--format", "csv",
+              "--out", d + "/g.csv"]),
+    ("inv", ["inv", "--matrix", d + "/g.csv", "--format", "json", "--out", d + "/i.json"]),
+    ("eig", ["eig", "--kernel", "brownian-min", "--points", pts, "--method", "jacobi",
+             "--out", d + "/e.json"]),
+    ("simulate", ["simulate", "--example", "ex1", "--paths", "50", "--resolution", "6",
+                  "--grid-file", grid, "--seed", "7", "--out", d + "/s.csv"]),
+]:
+    assert cli.run(argv) == 0, name
+    loaded[name] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_draw_loads_scipy(tmp_path, points_file, unit_grid_file):
+    # a fresh interpreter: in this one the tests have loaded scipy long ago
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, points_file, unit_grid_file, str(tmp_path)],
+        capture_output=True, env=child_env(), timeout=120, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["gram"] == loaded["inv"] == loaded["eig"] == []
+    assert "scipy.special" in loaded["simulate"]
+
+
 # ---------------------------------------------------------------------------
 # config records
 

@@ -363,6 +363,82 @@ def test_render_report_matches_recursive_loop(payload, config, seed):
     assert_plain(fileio.json_value(payload))
 
 
+@st.composite
+def long_payloads(draw):
+    """Payloads whose leaf lists run to hundreds of items; NaN and +-inf only
+    in about half of the examples, since one of them makes a report raise."""
+    if draw(st.booleans()):
+        floats = F64
+    else:
+        floats = st.one_of(st.sampled_from([x for x in SPECIALS if np.isfinite(x)]),
+                           st.floats(allow_nan=False, allow_infinity=False))
+    scalars = st.one_of(
+        floats, st.integers(2**64, 2**80), st.integers(-2**80, -2**64), st.integers(-3, 3),
+        st.booleans(), st.none(), st.text(max_size=4),
+        st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=4),
+    )
+    empties = st.recursive(
+        st.sampled_from([[], {}]),
+        lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+        max_leaves=6,
+    )
+
+    def lists(items, longest):  # Hypothesis keeps a plain st.lists short
+        return st.integers(0, longest).flatmap(lambda n: st.lists(items, min_size=n, max_size=n))
+
+    values = st.one_of(
+        lists(scalars, 500),
+        lists(st.lists(floats, min_size=2, max_size=2), 100),  # [re, im] pairs
+        lists(lists(scalars, 40), 12),
+        empties,
+    )
+    return draw(st.dictionaries(st.text(max_size=4), values, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_payloads())
+def test_render_report_matches_json_on_long_leaf_lists(payload):
+    try:
+        want = ref_render_report("cmd", {"n": 3}, payload)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            fileio.render_report("cmd", {"n": 3}, payload)
+        assert str(got.value) == str(exc)
+    else:
+        assert fileio.render_report("cmd", {"n": 3}, payload) == want
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("payload", [
+    lambda bad: {"v": [0.5, 1, bad, float("nan")]},  # a leaf list
+    lambda bad: {"v": [[0.5], {"w": [bad]}]},  # a leaf list in a nested list
+    lambda bad: {"v": [[0.5], bad]},  # a scalar in a nested list
+    lambda bad: {"v": {"w": bad}},  # a scalar
+    lambda bad: {"v": {bad: 1.0}},  # a key
+], ids=["leaf-list", "nested-list", "nested-scalar", "scalar", "key"])
+def test_report_error_names_the_value(bad, payload):
+    # the CLI prints `error: {exc}`: the message is json's, with the value
+    with pytest.raises(ValueError) as got:
+        fileio.render_report("demo", {}, payload(bad))
+    assert str(got.value) == f"Out of range float values are not JSON compliant: {bad!r}"
+
+
+@pytest.mark.parametrize("key", [3, -2**70, 0.25, -0.0, 1e300, True, False, None])
+def test_report_non_str_keys_match_json(key):
+    payload = {"m": {key: [key, 1.5]}, "n": [{key: {key: key}}], "o": {key: []}}
+    assert fileio.render_report("demo", {}, payload) == ref_render_report("demo", {}, payload)
+
+
+def test_report_unusable_keys_raise_as_json_does():
+    for payload in ({"m": {(1, 2): 0.5}}, {"m": {1: 0.5, "a": 0.5}}):
+        with pytest.raises(TypeError) as want:
+            ref_render_report("demo", {}, payload)
+        with pytest.raises(TypeError) as got:
+            fileio.render_report("demo", {}, payload)
+        assert str(got.value) == str(want.value)
+
+
 @pytest.fixture(scope="module")
 def matrix_path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("read") / "m.csv")

@@ -7,12 +7,14 @@ each is pinned to a fixed seed so a failure is a real regression, not noise.
 import hashlib
 import math
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import child_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,6 +113,37 @@ def test_rng_block_runs_on_the_pool(monkeypatch):
         block = pol.normal_block(0, 8, 64)
     assert sizes == [3]
     np.testing.assert_array_equal(block[7], pol.normals(path=7, count=64))
+
+
+_FIRST_DRAW = """
+import hashlib, sys
+from kernel_forge import gpsim
+
+pools = []
+
+class Recording(gpsim.ThreadPoolExecutor):
+    def __init__(self, max_workers):
+        pools.append((max_workers, "scipy.special" in sys.modules))
+        super().__init__(max_workers)
+
+assert "scipy.special" not in sys.modules
+gpsim.ThreadPoolExecutor = Recording
+gpsim._usable_cores = lambda: 2
+with gpsim._capped_workers(2):
+    block = gpsim.RngSeedPolicy(11).normal_block(0, 256, 4096)
+print(hashlib.sha256(block.tobytes()).hexdigest(), pools)
+"""
+
+
+def test_a_first_draw_on_the_pool_matches_a_warm_one():
+    # 2^20 normals start the pool in a fresh interpreter, whose first draw
+    # imports ndtri: before the workers start, and to the same bytes
+    proc = subprocess.run([sys.executable, "-c", _FIRST_DRAW], capture_output=True,
+                          env=child_env(), timeout=120, text=True)
+    assert proc.returncode == 0, proc.stderr
+    warm = RngSeedPolicy(11).normal_block(0, 256, 4096)
+    assert proc.stdout.split(maxsplit=1) == [
+        hashlib.sha256(warm.tobytes()).hexdigest(), "[(2, True)]\n"]
 
 
 def test_worker_count_is_capped_without_starting_threads(monkeypatch):
