@@ -10,7 +10,8 @@ iteration (factor B - sI, transpose-swap, add sI back, repeat, until the
 matrix is numerically diagonal; every block of size 2 or more takes the
 same shifted LAPACK step) and Jacobi rotation sweeps in Brent-Luk
 round-robin order, where each round rotates up to n/2 disjoint pairs at
-once.  Neither uses a LAPACK eigensolver.
+once and reseats the matrix for the next round by flat gathers.  Neither
+uses a LAPACK eigensolver.
 
 PSD and frame-bound verdicts need only the two extreme eigenvalues, and
 `eig_range` takes them from numpy's LAPACK `eigvalsh`: a backward-stable
@@ -25,7 +26,11 @@ step A^H A, and Jacobi's Hermitian rotation).
 Every tolerance is relative to the matrix it judges: pivots and eigenvalue
 floors are measured in units of `matrix_scale` (the largest |G_ii|), and
 the Jacobi stop in units of the Frobenius norm.  Scaling a matrix by
-c > 0 therefore never changes a verdict.  A tolerance, ridge or step
+c > 0 therefore never changes a verdict.  The eigen routes iterate on a
+matrix outside [2^-256, 2^256) scaled by a power of four (`_unit`), so
+their stop norms neither overflow nor underflow, and for every power of
+four c that keeps c * G exact they return c times the spectrum of G,
+with the same iterations, bit for bit.  A tolerance, ridge or step
 budget must be finite and >= 0; anything else, NaN included, raises
 ValueError.
 """
@@ -235,6 +240,39 @@ def _finish_spectrum(values, iterations, converged, scale):
     )
 
 
+def _diagonal(block: np.ndarray) -> np.ndarray:
+    """The diagonal of a square `block` as a writable strided view.
+
+    `block` is C- or F-contiguous (every iterate here is one), so its
+    diagonal sits every m + 1 entries of memory in either layout: reading
+    and writing it costs no fancy indexing, and the layout, which decides
+    the summation order of `off.sum(axis=1)`, is kept.
+    """
+    return block.ravel("K")[:: block.shape[0] + 1]
+
+
+def _unit(arr: np.ndarray) -> float:
+    """The factor both eigen routes scale their input by: 1.0 when max|A_ij|
+    lies in [2^-256, 2^256), else the power of four that brings it into
+    [1/4, 1) (or as near as 4^511 brings a subnormal matrix).
+
+    Scaling by a power of four is exact, and so is every step of either
+    route on the scaled matrix, square roots included, while the iteration
+    stays in the normal range, as it does inside that band.  So for every
+    power of four c that keeps c * A exact, a route returns c times the
+    spectrum of A, with the same `iterations` and `converged`.  Outside the
+    band, the squares summed unscaled for Jacobi's stop norms would
+    overflow to inf (entries of 1e154) or underflow to 0 (1e-162), either
+    way passing the stop test before the first sweep, and the LR couplings
+    near its stop, tol * trace, would leave the normal range with the
+    trace.
+    """
+    exponent = math.frexp(float(np.abs(arr).max()))[1] if arr.size else 0
+    if -256 < exponent <= 256:
+        return 1.0
+    return math.ldexp(1.0, -max(2 * ((exponent + 1) // 2), -1022))
+
+
 def _gershgorin_shift(block: np.ndarray, off: np.ndarray) -> float:
     """A shift below lambda_min(block): the Gershgorin bound, backed off.
 
@@ -243,14 +281,14 @@ def _gershgorin_shift(block: np.ndarray, off: np.ndarray) -> float:
     lowered by m * eps * max_i(B_ii + R_i), which covers the rounding in
     the row sums; a bound at or below 0 gives no shift.
     """
-    diagonal = np.diagonal(block).real
+    diagonal = _diagonal(block).real
     radii = off.sum(axis=1)
-    bound = float(np.min(diagonal - radii))
-    reach = float(np.max(diagonal + radii))
+    bound = float((diagonal - radii).min())
+    reach = float((diagonal + radii).max())
     return max(bound - block.shape[0] * _EPS * reach, 0.0)
 
 
-def _lr_factor(block: np.ndarray, diag, shift: float):
+def _lr_factor(block: np.ndarray, shift: float):
     """(A, s) with A @ A^H = block - s*I, for one shifted LR step.
 
     A shift whose factorization fails falls back to s = 0; if the unshifted
@@ -262,7 +300,7 @@ def _lr_factor(block: np.ndarray, diag, shift: float):
     """
     if shift > 0.0:
         shifted = block.copy()
-        shifted[diag] -= shift
+        _diagonal(shifted)[:] -= shift
         try:
             return np.linalg.cholesky(shifted), shift
         except np.linalg.LinAlgError:
@@ -276,20 +314,26 @@ def _lr_factor(block: np.ndarray, diag, shift: float):
 
 
 def _components(coupled: np.ndarray) -> np.ndarray:
-    """Component labels of a coupling pattern, one label per index.
+    """Component labels of a coupling pattern: the smallest index of each
+    index's component.
 
-    Min-label propagation with pointer jumping: every index takes the
-    smallest label among its own and its neighbours', then the label of
-    that label.  Labels only fall and always name a member of the index's
-    component, so they settle with each component labelled by one of its
-    members, which labels itself.
+    Min-label propagation with pointer jumping over closed neighbourhoods
+    (an index and its neighbours): every index starts at the first index
+    of its neighbourhood (one argmax per row), then repeatedly takes the
+    smallest label in its neighbourhood and the label of that label.
+    Labels start at or below their index, only fall and always name a
+    member of the index's component, so they settle constant on each
+    component, at its smallest index.  A component whose smallest index
+    neighbours all its other members, the common case, settles at the
+    start, and one pass confirms it.
     """
-    coupled = coupled | coupled.T
-    labels = np.arange(coupled.shape[0])
+    closed = coupled | coupled.T
+    _diagonal(closed)[:] = True
+    labels = closed.argmax(axis=1)
     while True:
-        settled = np.minimum(labels, np.where(coupled, labels, labels.size).min(axis=1))
+        settled = np.where(closed, labels, labels.size).min(axis=1)
         settled = settled[settled]
-        if np.array_equal(settled, labels):
+        if (settled == labels).all():
             return labels
         labels = settled
 
@@ -301,7 +345,9 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
     B_k - s_k I = A_k @ A_k^H is the Cholesky factorization (Rutishauser's
     LR iteration with shifts); the iterates share G's spectrum and converge
     to the diagonal eigenvalue matrix.  Iteration stops when the
-    off-diagonal infinity norm drops below ``tol * trace(G)``.
+    off-diagonal infinity norm drops below ``tol * trace(G)``, relative at
+    every scale (`_unit`); a trace <= 0, which no positive-definite matrix
+    has, gives no stop, and the matrix is rejected as below.
 
     Every block of size 2 or more takes the same step.  Its shift s_k is
     the block's Gershgorin lower bound on lambda_min, lowered by a
@@ -337,8 +383,11 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
     _check_hermitian(arr)
     n = arr.shape[0]
     scale = matrix_scale(arr)
-    trace = float(np.trace(arr).real)
-    stop = tol * max(trace, 1e-300)
+    unit = _unit(arr)
+    arr = arr * unit  # in arr's layout, which sets the order of each row sum
+    # no positive-definite matrix has a trace <= 0: it gets no stop, and
+    # its first factor or the pivot rule rejects it
+    stop = tol * max(float(np.trace(arr).real), 0.0)
     deflate = 0.01 * stop / max(n, 1)
     # a 1 x 1 input is finished as it is; the pivot rule below still applies
     finished: list[float] = list(np.diag(arr).real) if n <= 1 else []
@@ -350,25 +399,27 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
     while pending:
         block, depth, local = pending.pop()
         m = block.shape[0]
-        diag = np.diag_indices(m)
         while True:
             off = np.abs(block)
-            off[diag] = 0.0
-            if off.max() < stop:
-                finished.extend(np.diag(block).real)
+            _diagonal(off)[:] = 0.0
+            # each row's largest coupling: below the stop everywhere, the
+            # block is finished; at or below `deflate` somewhere, an index is
+            # isolated
+            row_max = off.max(axis=1)
+            if row_max.max() < stop:
+                finished.extend(_diagonal(block).real)
                 deepest = max(deepest, depth)
                 break
             if depth >= max_iter:
-                finished.extend(np.diag(block).real)
+                finished.extend(_diagonal(block).real)
                 deepest = max(deepest, depth)
                 converged = False
                 break
-            coupled = off > deflate
             # the shift decouples the bottom of the spectrum within a step
             # or two, so an isolated index is split off at once instead of
             # riding along to the next periodic test
-            if local % 8 == 0 or not coupled.any(axis=1).all():
-                labels = _components(coupled)
+            if local % 8 == 0 or row_max.min() <= deflate:
+                labels = _components(off > deflate)
                 roots = np.flatnonzero(labels == np.arange(m))
                 if roots.size > 1:
                     for root in roots:
@@ -376,17 +427,17 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
                         if comp.size == 1:
                             finished.append(float(block[comp[0], comp[0]].real))
                         else:
-                            pending.append((block[np.ix_(comp, comp)], depth, 1))
+                            pending.append((block[comp[:, None], comp], depth, 1))
                     break
-            lower, shift = _lr_factor(block, diag, _gershgorin_shift(block, off))
+            lower, shift = _lr_factor(block, _gershgorin_shift(block, off))
             block = lower.conj().T @ lower
             if shift:
-                block[diag] += shift
+                _diagonal(block)[:] += shift
             depth += 1
             local += 1
     if not all(value > 0.0 for value in finished):  # the pivot rule; NaN fails it
         raise NotPositiveDefiniteError("finished diagonal has a pivot <= 0")
-    return _finish_spectrum(finished, deepest, converged, scale)
+    return _finish_spectrum(np.divide(finished, unit), deepest, converged, scale)
 
 
 def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -400,7 +451,8 @@ def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
     holds what slot step[k] held).  This is the circle method: index 0
     keeps its seat and the others move one seat along, so after m - 1
     rounds, one sweep, every unordered pair has met exactly once and the
-    seating is `order` again.
+    seating is `order` again.  `jacobi_eigs` reseats rows and columns by
+    flat gathers built from `step` once per call.
     """
     m = n + n % 2
     h = m // 2
@@ -414,21 +466,30 @@ def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
     return seat, slot_of_seat[previous[seat]]
 
 
-def _turn_real(a, app, apq, aqq, rot, step):
-    """One round's rotations of a real symmetric `a`, then its reseating."""
+def _turn_real(a, app, apq, aqq, rot, seats):
+    """One round's rotations of a real symmetric `a`, then its reseating.
+
+    `a` belongs to the sweep loop, which replaces it by the result, so its
+    columns turn in place.  `seats` holds the flat gathers of `jacobi_eigs`.
+    """
     # tan(2 phi) = 2 a_pq / (a_qq - a_pp) with |phi| <= pi/4; a skipped
     # pair gets phi = 0, so c = 1 and s = 0
     diff = aqq - app
     twice = np.arctan2(apq * np.copysign(rot, diff), 0.5 * np.abs(diff))
     # a column pair read as a_p + i a_q turns by c + i s: a_p <- c a_p - s a_q
     # and a_q <- s a_p + c a_q.  Turning the columns of a, then those of its
-    # transpose, gives J' a J; the next round's row gather rides along
+    # transpose, gives J' a J; the next round's reseating rides along
     turn = np.exp(0.5j * twice)
-    a = (a.view(complex) * turn).view(float).T.take(step, 0)
-    return (a.view(complex) * turn).view(float).take(step, 1)
+    transposed, reseated = seats
+    pairs = a.view(complex)
+    pairs *= turn
+    a = a.take(transposed)
+    pairs = a.view(complex)
+    pairs *= turn
+    return a.take(reseated)
 
 
-def _turn_hermitian(a, app, apq, aqq, rot, step):
+def _turn_hermitian(a, app, apq, aqq, rot, seats):
     """One round's rotations of a complex Hermitian `a`, then its reseating.
 
     The rotation of Forsythe and Henrici (Trans. AMS 94, 1960): with
@@ -450,8 +511,10 @@ def _turn_hermitian(a, app, apq, aqq, rot, step):
         out[:, 1::2] = sigma * x_p + c * x_q
         return out
 
-    a = columns(a).conj().T.take(step, 0)
-    return columns(a).take(step, 1)
+    transposed, reseated = seats
+    a = columns(a).take(transposed)
+    np.conjugate(a, out=a)
+    return columns(a).take(reseated)
 
 
 def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
@@ -461,14 +524,19 @@ def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
     round-robin order (`_round_robin`): each round holds up to n/2
     disjoint pairs, so their rotations commute and apply together as one
     column update and one row update, with every angle computed at once.
-    Sweeps repeat until the off-diagonal Frobenius norm falls to
-    ``tol * ||G||_F`` (relative, and invariant under the rotations).  The
-    first five sweeps skip couplings below off/n; every sweep skips those
-    below rounding noise, 1e-15 * (|a_pp| + |a_qq|).  `converged` reports
-    whether the threshold was actually reached: a threshold below rounding
-    noise terminates once a full sweep performs no rotations.  No LAPACK
-    eigensolver is involved, so this serves as the independent reference
-    oracle for `alt_cholesky_eigs`.
+    The row update turns the columns of the transpose, and each update
+    ends in one contiguous flat gather that also reseats the matrix for
+    the next round; a round with nothing to turn only reseats, in one
+    gather.  Sweeps repeat until the off-diagonal Frobenius norm falls to
+    ``tol * ||G||_F`` (relative, and invariant under the rotations); both
+    norms are taken of the matrix as `_unit` scales it, so their squares
+    neither overflow nor underflow.  The first five sweeps skip couplings
+    below off/n; every sweep skips those below rounding noise,
+    1e-15 * (|a_pp| + |a_qq|).  `converged` reports whether the threshold
+    was actually reached: a threshold below rounding noise terminates once
+    a full sweep performs no rotations.  No LAPACK eigensolver is involved,
+    so this serves as the independent reference oracle for
+    `alt_cholesky_eigs`.
 
     Real input takes real rotations, and complex Hermitian input the
     complex rotation of Forsythe and Henrici on the n x n matrix as it is
@@ -483,6 +551,8 @@ def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
     if n <= 1:
         return _finish_spectrum(np.diag(arr).real, 0, True, scale)
     turn = _turn_hermitian if np.iscomplexobj(arr) else _turn_real
+    unit = _unit(arr)
+    arr = arr * unit  # in arr's layout, which sets the order of the sum below
     # conj() of a real array is the array itself
     stop = tol * float(np.sqrt(np.sum((arr * arr.conj()).real)))
     # an odd size gains a zero row and column: its couplings are 0, so it
@@ -490,6 +560,12 @@ def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
     m = n + n % 2
     stride = 2 * m + 2  # from a_pp of one pair to a_pp of the next
     order, step = _round_robin(n)
+    # each round's reseating as flat gathers from the m x m array: the
+    # transpose with its rows reseated (t[k, j] = a[j, step[k]]), the
+    # columns reseated (c[i, k] = a[i, step[k]]), and both at once
+    rows = np.arange(0, m * m, m)
+    seats = (step[:, None] + rows, rows[:, None] + step)
+    both = (m * step)[:, None] + step
     a = np.pad(arr, (0, m - n)).take(order, 0).take(order, 1)
 
     def off_frobenius():
@@ -507,18 +583,19 @@ def jacobi_eigs(g, tol: float = 1e-12) -> SpectralResult:
         rotated = False
         for _ in range(m - 1):
             # slot 2k holds p and slot 2k + 1 holds q
-            flat = a.reshape(-1)
+            flat = a.ravel()
             app, apq, aqq = flat[::stride], flat[1::stride], flat[m + 1 :: stride]
-            rot = np.abs(apq) > np.maximum(gate, 1e-15 * (np.abs(app) + np.abs(aqq)))
-            if rot.any():
+            noise = 1e-15 * (np.abs(app) + np.abs(aqq))
+            rot = np.abs(apq) > (np.maximum(gate, noise) if gate else noise)
+            if np.count_nonzero(rot):
                 rotated = True
-                a = turn(a, app, apq, aqq, rot, step)
+                a = turn(a, app, apq, aqq, rot, seats)
             else:
-                a = a.take(step, 0).take(step, 1)  # the next round's seating
+                a = a.take(both)  # the next round's seating
         sweeps += 1
         if not rotated:
             break
-    values = np.diag(a).real[order < n]
+    values = np.diag(a).real[order < n] / unit
     return _finish_spectrum(values, sweeps, off_frobenius() <= stop, scale)
 
 

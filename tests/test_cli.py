@@ -687,6 +687,12 @@ def test_covcheck_on_an_empty_grid_agrees_with_duality(tmp_path):
 # JSON text is built cannot move a byte.  Inputs use relative paths because
 # reports and simulate headers echo them.
 
+# 24 dyadic points near the circle |z| = 0.875, in 64ths
+RING24 = [(56, 0), (52, 20), (42, 37), (40, 40), (23, 51), (4, 56), (0, 56), (-20, 52),
+          (-37, 42), (-40, 40), (-51, 23), (-56, 4), (-56, 0), (-52, -20), (-42, -37),
+          (-40, -40), (-23, -51), (-4, -56), (0, -56), (20, -52), (37, -42), (40, -40),
+          (51, -23), (56, -4)]
+
 GOLDEN_INPUTS = {
     "line.csv": "real-line\n0.1\n0.7\n1.3\n2.0\n3.3333333333333335\n",
     "disk.csv": "complex-disk\n0.1,0.2\n-0.3,0.05\n0.5,-0.4\n0.0,0.0\n",
@@ -702,6 +708,10 @@ GOLDEN_INPUTS = {
     # several intervals per set, endpoints outside [0, 1] and in Cantor gaps
     "iset.csv": "interval-set\n0.0,0.1,0.3,0.55\n0.05,0.25\n-0.5,0.2,0.6,0.7,0.8,1.5\n"
                 "0.5,0.75\n0.1234,0.9\n0.26,0.49,0.51,0.52,0.53125,0.5625\n",
+    # mid-size eigen inputs: dyadic points, so no libm rounding reaches the
+    # Gram's bytes; 41 points (odd, so Jacobi pads them) and 24
+    "line41.csv": "real-line\n" + "".join(f"{k / 16 + 5 * k % 7 / 128!r}\n" for k in range(1, 42)),
+    "ring24.csv": "complex-disk\n" + "".join(f"{x / 64!r},{y / 64!r}\n" for x, y in RING24),
 }
 
 GOLDEN_OUTPUTS = [
@@ -792,6 +802,14 @@ GOLDEN_OUTPUTS = [
     (["gram", "--kernel", "overlap", "--measure", "lebesgue", "--points", "iset.csv",
       "--format", "json"],
      "1a4a46209a41326a72f9c07a98bfa3ccfe85ca38a83cbff8ff35e0e3bde1e32a"),
+    (["eig", "--kernel", "brownian-min", "--points", "line41.csv", "--method", "jacobi"],
+     "cc45730542fac8f61bec03628cfffd2c06217e04bc303c24e1a05c0743d4a302"),
+    (["eig", "--kernel", "brownian-min", "--points", "line41.csv", "--method", "alt-chol"],
+     "51a4c4799c8b02d43c2c917b5891e838499d438d6bb6aad1f4a1bd18d99de3ef"),
+    (["eig", "--kernel", "szego", "--points", "ring24.csv", "--method", "jacobi"],
+     "c0ec95fad74159795a27d41449a5f2776ea6891b5e16545ca69f6c2e39f60757"),
+    (["eig", "--kernel", "szego", "--points", "ring24.csv", "--method", "alt-chol"],
+     "70eaff82f612246a937732568d843791ccf735c491f7ea1c133d254a0c4cddde"),
 ]
 
 

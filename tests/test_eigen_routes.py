@@ -14,13 +14,15 @@ iterates and iterate on a complex matrix as it is.  LAPACK's
 which Jacobi checks in turn.
 """
 
+import hashlib
+import json
 import math
 import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kernel_forge as kf
@@ -525,6 +527,7 @@ def test_components_match_depth_first_search(m, seed, density, chain):
     got = sorted(np.flatnonzero(labels == r).tolist() for r in roots)
     assert got == sorted(_split_components(coupled))
     assert all(labels[r] == r for r in roots)
+    assert roots.tolist() == [comp[0] for comp in got]  # each its smallest index
 
 
 def test_alt_cholesky_shift_cuts_iterations():
@@ -535,6 +538,81 @@ def test_alt_cholesky_shift_cuts_iterations():
     ref = reference_lr(g, max_iter=200_000)
     assert res.converged and ref.converged
     assert res.iterations < ref.iterations
+
+
+# ---------------------------------------------------------------------------
+# bitwise breadth: one digest over many seeded runs of both routes
+
+
+def _sweep_runs():
+    """(route, matrix, options) for 318 seeded runs of both routes: every
+    n from 0 to 40, real and complex, full rank, rank-deficient and
+    indefinite, some at tol = 0 and some on a budget too small to
+    converge."""
+    for n in range(41):
+        rng = np.random.default_rng(2300 + n)
+        low = rng.standard_normal((n, n // 3))
+        inputs = [_psd(rng, n), _hermitian(rng, n), low @ low.T]
+        if n % 2:
+            inputs.append(_indefinite(rng, n))
+        for g in inputs:
+            yield kf.jacobi_eigs, g, {}
+            yield kf.alt_cholesky_eigs, g, {}
+        if n % 4 == 0:
+            g = inputs[n // 4 % 2]
+            yield kf.jacobi_eigs, g, {"tol": 0.0}
+            yield kf.alt_cholesky_eigs, g, {"tol": 0.0, "max_iter": 40}
+        if n % 4 == 2:
+            yield kf.alt_cholesky_eigs, inputs[n // 4 % 2], {"max_iter": 3}
+
+
+# sha256 of every run's eigenvalue bytes, iterations and converged flag (or
+# the class of the error it raised), pinned before the eigen routes' rounds
+# and steps were rewritten for speed: the rewrite must keep every bit.  Like
+# the CLI goldens, it holds for one build of numpy's BLAS and LAPACK.
+SWEEP_DIGEST = "8b25fba6d1bdc6f99d00379cf0eba1cde1411ef7284de1353798a4f9d01f4ead"
+
+
+def test_eigen_routes_keep_their_bits_across_a_seeded_sweep():
+    digest = hashlib.sha256()
+    runs = 0
+    for route, g, options in _sweep_runs():
+        try:
+            res = route(g, **options)
+        except kf.NotPositiveDefiniteError as exc:
+            digest.update(type(exc).__name__.encode())
+        else:
+            digest.update(res.eigenvalues.tobytes())
+            digest.update(f"{res.iterations} {res.converged}".encode())
+        runs += 1
+    assert runs == 318
+    assert digest.hexdigest() == SWEEP_DIGEST
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from(["psd", "hermitian"]),
+    st.integers(min_value=-508, max_value=510),
+)
+# unscaled, Jacobi's stop norm underflowed (4^-260) or overflowed (4^257),
+# and the LR stop's floor of tol * 1e-300 loosened it below a trace of
+# 1e-300: 26 steps for 27 at 4^-500, and 19 for 23 at 4^-508
+@example(6, 2, "psd", -500)
+@example(6, 3, "psd", -508)
+@example(6, 0, "psd", -260)
+@example(6, 0, "psd", 257)
+@example(6, 1, "hermitian", 510)
+def test_eigen_routes_scale_with_every_exact_power_of_four(n, seed, kind, k):
+    g = KINDS[kind](np.random.default_rng(seed), n)
+    g = g / np.trace(g).real
+    c = math.ldexp(1.0, 2 * k)
+    assume(np.array_equal(c * g / c, g))  # c * g is exact
+    for route in (kf.jacobi_eigs, kf.alt_cholesky_eigs):
+        base, res = route(g), route(c * g)
+        np.testing.assert_array_equal(res.eigenvalues, c * base.eigenvalues)
+        assert (res.iterations, res.converged) == (base.iterations, base.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +714,24 @@ def test_cli_eig_non_finite_exits_two(tmp_path, capsys, method, text):
     assert cli.run(argv) == 2
     assert "NaN or infinite" in capsys.readouterr().err
     assert not out.exists() or out.read_text() == ""
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_cli_eig_turns_a_matrix_whose_squares_leave_the_range(tmp_path, c):
+    # [[2c, c], [c, 2c]] has eigenvalues 3c and c.  Summed unscaled, the
+    # squares of Jacobi's stop norms underflowed to 0 (1e-200) or overflowed
+    # to inf (1e200), and either way Jacobi reported the diagonal after no
+    # sweep, as converged
+    from kernel_forge import cli
+
+    m = tmp_path / "m.csv"
+    m.write_text(f"{2 * c!r},{c!r}\n{c!r},{2 * c!r}\n")
+    for method in ("jacobi", "alt-chol"):
+        out = tmp_path / f"{method}.json"
+        assert cli.run(["eig", "--matrix", str(m), "--method", method, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        np.testing.assert_allclose(report["eigenvalues"], [3 * c, c], rtol=1e-15, atol=0)
+        assert report["converged"] and report["iterations"] >= 1
 
 
 def test_cli_eig_alt_chol_on_an_indefinite_diagonal_exits_one(tmp_path, capsys):
