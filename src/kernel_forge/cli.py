@@ -15,12 +15,12 @@ depends on it.  A check that spans flags (`frame check`'s tests,
 Every run is reproducible: seeds default to 0 and are never time-based,
 JSON reports are schema-versioned with sorted keys, and identical argv
 produces byte-identical output.  `--threads` (or KERNEL_FORGE_THREADS)
-caps the workers of the Monte Carlo draw engine (`gpsim`), which fills
-blocks of at least 2^20 normals chunk by chunk on a thread pool of
-min(cap, usable cores, chunks) workers; unset means usable cores.  While
+caps the workers of the Monte Carlo draw engine (`gpsim`), which runs
+a job of at least 2^20 normals block by block on a thread pool of
+min(cap, usable cores, blocks) workers; unset means usable cores.  While
 the Ito sum's draws are made and mixed, numpy's OpenBLAS is held to one
 thread, so that pool is the only one running.  No result depends on the
-cap: every chunk writes its own rows.
+cap: every block writes its own rows.
 
 Exit codes: 0 success, 1 numerical failure (matrix not positive
 definite, singular system), 2 usage or input error.

@@ -422,6 +422,7 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
                 labels = _components(off > deflate)
                 roots = np.flatnonzero(labels == np.arange(m))
                 if roots.size > 1:
+                    deepest = max(deepest, depth)  # singletons finish here
                     for root in roots:
                         comp = np.flatnonzero(labels == root)
                         if comp.size == 1:

@@ -22,7 +22,7 @@ u = ((word >> 11) + 0.5) * 2^-53, and to normals via the inverse CDF
 (scipy.special.ndtri, imported on the first draw, so a run that never
 draws never loads scipy).  Draws depend only on (seed, path, position),
 and a mixed path only on (seed, path, mixer): results are identical
-across path counts, chunk sizes, worker counts and BLAS thread counts.
+across path counts, worker counts and BLAS thread counts.
 
 Increments and frame coefficients stay real; complex-valued processes
 arise only through complex feature functions, except for direct sampling
@@ -41,16 +41,18 @@ rekeyed per path, and the shift, the offset, the scale and ndtri all
 write into the rows.  Every block writes only its own rows, so neither
 the blocking nor the worker count can change a bit.
 
-`RngSeedPolicy.normal_block` returns the normals themselves, filled in
-row chunks of about 64k normals.  The synthesizers never hold them:
-`_mix_paths` cuts the paths into blocks of B = _block_rows(draws) paths
-(about 2^17 normals, at most 2048 paths) aligned to path 0, and the
-worker that draws a block into its cache-sized buffer multiplies it by
-the mixer there and writes only its rows of z @ mixer.  The last block
-is zero-padded to B rows, so every product has one shape, and BLAS,
-which rounds a product's rows by its shape, rounds a path the same way
-in every run.  A complex mixer is one real product with its float view,
-whose columns interleave [re | im]; the draws are never upcast.
+Every draw is one `_fill_chunk` block on `_run_blocks`: the paths are
+cut into blocks of B = _block_rows(draws) paths (about 2^17 normals, at
+most 2048 paths) aligned to path 0, and the worker that owns a block
+draws it into a cache-sized buffer and writes only its paths' results.
+`_mix_paths` writes its rows of z @ mixer; the last block is zero-padded
+to B rows, so every product has one shape, and BLAS, which rounds a
+product's rows by its shape, rounds a path the same way in every run.
+A complex mixer is one real product with its float view, whose columns
+interleave [re | im]; the draws are never upcast.  `quadratic_variation`
+writes each path's Q per resolution.  `RngSeedPolicy.normal_block`, one
+`_fill_chunk` into a fresh array, is the tests' oracle; no synthesizer
+calls it.
 
 One BLAS rule: every Monte Carlo product (the Ito sum, direct sampling
 of a Gram matrix, frame synthesis) runs under `_one_blas_thread`, which
@@ -105,12 +107,11 @@ __all__ = [
     "transform_adjoint",
 ]
 
-_PATH_TILE = 2048  # paths per quadratic-variation tile, and at most per mixed block
+_PATH_TILE = 2048  # at most this many paths per block; qvar sums Q this many at a time
 
 _TWO_NEG53 = 2.0 ** -53
-_CHUNK_NORMALS = 1 << 16  # per normal_block chunk: 512 KiB stays in cache
-_BLOCK_NORMALS = 1 << 17  # per mixed block; sets the product shape, so its rounding
-_PARALLEL_MIN_NORMALS = 1 << 20  # smaller blocks fill their chunks inline
+_BLOCK_NORMALS = 1 << 17  # per block; sets a mixed product's shape, so its rounding
+_PARALLEL_MIN_NORMALS = 1 << 20  # smaller jobs run their blocks inline
 _worker_cap: Optional[int] = None  # the CLI's --threads; None means usable cores
 
 
@@ -121,10 +122,10 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(n_chunks: int) -> int:
-    """Workers for a block of n_chunks chunks; starts no thread."""
+def _worker_count(n_blocks: int) -> int:
+    """Workers for a job of n_blocks blocks; starts no thread."""
     cores = _usable_cores()
-    return max(1, min(_worker_cap or cores, cores, n_chunks))
+    return max(1, min(_worker_cap or cores, cores, n_blocks))
 
 
 @contextmanager
@@ -236,17 +237,12 @@ class RngSeedPolicy:
     def normal_block(self, first_path: int, n_paths: int, count: int) -> np.ndarray:
         """(n_paths, count) standard normals, row k from path first_path + k.
 
-        Bit-identical to stacking `normals(path, count)`; filled in place,
-        chunk by chunk, on a worker pool when the block is large.
+        Bit-identical to stacking `normals(path, count)`: one `_fill_chunk`
+        into a fresh array, in this thread.  The synthesizers draw on
+        `_run_blocks`' workers instead; this is their tests' reference.
         """
         out = np.empty((n_paths, count))
-        per_chunk = max(1, _CHUNK_NORMALS // max(count, 1))
-
-        def fill(chunk):
-            start = chunk * per_chunk
-            self._fill_chunk(first_path + start, out[start : start + per_chunk])
-
-        _run_blocks(fill, -(-n_paths // per_chunk), out.size)
+        self._fill_chunk(first_path, out)
         return out
 
     def _fill_chunk(self, first_path: int, rows: np.ndarray) -> None:
@@ -290,8 +286,8 @@ def _run_blocks(work: Callable[[int], None], n_blocks: int, normals: int) -> Non
 
 
 def _block_rows(draws: int) -> int:
-    """Paths per mixed block, a pure function of the draw count: about
-    _BLOCK_NORMALS normals, and at most one tile of short paths."""
+    """Paths per block, a pure function of the draw count: about
+    _BLOCK_NORMALS normals, and at most _PATH_TILE short paths."""
     return max(1, min(_PATH_TILE, _BLOCK_NORMALS // max(draws, 1)))
 
 
@@ -341,10 +337,9 @@ class PathEnsemble:
     """P sample paths over a fixed evaluation grid.
 
     Path p depends on the seed, p and the synthesizer's other inputs
-    alone: not on P, the chunk size, the worker count or the execution
-    order.  `ridge_used` is the
-    ridge that `sample_gaussian_vector` added to a singular covariance,
-    else 0.0.
+    alone: not on P, the worker count or the execution order.
+    `ridge_used` is the ridge that `sample_gaussian_vector` added to a
+    singular covariance, else 0.0.
     """
 
     grid: list
@@ -691,11 +686,13 @@ def quadratic_variation(
     """Sum of squared increments over the cells inside A, per resolution.
 
     A must be a union of cells at every listed resolution; per path the
-    statistic Q concentrates on mu(A) as cells shrink.  Each 2048-path
-    tile is drawn once, at the finest cell count: a path's first c
-    normals are the normals of a c-cell draw, so every coarser resolution
-    reads a prefix of the same tile.  The sums run one tile at a time, and
-    their order sets the last digits of mean_q and e_sq.
+    statistic Q concentrates on mu(A) as cells shrink.  The `_run_blocks`
+    worker that owns a block of B = _block_rows(2^rmax) paths draws it
+    once, at the finest cell count (a path's first c normals are those of
+    a c-cell draw, so every resolution reads a prefix of the same rows),
+    and writes its paths' Q, each summed over the cells left to right.
+    The caller sums Q 2048 paths at a time, and that order sets the last
+    digits of mean_q and e_sq: neither B nor the worker count moves a bit.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -713,16 +710,30 @@ def quadratic_variation(
         indices.append(idx)
         roots.append(np.sqrt(mass))
         expected.append(float(2.0 * np.sum(mass ** 2)))
+    width = max((1 << r for r in resolutions), default=0)
+    q = np.empty((len(resolutions), n_paths))
+    rows = _block_rows(width)
+
+    def square(block):
+        start = block * rows
+        dest = q[:, start : start + rows]
+        n = dest.shape[1]
+        # numpy sums the rows of a gathered (column-major) block left to
+        # right, but a lone row pairwise: a lone path gets a zero row
+        z = np.zeros((max(n, 2), width))
+        policy._fill_chunk(start, z[:n])
+        for out, idx, root in zip(dest, indices, roots):
+            scaled = z[:, idx]  # in place from here: no more block-sized buffers
+            scaled *= root
+            out[...] = np.sum(np.square(scaled, out=scaled), axis=1)[:n]
+
+    _run_blocks(square, -(-n_paths // rows), n_paths * width)
     total = [0.0] * len(resolutions)
     total_sq = [0.0] * len(resolutions)
-    width = max((1 << r for r in resolutions), default=0)
-    for start in range(0, n_paths, _PATH_TILE) if resolutions else ():
-        rows = min(_PATH_TILE, n_paths - start)
-        tile = policy.normal_block(start, rows, width)
-        for k, (idx, root) in enumerate(zip(indices, roots)):
-            q = np.sum((tile[:, idx] * root) ** 2, axis=1)
-            total[k] += float(np.sum(q))
-            total_sq[k] += float(np.sum((mu - q) ** 2))
+    for start in range(0, n_paths, _PATH_TILE):
+        for k, row in enumerate(q[:, start : start + _PATH_TILE]):
+            total[k] += float(np.sum(row))
+            total_sq[k] += float(np.sum((mu - row) ** 2))
     return QuadraticVariationReport(
         interval=(a, b),
         mu=mu,

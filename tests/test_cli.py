@@ -133,16 +133,13 @@ def test_mc_bytes_independent_of_threads_and_blocks(
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    # a low threshold makes every job run on the pool; the draw chunk
-    # (7 normals: one path, 1000: several) must not reach the mix
+    # a low threshold makes every job run on the pool
     monkeypatch.setattr(gpsim, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(gpsim, "_usable_cores", lambda: 4)
     monkeypatch.setattr(gpsim, "_PARALLEL_MIN_NORMALS", 1)
-    for chunk in (1000, 7):
-        monkeypatch.setattr(gpsim, "_CHUNK_NORMALS", chunk)
-        for threads in ("1", "2", "9"):
-            code, raw = run_to_file(tmp_path, ["--threads", threads] + argv)
-            assert code == 0 and raw == ref, (chunk, threads)
+    for threads in ("1", "2", "9"):
+        code, raw = run_to_file(tmp_path, ["--threads", threads] + argv)
+        assert code == 0 and raw == ref, threads
     assert set(pools) == {2, 4}
 
 
@@ -818,6 +815,27 @@ GOLDEN_OUTPUTS = [
 def test_cli_output_golden(tmp_path, monkeypatch, argv, digest):
     raw = _golden_run(tmp_path, monkeypatch, argv)
     assert hashlib.sha256(raw).hexdigest() == digest
+
+
+def test_qvar_golden_bytes_at_any_thread_count(tmp_path, monkeypatch):
+    # blocks of 8 paths, each on the pool: the workers write Q per path,
+    # so neither the blocks nor --threads moves a byte of the golden
+    (argv, digest), = [case for case in GOLDEN_OUTPUTS if case[0][0] == "qvar"]
+    pools = []
+
+    class Recording(gpsim.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(gpsim, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(gpsim, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(gpsim, "_PARALLEL_MIN_NORMALS", 1)
+    monkeypatch.setattr(gpsim, "_BLOCK_NORMALS", 8 * 16)
+    for threads in ("1", "2"):
+        raw = _golden_run(tmp_path, monkeypatch, ["--threads", threads] + argv)
+        assert hashlib.sha256(raw).hexdigest() == digest, threads
+    assert pools == [2]
 
 
 def _golden_run(tmp_path, monkeypatch, argv) -> bytes:

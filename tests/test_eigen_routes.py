@@ -26,6 +26,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kernel_forge as kf
+from kernel_forge import factorize
 from kernel_forge.factorize import (
     _MAX_JACOBI_SWEEPS,
     SpectralResult,
@@ -453,6 +454,26 @@ def test_alt_cholesky_finishes_a_1x1_input_at_once():
     # no step runs, also at tol = 0, where no coupling is below the stop
     res = kf.alt_cholesky_eigs([[2.0]], tol=0.0)
     assert (res.eigenvalues.tolist(), res.iterations, res.converged) == ([2.0], 0, True)
+
+
+@pytest.mark.parametrize("g", [
+    [[2.0, 1.0], [1.0, 2.0]],
+    np.diag([3.0, 2.0, 1.0]) + 0.1 * (np.ones((3, 3)) - np.eye(3)),
+], ids=["2x2", "3x3"])
+def test_alt_cholesky_counts_the_steps_before_a_split_into_singletons(monkeypatch, g):
+    # at tol = 0 no stop fires: each block ends when a split leaves it as
+    # singletons, and the steps it took still count
+    steps = []
+    lr_factor = factorize._lr_factor
+
+    def counted(block, shift):
+        steps.append(block.shape[0])
+        return lr_factor(block, shift)
+
+    monkeypatch.setattr(factorize, "_lr_factor", counted)
+    res = kf.alt_cholesky_eigs(g, tol=0.0)
+    assert res.converged and res.iterations == len(steps) > 0
+    np.testing.assert_allclose(res.eigenvalues, np.linalg.eigvalsh(g)[::-1], rtol=1e-14)
 
 
 @pytest.mark.parametrize("v", [[1.0, 2.0], [1.0, 2.0, 3.0]], ids=["2x2", "3x3"])

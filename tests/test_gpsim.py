@@ -52,8 +52,8 @@ def test_rng_block_matches_per_path():
 
 
 # sha256 of normal_block's bytes: the draws are pinned bit for bit, across a
-# seed >= 2^63, counts off the 4-word Philox buffer, a row longer than one
-# chunk, and a block above the parallel threshold
+# seed >= 2^63, counts off the 4-word Philox buffer, a row of 70001 normals,
+# and a block of 2^20 and more normals
 GOLDEN_BLOCKS = [
     ((0, 0, 3, 16), "11b191dfe459ef08f70b78fd55062787f84c9882f2b99280c13c2ffb2eb3c2fe"),
     ((99, 5, 7, 5), "04a856396e0ee3e5864c7a39f818a4f6aec27310af802676c2ac9d4fdb02767a"),
@@ -77,24 +77,36 @@ def test_rng_block_golden(case, digest):
 @pytest.mark.parametrize("workers", [1, 2, 9])
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
 def test_rng_block_independent_of_workers_and_chunks(monkeypatch, workers, chunk):
-    # a threshold of 1 sends every block through the pool, with up to 9
-    # workers whatever the host has, switching threads as often as it can
+    # the block runner fills rows of about `chunk` normals per block with
+    # `_fill_chunk`; a threshold of 1 sends every block through the pool,
+    # with up to 9 workers whatever the host has, switching threads as
+    # often as it can: every split on every worker count gives the same bits
     pol = RngSeedPolicy(2**63 + 3)
     ref = pol.normal_block(4, 37, 33)
+    rows = max(1, chunk // 33)
+    out = np.empty_like(ref)
+
+    def fill(block):
+        start = block * rows
+        pol._fill_chunk(4 + start, out[start : start + rows])
+
     monkeypatch.setattr(gpsim, "_PARALLEL_MIN_NORMALS", 1)
-    monkeypatch.setattr(gpsim, "_CHUNK_NORMALS", chunk)
     monkeypatch.setattr(gpsim, "_usable_cores", lambda: 16)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with gpsim._capped_workers(workers):
             for _ in range(5):
-                np.testing.assert_array_equal(pol.normal_block(4, 37, 33), ref)
+                out[...] = np.nan
+                gpsim._run_blocks(fill, -(-37 // rows), out.size)
+                np.testing.assert_array_equal(out, ref)
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_rng_block_runs_on_the_pool(monkeypatch):
+    # the quadratic variation draws its blocks on the pool: 8 paths of 64
+    # normals, one path per block once _BLOCK_NORMALS is 64
     sizes = []
 
     class Recording(gpsim.ThreadPoolExecutor):
@@ -104,19 +116,20 @@ def test_rng_block_runs_on_the_pool(monkeypatch):
 
     monkeypatch.setattr(gpsim, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(gpsim, "_usable_cores", lambda: 4)
-    pol = RngSeedPolicy(5)
-    pol.normal_block(0, 8, 64)  # under the threshold: inline
+    args = (kf.lebesgue(), (0.0, 0.5), [6, 2], 8)
+    ref = gpsim.quadratic_variation(*args, seed=5)  # under the threshold: inline
     assert sizes == []
     monkeypatch.setattr(gpsim, "_PARALLEL_MIN_NORMALS", 1)
-    monkeypatch.setattr(gpsim, "_CHUNK_NORMALS", 64)
+    monkeypatch.setattr(gpsim, "_BLOCK_NORMALS", 64)
     with gpsim._capped_workers(3):
-        block = pol.normal_block(0, 8, 64)
+        rep = gpsim.quadratic_variation(*args, seed=5)
     assert sizes == [3]
-    np.testing.assert_array_equal(block[7], pol.normals(path=7, count=64))
+    assert (rep.mean_q, rep.e_sq) == (ref.mean_q, ref.e_sq)
 
 
 _FIRST_DRAW = """
-import hashlib, sys
+import sys
+import kernel_forge as kf
 from kernel_forge import gpsim
 
 pools = []
@@ -130,20 +143,21 @@ assert "scipy.special" not in sys.modules
 gpsim.ThreadPoolExecutor = Recording
 gpsim._usable_cores = lambda: 2
 with gpsim._capped_workers(2):
-    block = gpsim.RngSeedPolicy(11).normal_block(0, 256, 4096)
-print(hashlib.sha256(block.tobytes()).hexdigest(), pools)
+    rep = gpsim.quadratic_variation(kf.lebesgue(), (0.0, 1.0), [12, 3], 256, seed=11)
+print(repr(rep.mean_q + rep.e_sq))
+print(pools)
 """
 
 
 def test_a_first_draw_on_the_pool_matches_a_warm_one():
-    # 2^20 normals start the pool in a fresh interpreter, whose first draw
-    # imports ndtri: before the workers start, and to the same bytes
+    # 256 paths of 2^12 normals, 2^20 in all, start the pool in a fresh
+    # interpreter, whose first draw imports ndtri: before the workers
+    # start, and to the same bits
     proc = subprocess.run([sys.executable, "-c", _FIRST_DRAW], capture_output=True,
                           env=child_env(), timeout=120, text=True)
     assert proc.returncode == 0, proc.stderr
-    warm = RngSeedPolicy(11).normal_block(0, 256, 4096)
-    assert proc.stdout.split(maxsplit=1) == [
-        hashlib.sha256(warm.tobytes()).hexdigest(), "[(2, True)]\n"]
+    warm = gpsim.quadratic_variation(kf.lebesgue(), (0.0, 1.0), [12, 3], 256, seed=11)
+    assert proc.stdout.splitlines() == [repr(warm.mean_q + warm.e_sq), "[(2, True)]"]
 
 
 def test_worker_count_is_capped_without_starting_threads(monkeypatch):
@@ -341,16 +355,13 @@ def test_ito_cantor_product_second_moment():
 
 
 def test_ito_deterministic_across_block_sizes(monkeypatch):
-    # the draw chunk does not reach the mix; a threshold of 1 sends every
-    # block through the pool
+    # a threshold of 1 sends every block through the pool
     pair = gpsim.pair_ex1()
     grid = [0.25, 0.5, 1.0]
     a = gpsim.ito_synthesize(pair, 6, grid, n_paths=300, seed=8).paths
     monkeypatch.setattr(gpsim, "_PARALLEL_MIN_NORMALS", 1)
-    for chunk in (7, 1000):
-        monkeypatch.setattr(gpsim, "_CHUNK_NORMALS", chunk)
-        b = gpsim.ito_synthesize(pair, 6, grid, n_paths=300, seed=8).paths
-        np.testing.assert_array_equal(a, b)
+    b = gpsim.ito_synthesize(pair, 6, grid, n_paths=300, seed=8).paths
+    np.testing.assert_array_equal(a, b)
 
 
 def test_ito_complex_deterministic_across_block_sizes(monkeypatch):
@@ -359,17 +370,15 @@ def test_ito_complex_deterministic_across_block_sizes(monkeypatch):
     a = gpsim.ito_synthesize(pair, 6, grid, n_paths=300, seed=8).paths
     assert a.dtype == complex
     monkeypatch.setattr(gpsim, "_PARALLEL_MIN_NORMALS", 1)
-    for chunk in (7, 1000):
-        monkeypatch.setattr(gpsim, "_CHUNK_NORMALS", chunk)
-        b = gpsim.ito_synthesize(pair, 6, grid, n_paths=300, seed=8).paths
-        np.testing.assert_array_equal(a, b)
+    b = gpsim.ito_synthesize(pair, 6, grid, n_paths=300, seed=8).paths
+    np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("example", ["ex1", "ex3"])
 @pytest.mark.parametrize("resolution", [6, 12])
 def test_a_path_is_the_same_in_every_run(monkeypatch, example, resolution):
     # path p is a pure function of (seed, p, mixer): neither the path
-    # count, the workers, the draw chunk nor the BLAS hold moves a bit
+    # count, the workers nor the BLAS hold moves a bit
     pair, _, grid = DUALITY_EXAMPLES[example]
     rows = gpsim._block_rows(1 << resolution)
     counts = (1, 27, rows - 1, rows, rows + 1, 3 * rows + 5)
@@ -383,14 +392,12 @@ def test_a_path_is_the_same_in_every_run(monkeypatch, example, resolution):
     for hold in (True, False):
         if not hold:  # the products take numpy's own BLAS threads
             monkeypatch.setattr(gpsim, "_blas_controls", lambda: None)
-        for chunk in (7, 1000):
-            monkeypatch.setattr(gpsim, "_CHUNK_NORMALS", chunk)
-            for workers in (1, 2, 4):
-                with gpsim._capped_workers(workers):
-                    for n_paths in counts:
-                        got = paths(n_paths)
-                        assert got.tobytes() == ref[:n_paths].tobytes(), (
-                            hold, chunk, workers, n_paths)
+        for workers in (1, 2, 4):
+            with gpsim._capped_workers(workers):
+                for n_paths in counts:
+                    got = paths(n_paths)
+                    assert got.tobytes() == ref[:n_paths].tobytes(), (
+                        hold, workers, n_paths)
 
 
 def _block_oracle(policy, n_paths, mixer):
@@ -1006,6 +1013,71 @@ def test_qvar_one_tile_equals_a_tile_per_resolution(m, interval, resolutions):
     for r, expected in zip(resolutions, rep.expected_e_sq):
         idx = kf.cells(m, r).inside([interval])
         assert expected == float(2.0 * np.sum(kf.cells(m, r).masses[idx] ** 2))
+
+
+@pytest.mark.parametrize("m,interval,resolutions", [
+    (kf.lebesgue(), (0.0, 1.0), [3, 8, 5]),  # B = 512 paths of 256 normals
+    (kf.cantor4(), (0.5, 0.75), [4, 2]),  # B = 2048 paths of 16 normals
+], ids=["lebesgue", "cantor4"])
+def test_qvar_is_the_same_bits_on_every_worker_count(monkeypatch, m, interval, resolutions):
+    # each worker writes its block's Q; the caller sums them in 2048-path
+    # slices, so neither the path blocks nor the worker count moves a bit
+    rows = gpsim._block_rows(1 << max(resolutions))
+    counts = sorted({1, 2, rows - 1, rows, rows + 1, 2047, 2048, 2049, 3 * rows + 5})
+
+    def qvar(n_paths):
+        rep = gpsim.quadratic_variation(m, interval, resolutions, n_paths, seed=2**63 + 7)
+        return rep.mean_q + rep.e_sq
+
+    refs = {n: qvar(n) for n in counts}
+    pools = []
+
+    class Recording(gpsim.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(gpsim, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(gpsim, "_PARALLEL_MIN_NORMALS", 1)
+    monkeypatch.setattr(gpsim, "_usable_cores", lambda: 4)
+    for workers in (1, 2, 4):
+        with gpsim._capped_workers(workers):
+            for n_paths in counts:
+                assert qvar(n_paths) == refs[n_paths], (workers, n_paths)
+    assert set(pools) == {2, 4}
+    # the oracle sums a lone path in its last tile pairwise, so it is
+    # compared at a count whose last tile holds several paths
+    mean_q, e_sq = per_resolution_qvar(m, interval, resolutions, max(counts), 2**63 + 7)
+    assert refs[max(counts)] == mean_q + e_sq
+
+
+@pytest.mark.parametrize("n_paths", [1, 129])
+def test_qvar_sums_a_lone_path_left_to_right(n_paths):
+    # 129 paths leave one in the last block of 128: it is summed as the
+    # others are, not pairwise as numpy sums a one-row array
+    resolutions = [4, 10]
+    rep = gpsim.quadratic_variation(kf.lebesgue(), (0.0, 1.0), resolutions, n_paths, seed=6)
+    z = RngSeedPolicy(6).normal_block(0, n_paths, 1 << 10)
+    expected = []
+    for r in resolutions:
+        squares = (z[:, : 1 << r] * 2.0 ** (-r / 2)) ** 2
+        expected.append(float(np.sum(np.cumsum(squares, axis=1)[:, -1])) / n_paths)
+    assert gpsim._block_rows(1 << 10) == 128
+    assert rep.mean_q == expected
+
+
+def test_qvar_holds_no_path_tile(monkeypatch):
+    # numpy reports its buffers to tracemalloc: criterion 08's resolutions
+    # at 20k paths hold two workers' blocks and the resolutions x paths Q,
+    # where one 2048 x 1024 tile of normals took 16 MiB
+    monkeypatch.setattr(gpsim, "_usable_cores", lambda: 2)
+    tracemalloc.start()
+    try:
+        gpsim.quadratic_variation(kf.lebesgue(), (0.0, 1.0), list(range(4, 11)), 20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_qvar_builds_each_partition_once(monkeypatch):
