@@ -7,19 +7,25 @@ Complex numbers are written as `re+imj` literals in matrix CSV, as
 reports are schema-versioned under "kernel-forge/1" and serialized with
 sorted keys so identical runs produce identical bytes.
 
-Every value is converted once: arrays become Python floats through one
-`tolist()`, a CSV cell is exactly `repr(float)`, and a report is exactly
-the bytes of `json.dumps(sort_keys=True, indent=2, allow_nan=False)` of
-the converted record.  `_render` writes them without json's pure-Python
-indenting encoder: it walks dicts and nested lists itself, and each list
-of plain scalars (a matrix's entries, a grid) is one call of json's C
-encoder, whose item separator carries the newline and the indent.  NaN
-and +-inf are not JSON: a report or header holding one raises
-ValueError (`allow_nan=False`), with json's message naming the value,
-instead of writing `NaN` or `Infinity`.  Readers parse a whole matrix
-with `float()` first and take the per-cell route only for complex or
-parenthesised cells.  Malformed input raises `ValueError` naming the
-file and the line; it is never truncated.
+Every value is converted at most once: arrays become Python floats
+through one `tolist()`, a CSV cell is exactly `repr(float)`, and a
+report is exactly the bytes of `json.dumps(sort_keys=True, indent=2,
+allow_nan=False)` of the converted record.  A matrix equal to its
+transpose bit for bit (a Gram matrix, its inverse, a Hermitian matrix's
+real part) converts only the distinct values of its upper triangle and
+mirrors their text, so the Brownian Gram min(s, t) on n points costs n
+`repr` calls, not n^2.  `json_value` passes a list that is already plain
+scalars (`matrix_json`'s entries) with one type check.  `_render` writes
+a report without json's pure-Python indenting encoder: it walks dicts
+and nested lists itself, and each list of plain scalars (a matrix's
+entries, a grid) is one call of json's C encoder, whose item separator
+carries the newline and the indent.  NaN and +-inf are not JSON: a
+report or header holding one raises ValueError (`allow_nan=False`),
+with json's message naming the value, instead of writing `NaN` or
+`Infinity`.  Readers parse a whole matrix with `float()` first and take
+the per-cell route only for complex or parenthesised cells.  Malformed
+input raises `ValueError` naming the file and the line; it is never
+truncated.
 """
 
 from __future__ import annotations
@@ -147,14 +153,16 @@ def read_values(path: str) -> np.ndarray:
     """
     lines = _data_lines(path)
     parsed = [_cells(path, n, text) for n, text in lines]
-    for (n, text), row in zip(lines, parsed):
-        if not np.isfinite(row).all():
-            raise ValueError(f"{path}: line {n}: NaN or infinite value in {text!r}")
     widths = {len(p) for p in parsed}
+    table = np.array(parsed) if len(widths) == 1 else None
+    if table is None or not np.isfinite(table).all():
+        for (n, text), row in zip(lines, parsed):  # name the first bad line
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}: line {n}: NaN or infinite value in {text!r}")
     if widths == {1}:
-        return np.array([p[0] for p in parsed])
+        return table.ravel()
     if widths == {2}:
-        return np.array([complex(a, b) for a, b in parsed])
+        return table.view(np.complex128).ravel()  # (re, im) pairs, bits kept
     raise ValueError(f"{path}: value rows must have one column or re,im pairs")
 
 
@@ -196,14 +204,49 @@ def read_matrix(path: str) -> np.ndarray:
     return np.array(data, dtype=dtype)
 
 
+def _reprs(a: np.ndarray) -> list:
+    """Rows of the `repr` text of each entry of a real 2-D array.
+
+    A square array equal to its transpose bit for bit converts only the
+    distinct values of its upper triangle and mirrors their text.  Bits,
+    not values, are compared, so a mirrored 0.0/-0.0 pair takes the
+    general route, one conversion per entry.
+    """
+    a = a.astype(np.float64, copy=False)
+    n = len(a)
+    if a.shape == (n, n):
+        bits = a.view(np.uint64)
+        if np.array_equal(bits, bits.T):
+            upper = np.triu_indices(n)
+            values, inverse = np.unique(bits[upper], return_inverse=True)
+            table = np.array(list(map(repr, values.view(np.float64).tolist())), dtype=object)
+            text = np.empty((n, n), dtype=object)
+            text[upper] = text.T[upper] = table[inverse]
+            return text.tolist()
+    return [map(repr, row) for row in a.tolist()]
+
+
+def _complex_cell(re: str, im: str) -> str:
+    """`"{!r}{:+}j".format(x, y)` from `repr(x)` and `repr(y)`: `format(y, "+")`
+    is `repr(y)` with one leading sign, and repr writes a negative NaN as `nan`."""
+    return f"{re}{im}j" if im[0] == "-" else f"{re}+{im}j"
+
+
 def format_matrix(arr: np.ndarray) -> str:
-    """Matrix as headerless CSV text; complex entries as re+imj literals."""
+    """Matrix as headerless CSV text; complex entries as re+imj literals.
+
+    A cell is exactly `repr(float)`, or `"{!r}{:+}j"` for complex.  A
+    matrix equal to its transpose bit for bit converts each distinct value
+    of its upper triangle once (`_reprs`).  A complex matrix's real and
+    imaginary parts go through `_reprs` one at a time, so a Hermitian
+    matrix's real part takes that route and its imaginary part does not.
+    """
     a = np.atleast_2d(arr)
     if np.iscomplexobj(a):
-        cell = "{!r}{:+}j".format  # format(x, "+") always leads with one sign
-        lines = [",".join(map(cell, re, im)) for re, im in zip(_floats(a.real), _floats(a.imag))]
+        parts = zip(_reprs(a.real), _reprs(a.imag))
+        lines = [",".join(map(_complex_cell, re, im)) for re, im in parts]
     else:
-        lines = [",".join(map(repr, row)) for row in _floats(a)]
+        lines = map(",".join, _reprs(a))
     return "\n".join(lines) + "\n"
 
 
@@ -235,6 +278,8 @@ def json_value(v):
     if isinstance(v, dict):
         return {k: json_value(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
+        if _PLAIN.issuperset(map(type, v)):  # one C-speed pass, e.g. matrix_json's entries
+            return list(v)
         return [x if type(x) in _PLAIN else json_value(x) for x in v]
     if isinstance(v, IntervalSet):
         return [list(pair) for pair in v.intervals]

@@ -1,10 +1,12 @@
 """The public names: every `__all__` entry resolves, and the package's
 `__all__` is exactly what it imports, so a deletion cannot leave a stale
-export behind."""
+export behind.  The benchmark's tracing targets resolve too, so a rename
+cannot break only the benchmark's set-up."""
 
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +35,27 @@ def test_package_exports_exactly_what_it_imports():
         if not attr.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(kf.__all__) == imported | {"__version__"}
+
+
+def _tracing_targets():
+    """bench/tracing.py's TARGETS, read from its source without importing the bench package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    module = types.ModuleType("tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return module.TARGETS
+
+
+TARGETS = _tracing_targets()
+
+
+@pytest.mark.parametrize("target", TARGETS, ids=[t[0] for t in TARGETS])
+def test_every_tracing_target_resolves(target):
+    # Instruments.install() looks each one up as below: a method in its
+    # class's own namespace, a function as a module attribute
+    _name, module, attr, _counter = target
+    mod = importlib.import_module(f"kernel_forge.{module}")
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        assert callable(vars(getattr(mod, cls_name)).get(meth))
+    else:
+        assert callable(getattr(mod, attr, None))

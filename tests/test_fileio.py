@@ -88,6 +88,32 @@ def test_values_reject_a_non_finite_value(tmp_path, row):
         fileio.read_values(str(p))
 
 
+@pytest.mark.parametrize("text, lineno, row", [
+    ("1.5\n# note\n\nnan\n2.5\n", 4, "nan"),  # a middle row, after a comment and a blank
+    ("1.5\n2.5\n-0.5\ninf\n", 4, "inf"),  # the last row
+    ("1.0,2.0\n3.0,nan\n0.0,1.0\n", 2, "3.0,nan"),
+    ("1.0,2.0\n3.0,4.0\n-inf,0.0\n", 3, "-inf,0.0"),
+    ("1.5\nnan\ninf\n", 2, "nan"),  # the first of two
+    ("1.0,2.0\n0.5\nnan\n", 3, "nan"),  # ragged rows: the value is named first
+])
+def test_values_name_the_first_non_finite_line(tmp_path, text, lineno, row):
+    p = tmp_path / "v.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError) as got:
+        fileio.read_values(str(p))
+    assert str(got.value) == f"{p}: line {lineno}: NaN or infinite value in {row!r}"
+
+
+def test_values_keep_every_bit(tmp_path):
+    p = tmp_path / "v.csv"
+    p.write_text("-0.0,0.0\n5e-324,-0.0\n")
+    got = fileio.read_values(str(p))
+    want = np.array([complex(-0.0, 0.0), complex(5e-324, -0.0)])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    p.write_text("-0.0\n5e-324\n")
+    assert fileio.read_values(str(p)).tobytes() == np.array([-0.0, 5e-324]).tobytes()
+
+
 def test_chain_file(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("# comment\n1.0\n1.0,2.0\n1.0,2.0,3.0\n")
@@ -303,6 +329,53 @@ def arrays(draw, shapes=SHAPES):
 @given(arrays())
 def test_format_matrix_matches_cell_loop(a):
     assert fileio.format_matrix(a) == ref_format_matrix(a)
+
+
+@st.composite
+def symmetric_arrays(draw):
+    """Symmetric real and Hermitian complex matrices, often with repeated
+    values; in some, one mirrored pair differs only by the sign of a zero."""
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64, np.complex128, np.complex64]))
+    n = draw(st.integers(0, 6))
+    pool = draw(st.lists(ELEMENTS[dtype], min_size=1, max_size=3))
+    items = st.one_of(st.sampled_from(pool), ELEMENTS[dtype])
+    a = np.array(draw(st.lists(items, min_size=n * n, max_size=n * n)), dtype=dtype).reshape(n, n)
+    lower = np.tril_indices(n, -1)
+    a[lower] = a.T[lower].conj()
+    if np.iscomplexobj(a):
+        a.imag[np.diag_indices(n)] = 0.0
+    if n >= 2 and a.dtype.kind in "fc" and draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        a.real[i, j], a.real[j, i] = 0.0, -0.0  # bitwise unequal: the general route
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_arrays())
+def test_format_matrix_triangle_route_matches_cell_loop(a):
+    assert fileio.format_matrix(a) == ref_format_matrix(a)
+
+
+def test_symmetric_matrix_converts_each_distinct_value_once(monkeypatch):
+    calls = []
+
+    def counting_repr(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(fileio, "repr", counting_repr, raising=False)
+    x = np.arange(40) / 8.0
+    g = np.minimum.outer(x, x)  # the brownian-min Gram: 40 distinct values
+    assert fileio.format_matrix(g) == ref_format_matrix(g)
+    assert len(calls) == 40
+    calls.clear()
+    h = g + 1j * (np.triu(g, 1) - np.tril(g, -1))  # Hermitian; its imaginary part is not symmetric
+    assert fileio.format_matrix(h) == ref_format_matrix(h)
+    assert len(calls) == 40 + 40 * 40
+    calls.clear()
+    g[5, 0] = -0.0  # g[0, 5] is 0.0
+    assert fileio.format_matrix(g) == ref_format_matrix(g)
+    assert len(calls) == 40 * 40
 
 
 @settings(max_examples=200, deadline=None)
