@@ -11,9 +11,8 @@ factorization disintegrates the kernel's reproducing space.  Modules:
   solves, and two independent eigenvalue routes (shifted alternating
   Cholesky, round-robin Jacobi); all of them take a complex Hermitian
   matrix as it is, n x n.
-- `rkhs`: projections, Dirac-mass membership tests and norms along chains
-  (one Cholesky factor per chain), induced graphs, minimal-norm
-  interpolation.
+- `rkhs`: projections, Dirac-mass membership tests along chains (one
+  Cholesky factor per chain), induced graphs, minimal-norm interpolation.
 - `measures`: the scale-4 Cantor measure, its cells, CDF (`cdf`, one
   vectorized call), Fourier spectrum, and quadrature.
 - `gpsim`: deterministic Gaussian simulation, factorization/duality
@@ -51,14 +50,11 @@ from .gpsim import (
     RngSeedPolicy,
     duality_check,
     empirical_covariance,
-    frame_synthesize,
     ito_synthesize,
     pair_ex1,
     pair_ex2,
     pair_ex3,
     quadratic_variation,
-    sample_gaussian_vector,
-    transform_adjoint,
 )
 from .kernels import (
     FAMILIES,
@@ -99,14 +95,12 @@ from .measures import (
 from .rkhs import (
     DeltaMembershipReport,
     InducedGraph,
-    NormChainReport,
     PiecewiseLinearSpline,
     delta_membership,
     induced_graph,
     laplacian_apply,
     min_norm_interpolant,
     project,
-    rkhs_norm_sq,
 )
 from .sampling import (
     FrameReport,
@@ -136,7 +130,6 @@ __all__ = [
     "KernelForgeError",
     "KernelSpec",
     "MeasureModel",
-    "NormChainReport",
     "NotIncreasingError",
     "NotPositiveDefiniteError",
     "OutOfDomainError",
@@ -169,7 +162,6 @@ __all__ = [
     "fourier_gram",
     "frame_bounds",
     "frame_reconstruct",
-    "frame_synthesize",
     "generating_function",
     "gram",
     "green_1d",
@@ -192,12 +184,9 @@ __all__ = [
     "parseval_check",
     "project",
     "quadratic_variation",
-    "rkhs_norm_sq",
-    "sample_gaussian_vector",
     "sawtooth_witness",
     "shannon",
     "szego",
-    "transform_adjoint",
     "validate_psd",
     "__version__",
 ]

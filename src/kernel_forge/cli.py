@@ -88,6 +88,15 @@ def _build_kernel(args) -> kernels.KernelSpec:
     return kernels.KernelSpec(args.kernel, **{param: value})
 
 
+def _real(path: str, values) -> np.ndarray:
+    """values read from path as a float array; a complex or non-numeric
+    value (a two-column value file, a complex-disk point) raises ValueError."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{path}: expected real values, got {arr.dtype}")
+    return arr.astype(float)
+
+
 def _matrix_input(args) -> np.ndarray:
     """Matrix either directly from CSV or as a kernel Gram on points."""
     if args.matrix:
@@ -176,7 +185,7 @@ def _cmd_graph(args):
 
 
 def _cmd_interpolate(args):
-    rows = np.atleast_2d(fileio.read_matrix(args.data))
+    rows = np.atleast_2d(_real(args.data, fileio.read_matrix(args.data)))
     if rows.shape[1] != 2:
         raise ValueError(f"{args.data}: --data needs x,y rows, got {rows.shape[1]} columns")
     data = [(float(x), float(y)) for x, y in rows]
@@ -187,20 +196,19 @@ def _cmd_interpolate(args):
         "norm_sq": norm_sq,
     }
     if args.eval:
-        grid = fileio.read_points(args.eval).points
-        payload["eval_points"] = list(grid)
-        payload["values"] = f(np.array(grid, dtype=float))
+        grid = _real(args.eval, fileio.read_points(args.eval).points)
+        payload["eval_points"] = grid
+        payload["values"] = f(grid)
     return payload
 
 
 def _cmd_cantor_cdf(args):
     if args.grid_file:
-        xs = [float(p) for p in fileio.read_points(args.grid_file).points]
+        xs = _real(args.grid_file, fileio.read_points(args.grid_file).points)
     elif args.grid_n < 2:
         raise ValueError(f"--grid-n must be at least 2, got {args.grid_n}")
     else:
-        xs = [k / (args.grid_n - 1) for k in range(args.grid_n)]
-    xs = np.array(xs, dtype=float)
+        xs = np.array([k / (args.grid_n - 1) for k in range(args.grid_n)])
     return fileio.format_matrix(np.column_stack((xs, measures.cdf(measures.cantor4(), xs))))
 
 
@@ -214,6 +222,8 @@ def _cmd_cantor_spectrum(args):
 
 
 def _cmd_cantor_fourier_gram(args):
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     lams = list(measures.lambda4(args.limit).values[: args.count])
     g = measures.fourier_gram(lams, args.resolution, allow_any=args.allow_any)
     off = g.entries - np.diag(np.diag(g.entries))
@@ -320,10 +330,10 @@ def _cmd_witness(args):
         raise ValueError("--rule custom needs --slopes")
     if args.slopes and args.rule != "custom":
         raise ValueError("--slopes needs --rule custom")
-    knots = [float(v) for v in np.atleast_1d(fileio.read_values(args.knots))]
+    knots = _real(args.knots, fileio.read_values(args.knots))
     rule = args.rule
     if args.slopes:
-        rule = [float(v) for v in np.atleast_1d(fileio.read_values(args.slopes))]
+        rule = _real(args.slopes, fileio.read_values(args.slopes))
     w = sampling.sawtooth_witness(knots, rule)
     payload = {
         "knots": w.knots,
@@ -332,9 +342,9 @@ def _cmd_witness(args):
         "knot_inner_products": w.knot_inner_products(),
     }
     if args.eval:
-        grid = [float(p) for p in fileio.read_points(args.eval).points]
+        grid = _real(args.eval, fileio.read_points(args.eval).points)
         payload["eval_points"] = grid
-        payload["values"] = w(np.array(grid))
+        payload["values"] = w(grid)
     return payload
 
 

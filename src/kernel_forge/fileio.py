@@ -16,16 +16,17 @@ real part) converts only the distinct values of its upper triangle and
 mirrors their text, so the Brownian Gram min(s, t) on n points costs n
 `repr` calls, not n^2.  `json_value` passes a list that is already plain
 scalars (`matrix_json`'s entries) with one type check.  `_render` writes
-a report without json's pure-Python indenting encoder: it walks dicts
-and nested lists itself, and each list of plain scalars (a matrix's
-entries, a grid) is one call of json's C encoder, whose item separator
-carries the newline and the indent.  NaN and +-inf are not JSON: a
-report or header holding one raises ValueError (`allow_nan=False`),
-with json's message naming the value, instead of writing `NaN` or
-`Infinity`.  Readers parse a whole matrix with `float()` first and take
-the per-cell route only for complex or parenthesised cells.  Malformed
-input raises `ValueError` naming the file and the line; it is never
-truncated.
+a report without json's pure-Python indenting encoder: it walks dicts,
+lists and tuples itself, converting any other value with `json_value` as
+it meets it, and each list of plain scalars (a matrix's entries, a grid)
+is one type scan and one call of json's C encoder, whose item separator
+carries the newline and the indent; the list is never copied.  NaN and
++-inf are not JSON: a report or header holding one raises ValueError
+(`allow_nan=False`), with json's message naming the value, instead of
+writing `NaN` or `Infinity`.  Readers parse a whole matrix with `float()`
+first and take the per-cell route only for complex or parenthesised
+cells.  Malformed input raises `ValueError` naming the file and the
+line; it is never truncated.
 """
 
 from __future__ import annotations
@@ -271,6 +272,8 @@ _PLAIN = frozenset((float, int, bool, str, type(None)))
 # float dtypes whose tolist() yields Python floats (not longdouble, whose
 # tolist() keeps numpy scalars)
 _TOLIST_TYPES = (np.float64, np.float32, np.float16)
+# exact types that `_render` writes without converting them first
+_WALKED = _PLAIN | {dict, list, tuple}
 
 
 def json_value(v):
@@ -343,9 +346,13 @@ def _key(k) -> str:
 
 
 def _render(v, pad: str, out: list) -> None:
-    """Append to out the `indent=2` JSON text of v, which starts on a line indented by pad."""
+    """Append to out the `indent=2` JSON text of json_value(v), which starts
+    on a line indented by pad; dicts, lists and tuples are walked as they
+    are, so each list's item types are scanned once and it is never copied."""
+    if type(v) not in _WALKED:
+        v = json_value(v)  # an array, a numpy or complex scalar, an IntervalSet
     kind = type(v)
-    if kind is not dict and kind is not list:
+    if kind is not dict and kind is not list and kind is not tuple:
         out.append(_scalar(v))
     elif not v:
         out.append("{}" if kind is dict else "[]")
@@ -378,7 +385,7 @@ def render_report(command: str, config: dict, payload: dict, seed=None) -> str:
     """Schema-versioned JSON report: `json.dumps(doc, sort_keys=True, indent=2,
     allow_nan=False)` byte for byte, leaf lists C-encoded."""
     doc = _record(command, config, seed)
-    doc.update(json_value(payload))
+    doc.update(payload)
     out = []
     _render(doc, "", out)
     out.append("\n")

@@ -1,12 +1,11 @@
 """Monte Carlo synthesis of Gaussian processes from kernel factorizations.
 
-Two synthesis routes produce path ensembles whose covariance is a target
-kernel: exact finite-dimensional sampling through a Cholesky factor, and
-discretized stochastic-integral sums k_x(s_i) * W_i against independent
-Wiener increments over a measure partition.  The duality check compares
-both halves of the factorization identity K(x, y) = integral of
-conj(k_x) k_y dmu — deterministic quadrature on one side, empirical
-covariance on the other.
+A factorization pair (feature functions k_x and a measure mu) is turned
+into paths by the discretized stochastic-integral sum
+V_x = sum_i k_x(s_i) W_i against independent Wiener increments over a
+measure partition.  The duality check compares both halves of the
+factorization identity K(x, y) = integral of conj(k_x) k_y dmu —
+deterministic quadrature on one side, empirical covariance on the other.
 
 Brownian motion over a base measure mu is `ito_synthesize(pair_ex1(mu),
 ...)`: W([0, x]) sums the increments of the cells whose left end is <= x
@@ -24,11 +23,8 @@ draws never loads scipy).  Draws depend only on (seed, path, position),
 and a mixed path only on (seed, path, mixer): results are identical
 across path counts, worker counts and BLAS thread counts.
 
-Increments and frame coefficients stay real; complex-valued processes
-arise only through complex feature functions, except for direct sampling
-of a complex Gram matrix, which widens its complex Cholesky factor L into
-the n x 2n factor M = [L, -iL] / sqrt(2): M M^H = G, and M M^T = 0, so
-the samples are circular.
+Increments stay real; complex-valued processes arise only through
+complex feature functions (the Szego and Cantor-product pairs).
 
 One block runner, `_run_blocks`, runs every draw job: on a thread pool
 of min(cap, usable cores, blocks) workers for a job of at least 2^20
@@ -54,19 +50,18 @@ writes each path's Q per resolution.  `RngSeedPolicy.normal_block`, one
 `_fill_chunk` into a fresh array, is the tests' oracle; no synthesizer
 calls it.
 
-One BLAS rule: every Monte Carlo product (the Ito sum, direct sampling
-of a Gram matrix, frame synthesis) runs under `_one_blas_thread`, which
-holds numpy's OpenBLAS to one thread and restores the previous count on
-exit; `duality_check` holds it around its quadrature product and
-empirical covariance too.  After a multi-threaded product an OpenBLAS
-worker busy-waits for about 0.1 s and holds a core that the draw workers
-need; on two cores that cost the pool about half its speed.  So the draw
-pool is the only thread pool, and --threads / KERNEL_FORGE_THREADS bound
-it: a wide mixer's products run in parallel as the pool's blocks.  The
-OpenBLAS is the one numpy loaded, found with ctypes on first use
-(scipy's own copy is not on this path); with another BLAS (MKL,
-Accelerate) the hold does nothing.  Output bytes are the same with and
-without it; the tests compare both.
+One BLAS rule: every Monte Carlo product (the Ito sum's mix) runs under
+`_one_blas_thread`, which holds numpy's OpenBLAS to one thread and
+restores the previous count on exit; `duality_check` holds it around its
+quadrature product and empirical covariance too.  After a multi-threaded
+product an OpenBLAS worker busy-waits for about 0.1 s and holds a core
+that the draw workers need; on two cores that cost the pool about half
+its speed.  So the draw pool is the only thread pool, and --threads /
+KERNEL_FORGE_THREADS bound it: a wide mixer's products run in parallel
+as the pool's blocks.  The OpenBLAS is the one numpy loaded, found with
+ctypes on first use (scipy's own copy is not on this path); with another
+BLAS (MKL, Accelerate) the hold does nothing.  Output bytes are the same
+with and without it; the tests compare both.
 """
 
 from __future__ import annotations
@@ -83,10 +78,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, OutOfDomainError
-from .factorize import _nonnegative, cholesky
-from .kernels import GramMatrix, KernelSpec, _points, gram
-from .measures import MeasureModel, _values_at, cells, measure_of_intervals
+from .errors import OutOfDomainError
+from .factorize import _nonnegative
+from .kernels import KernelSpec, _points, gram
+from .measures import MeasureModel, cells, measure_of_intervals
 
 __all__ = [
     "FactorizationPair",
@@ -97,14 +92,10 @@ __all__ = [
     "pair_ex1",
     "pair_ex2",
     "pair_ex3",
-    "custom_pair",
-    "sample_gaussian_vector",
     "ito_synthesize",
-    "frame_synthesize",
     "empirical_covariance",
     "duality_check",
     "quadratic_variation",
-    "transform_adjoint",
 ]
 
 _PATH_TILE = 2048  # at most this many paths per block; qvar sums Q this many at a time
@@ -222,24 +213,12 @@ class RngSeedPolicy:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "master_seed", s)
 
-    def raw(self, path: int, count: int) -> np.ndarray:
-        key = np.array([self.master_seed, path], dtype=np.uint64)
-        return np.random.Philox(key=key).random_raw(count)
-
-    def uniforms(self, path: int, count: int) -> np.ndarray:
-        # (word >> 11) keeps 53 bits; +0.5 centers in (0, 1), so the
-        # inverse CDF never sees 0 or 1
-        return ((self.raw(path, count) >> np.uint64(11)) + 0.5) * _TWO_NEG53
-
-    def normals(self, path: int, count: int) -> np.ndarray:
-        return _ndtri()(self.uniforms(path, count))
-
     def normal_block(self, first_path: int, n_paths: int, count: int) -> np.ndarray:
         """(n_paths, count) standard normals, row k from path first_path + k.
 
-        Bit-identical to stacking `normals(path, count)`: one `_fill_chunk`
-        into a fresh array, in this thread.  The synthesizers draw on
-        `_run_blocks`' workers instead; this is their tests' reference.
+        One `_fill_chunk` into a fresh array, in this thread.  The Ito sum
+        and the quadratic variation draw on `_run_blocks`' workers
+        instead; this is their tests' reference.
         """
         out = np.empty((n_paths, count))
         self._fill_chunk(first_path, out)
@@ -265,6 +244,8 @@ class RngSeedPolicy:
             key[1] = first_path + k
             bitgen.state = state
             words[k] = bitgen.random_raw(count)
+        # (word >> 11) keeps 53 bits; +0.5 centers in (0, 1), so the
+        # inverse CDF never sees 0 or 1
         words >>= np.uint64(11)
         np.add(words, 0.5, out=rows)
         rows *= _TWO_NEG53
@@ -338,15 +319,12 @@ class PathEnsemble:
 
     Path p depends on the seed, p and the synthesizer's other inputs
     alone: not on P, the worker count or the execution order.
-    `ridge_used` is the ridge that `sample_gaussian_vector` added to a
-    singular covariance, else 0.0.
     """
 
     grid: list
     paths: np.ndarray
     seed: int
-    partition_resolution: Optional[int] = None
-    ridge_used: float = 0.0
+    partition_resolution: int
 
     @property
     def n_paths(self) -> int:
@@ -369,52 +347,28 @@ class FactorizationPair:
     indicator functions against Lebesgue measure (min kernel), the Szego
     features t -> 1/(1 - z e(-t)) against Lebesgue on the circle, and the
     truncated quartic products t -> prod (1 + z^{4^n} e(-4^n t)) against
-    the Cantor measure.  A custom pair supplies feature(x, s_array)
-    directly.
+    the Cantor measure.
     """
 
     kind: str
     measure: MeasureModel
     trunc: int = 0
-    feature: Optional[Callable] = None
-    complex_valued: bool = False
 
     def __post_init__(self):
-        if self.kind not in (*_PAIR_FAMILIES, "custom"):
+        if self.kind not in _PAIR_FAMILIES:
             raise ValueError(f"unknown pair kind {self.kind!r}")
-        if self.kind == "custom" and self.feature is None:
-            raise ValueError("custom pairs need a feature callable")
         if self.kind == "cantor-product" and self.trunc < 1:
             raise ValueError("cantor-product pairs need trunc >= 1")
-        if self.kind in ("szego", "cantor-product"):
-            object.__setattr__(self, "complex_valued", True)
 
     def feature_matrix(self, grid, reps: np.ndarray) -> np.ndarray:
         """(grid, cells) matrix of k_x(s) for x in grid, s in reps.
 
-        The built-in kinds check the grid with the point validator of the
-        kernel they factor and broadcast one grid x cells evaluation; the
+        The grid is checked with the point validator of the kernel the
+        pair factors, and one grid x cells evaluation is broadcast; the
         cell factors e(-4^n t) are computed once, and z^{4^n} stays a
-        Python complex power per grid point.  A custom pair fills one row
-        per feature(x, reps), of shape (cells,), real unless complex_valued.
+        Python complex power per grid point.
         """
         grid = list(grid)
-        if self.kind == "custom":
-            out = np.empty((len(grid), len(reps)), complex if self.complex_valued else float)
-            for row, x in zip(out, grid):
-                vals = np.asarray(self.feature(x, reps))
-                if vals.shape != row.shape:
-                    raise ValueError(
-                        f"feature({x!r}, reps) returned shape {vals.shape}, "
-                        f"expected {row.shape}"
-                    )
-                if np.iscomplexobj(vals) and not self.complex_valued:
-                    raise ValueError(
-                        f"feature({x!r}, reps) is complex: the pair needs "
-                        "complex_valued=True"
-                    )
-                row[...] = vals
-            return out
         xs = _points(KernelSpec(_PAIR_FAMILIES[self.kind], trunc=self.trunc), grid)
         if self.kind == "indicator":
             return (reps <= xs[:, None]).astype(float)
@@ -449,65 +403,8 @@ def pair_ex3(trunc: int = 8, measure: Optional[MeasureModel] = None) -> Factoriz
     )
 
 
-def custom_pair(
-    feature: Callable, measure: MeasureModel, complex_valued: bool = False
-) -> FactorizationPair:
-    return FactorizationPair(
-        kind="custom", measure=measure, feature=feature, complex_valued=complex_valued
-    )
-
-
 # ---------------------------------------------------------------------------
 # sampling operations
-
-
-def _gram_entries(g):
-    if isinstance(g, GramMatrix):
-        return np.array(g.entries), list(g.points.points)
-    arr = np.array(g)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return arr, list(range(arr.shape[0]))
-
-
-def _sampling_factor(arr: np.ndarray, ridge: float) -> np.ndarray:
-    """M with M @ M.conj().T = G: L itself if G is real, else n x 2n
-    [L, -iL] / sqrt(2), whose zero M @ M.T makes the samples circular."""
-    lower = cholesky(arr, ridge=ridge).L
-    if not np.iscomplexobj(arr):
-        return lower
-    return np.hstack((lower, -1j * lower)) / math.sqrt(2.0)
-
-
-def sample_gaussian_vector(g, n_paths: int, seed: int = 0) -> PathEnsemble:
-    """Exact Gaussian sampling with covariance G: each path is L @ Z.
-
-    L is the Cholesky factor (with an automatic ridge of 1e-12 * trace
-    retried once if the bare factorization fails, and reported as the
-    ensemble's `ridge_used`); Z is a vector of iid
-    standard normals from the path's substream.  Complex G samples
-    conj(M) @ Z with M = [L, -iL] / sqrt(2), which gives
-    E(conj(V_i) V_j) = G_ij and E(V_i V_j) = 0.
-    """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    arr, grid = _gram_entries(g)
-    policy = RngSeedPolicy(seed)
-    n = arr.shape[0]
-    if n == 0 or not np.any(arr):
-        zeros = np.zeros((n_paths, n), dtype=complex if np.iscomplexobj(arr) else float)
-        return PathEnsemble(grid=grid, paths=zeros, seed=policy.master_seed)
-    ridge = 0.0
-    try:
-        factor = _sampling_factor(arr, ridge)
-    except NotPositiveDefiniteError:
-        ridge = 1e-12 * float(np.trace(arr).real)
-        factor = _sampling_factor(arr, ridge)
-    mixer = factor.conj().T  # (draws, n); real case: plain transpose
-    out = _mix_paths(policy, n_paths, mixer)
-    return PathEnsemble(
-        grid=grid, paths=out, seed=policy.master_seed, ridge_used=ridge
-    )
 
 
 def ito_synthesize(
@@ -539,25 +436,6 @@ def _ito_ensemble(phi, masses, grid, resolution, n_paths, seed) -> PathEnsemble:
     return PathEnsemble(
         grid=grid, paths=out, seed=policy.master_seed, partition_resolution=resolution
     )
-
-
-def frame_synthesize(g_functions, x_grid, n_paths: int, seed: int = 0) -> PathEnsemble:
-    """V_x = sum_n g_n(x) zeta_n with iid standard normal zeta.
-
-    The empirical covariance converges to sum_n conj(g_n(x)) g_n(y) in
-    the conjugate-first convention used throughout.
-    """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    grid = list(x_grid)
-    fns = list(g_functions)
-    cols = np.array([[fn(x) for fn in fns] for x in grid])  # grid x N
-    # a g_n that returns a one-element array adds a trailing axis, and an
-    # empty grid gives shape (0,)
-    cols = cols.reshape(len(grid), len(fns))
-    policy = RngSeedPolicy(seed)
-    out = _mix_paths(policy, n_paths, cols.T)
-    return PathEnsemble(grid=grid, paths=out, seed=policy.master_seed)
 
 
 def empirical_covariance(e: PathEnsemble) -> np.ndarray:
@@ -746,9 +624,3 @@ def quadratic_variation(
         seed=policy.master_seed,
     )
 
-
-def transform_adjoint(pair: FactorizationPair, f, x_grid, resolution: int) -> np.ndarray:
-    """Adjoint transform by quadrature: (T* f)(x) = integral f conj(k_x) dmu."""
-    part = cells(pair.measure, resolution)
-    phi = pair.feature_matrix(list(x_grid), part.reps)
-    return (phi.conj() * part.masses) @ _values_at(f, part.reps)

@@ -1,23 +1,21 @@
 """Finite-sample RKHS operations.
 
 Everything here reduces to Gram-matrix algebra on a finite sample set:
-orthogonal projection onto the span of kernel sections, squared norms
-computed along nested chains of sample sets (nondecreasing, with the sup
-as the norm estimate), a finite-level Dirac-membership test, the inverse
+orthogonal projection onto the span of kernel sections, a finite-level
+Dirac-membership test along a nested chain of sample sets, the inverse
 Gram as a discrete Laplacian and its induced graph, spline extension by
 interpolation, and the closed-form minimal-norm interpolant of the
 Brownian min-kernel (piecewise linear, anchored at f(0) = 0).
 
-A chain question is answered from one Gram and one Cholesky factor.  The
-chain's points are ordered by first appearance, so strict nesting makes
-every level a leading block of the Gram, and the leading block of L
-factors it.  `delta_membership` moves x to the end: every level less x
-is then a leading block, the last row of L holds L'^-1 k_x for all of
-them at once, and (K_F^-1)_xx is the reciprocal of the Schur complement
-K_xx - sum_{i < |F|-1} |L[x, i]|^2, the squared distance from k_x to the
-span of the level's other sections.  `rkhs_norm_sq` reads
-<h_F, K_F^-1 h_F> = ||(L^-1 h)[:|F|]||^2.  Complex families factor their
-complex Gram the same way, with L @ L^H = G.
+The chain question is answered from one Gram and one Cholesky factor.
+The chain's points are ordered by first appearance, except x, which goes
+last; strict nesting then makes every level less x a leading block of
+the Gram, and the leading block of L factors it.  The last row of L
+holds L'^-1 k_x for all of them at once, and (K_F^-1)_xx is the
+reciprocal of the Schur complement K_xx - sum_{i < |F|-1} |L[x, i]|^2,
+the squared distance from k_x to the span of the level's other sections.
+Complex families factor their complex Gram the same way, with
+L @ L^H = G.
 """
 
 from __future__ import annotations
@@ -35,12 +33,10 @@ from .factorize import (
 from .kernels import KernelSpec, SampleSet, as_sample_set, cross_gram, gram
 
 __all__ = [
-    "NormChainReport",
     "DeltaMembershipReport",
     "InducedGraph",
     "PiecewiseLinearSpline",
     "project",
-    "rkhs_norm_sq",
     "delta_membership",
     "laplacian_apply",
     "induced_graph",
@@ -63,92 +59,28 @@ def project(spec: KernelSpec, sample, h_values, eval_points) -> np.ndarray:
     return cross_gram(spec, list(eval_points), sample.points) @ xi
 
 
-@dataclass(frozen=True, eq=False)
-class NormChainReport:
-    """Squared-norm estimates along a nested chain; sup is the estimate."""
-
-    sequence: np.ndarray
-    sup: float
-
-
-def _chain_levels(sample: SampleSet):
-    if not sample.chain:
-        raise ChainError("this operation needs a SampleSet with a nonempty chain")
-    return sample.chain
-
-
-def _leading_order(sample: SampleSet, last=None):
+def _leading_order(sample: SampleSet, last):
     """Positions in the last level, in the order one factor serves a chain.
 
-    Points come in order of first appearance, except `last` (when given),
-    which comes at the end; strict nesting then makes every level, less
-    `last`, a leading block of that order.  Returns the positions and the
-    size of each level.  A level without `last` raises ChainError.  The
-    levels' keys are the sample's own `chain_keys`.
+    Points come in order of first appearance, except `last`, which comes
+    at the end; strict nesting then makes every level, less `last`, a
+    leading block of that order.  Returns the positions and the size of
+    each level.  A level without `last` raises ChainError.  The levels'
+    keys are the sample's own `chain_keys`.
     """
-    levels = _chain_levels(sample)
-    target = None if last is None else kernels.point_key(last)
+    levels = sample.chain
+    if not levels:
+        raise ChainError("this operation needs a SampleSet with a nonempty chain")
+    target = kernels.point_key(last)
     first = {}
     for level, keys in zip(levels, sample.chain_keys):
-        if target is not None and target not in keys:
+        if target not in keys:
             raise ChainError(f"chain level {level} does not contain the point {last}")
         first.update(dict.fromkeys(keys))  # a key already seen keeps its place
-    if target is not None:
-        first[target] = first.pop(target)
+    first[target] = first.pop(target)
     where = {key: i for i, key in enumerate(sample.chain_keys[-1])}
     order = np.array([where[key] for key in first], dtype=np.intp)
     return order, np.array([len(level) for level in levels], dtype=np.intp)
-
-
-def _chain_factor(spec: KernelSpec, sample: SampleSet, order):
-    """(G, L): the Gram on the last level with its points in `order`, and
-    its lower Cholesky factor.  Raises SingularMatrixError.
-    """
-    g = kernels._gram_array(spec, [sample.chain[-1][i] for i in order], sample.domain)
-    return g, invertible_cholesky(g).L
-
-
-def _check_chain_consistency(sample: SampleSet, values):
-    """Sampled values must agree wherever chain levels overlap."""
-    levels, chain_keys = sample.chain, sample.chain_keys
-    for k in range(len(levels) - 1):
-        seen = dict(zip(chain_keys[k], values[k]))
-        for i, key in enumerate(chain_keys[k + 1]):
-            if key in seen and not np.isclose(
-                seen[key], values[k + 1][i], rtol=1e-12, atol=0.0
-            ):
-                point = levels[k + 1][i]
-                raise ValueError(f"sample values disagree across chain levels at point {point}")
-
-
-def rkhs_norm_sq(spec: KernelSpec, sample, h_values_per_level) -> NormChainReport:
-    """Squared RKHS norm estimated along a nested chain of sample sets.
-
-    Level F contributes <h_F, K_F^{-1} h_F>, read from one factor L of the
-    Gram on the chain's points in order of first appearance: with
-    z = L^-1 h, the level's energy is ||z[:|F|]||^2.  The
-    sequence is nondecreasing by construction, and its final value is
-    returned as the sup.  The levels' values must agree where they
-    overlap; h takes them from the last level.
-    """
-    sample = as_sample_set(sample)
-    levels = _chain_levels(sample)
-    dtype = complex if spec.is_complex else float
-    values = [np.asarray(v, dtype=dtype) for v in h_values_per_level]
-    if len(values) != len(levels):
-        raise ValueError(
-            f"chain has {len(levels)} levels but {len(values)} value vectors given"
-        )
-    for level, vals in zip(levels, values):
-        if vals.shape != (len(level),):
-            raise ValueError(f"expected {len(level)} sample values, got shape {vals.shape}")
-    _check_chain_consistency(sample, values)
-    order, sizes = _leading_order(sample)
-    _, lower = _chain_factor(spec, sample, order)
-    h = values[-1][order]
-    z = np.linalg.inv(lower) @ h
-    seq = np.cumsum(np.abs(z) ** 2)[sizes - 1]
-    return NormChainReport(sequence=seq, sup=float(seq[-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +124,8 @@ def delta_membership(
     _nonnegative(cap=cap, growth=growth, rtol=rtol)
     sample = as_sample_set(sample)
     order, sizes = _leading_order(sample, last=x)
-    g, lower = _chain_factor(spec, sample, order)
+    g = kernels._gram_array(spec, [sample.chain[-1][i] for i in order], sample.domain)
+    lower = invertible_cholesky(g).L
     n = len(g) - 1  # x's row
     partial = np.concatenate(([0.0], np.cumsum(np.abs(lower[n, :n]) ** 2)))
     seq = 1.0 / (g[n, n].real - partial[sizes - 1])
@@ -212,10 +145,12 @@ def laplacian_apply(spec: KernelSpec, sample, h_values) -> np.ndarray:
     On an integer window of the Brownian line kernel this is the standard
     second-difference operator at interior points.  `project` solves
     K_S xi = h|_S through it, with `factorize.solve_gram`: W.T @ (W @ h)
-    from the Cholesky factor, never the inverse itself.
+    from the Cholesky factor, never the inverse itself.  The result is
+    linear in h, so complex values on a real kernel give a complex result.
     """
     sample = as_sample_set(sample)
-    h = np.asarray(h_values, dtype=complex if spec.is_complex else float)
+    h = np.asarray(h_values)
+    h = h.astype(np.result_type(h, complex if spec.is_complex else float), copy=False)
     if h.shape != (len(sample),):
         raise ValueError(f"expected {len(sample)} sample values, got shape {h.shape}")
     return solve_gram(gram(spec, sample), h)

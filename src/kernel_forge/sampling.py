@@ -148,11 +148,13 @@ def frame_reconstruct(spec: KernelSpec, s, f_samples, eval_points) -> np.ndarray
     Exact for f in the span of the kernel sections at S.  Deliberately
     solves the Gram system with a direct dense solver — an independent
     route from the inverse-Gram path used by the projection code, so the
-    two can be cross-checked.
+    two can be cross-checked.  The result is linear in the samples, so
+    complex samples on a real kernel give a complex result.
     """
     sample = as_sample_set(s)
     g = gram(spec, sample)
-    f = np.asarray(f_samples, dtype=g.entries.dtype)
+    f = np.asarray(f_samples)
+    f = f.astype(np.result_type(f, g.entries), copy=False)
     if f.shape != (g.n,):
         raise ValueError(f"expected {g.n} samples, got shape {f.shape}")
     try:

@@ -252,6 +252,22 @@ def test_project(tmp_path, points_file):
     assert json.loads(raw)["values"] == [1.25, 2.0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["project", "--kernel", "brownian-min", "--values", "vals.csv"],
+    ["frame", "reconstruct", "--kernel", "brownian-min", "--samples", "vals.csv"],
+], ids=["project", "frame-reconstruct"])
+def test_complex_values_on_a_real_kernel_stay_complex(tmp_path, monkeypatch, points_file, argv):
+    # both routes are linear in the values: the imaginary part is projected
+    # as the real part is, not dropped
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "vals.csv").write_text("1.0,0.5\n1.5,0.0\n2.5,-1.0\n")
+    (tmp_path / "ev.csv").write_text("real-line\n1.5\n2.5\n")
+    code, raw = run_to_file(tmp_path, argv + ["--points", points_file, "--eval", "ev.csv"])
+    assert code == 0
+    np.testing.assert_allclose(json.loads(raw)["values"], [[1.25, 0.25], [2.0, -0.5]],
+                               rtol=0, atol=1e-12)
+
+
 def test_graph(tmp_path, points_file):
     code, raw = run_to_file(tmp_path, ["graph", "--kernel", "brownian-min",
                                        "--points", points_file])
@@ -371,6 +387,18 @@ def test_cantor_fourier_gram(tmp_path):
     doc = json.loads(raw)
     assert doc["lams"] == [0, 1, 4, 5]
     assert doc["off_diagonal_max"] <= 0.05
+
+
+def test_cantor_fourier_gram_count_is_not_negative(tmp_path, capsys):
+    # a slice [:-1] would drop the last frequency and exit 0
+    out = tmp_path / "fg.json"
+    assert cli.run(["cantor", "fourier-gram", "--count", "-1", "--out", str(out)]) == 2
+    assert "--count must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+    code, raw = run_to_file(tmp_path, ["cantor", "fourier-gram", "--count", "0"])
+    assert code == 0
+    doc = json.loads(raw)
+    assert doc["lams"] == [] and doc["matrix"]["entries"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -994,6 +1022,33 @@ def test_a_non_finite_value_file_entry_exits_2(tmp_path, monkeypatch, capsys, ar
     assert cli.run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "bad.csv: line 2: NaN or infinite value" in err or "finite y, got" in err
+    assert not out.exists()
+
+
+# each command with an input that must be real, and a file that reads as
+# complex: a complex cell, (re, im) value pairs, or complex-disk points
+REAL_INPUT_RUNS = [
+    (["interpolate", "--data", "bad.csv"], "0.5,1.0\n1.5,3+1j\n"),
+    (["interpolate", "--data", "data.csv", "--eval", "bad.csv"], "complex-disk\n0.5,0.25\n"),
+    (["witness", "sawtooth", "--knots", "bad.csv"], "0.5,0.0\n1.0,0.0\n2.25,0.0\n"),
+    (["witness", "sawtooth", "--knots", "knots.csv", "--rule", "custom",
+      "--slopes", "bad.csv"], "1.0,0.5\n-0.5,0.0\n0.125,0.0\n"),
+    (["witness", "sawtooth", "--knots", "knots.csv", "--eval", "bad.csv"],
+     "complex-disk\n0.5,0.25\n"),
+    (["cantor", "cdf", "--grid-file", "bad.csv"], "complex-disk\n0.5,0.25\n"),
+]
+
+
+@pytest.mark.parametrize("argv,text", REAL_INPUT_RUNS, ids=[
+    "interpolate-data", "interpolate-eval", "witness-knots", "witness-slopes",
+    "witness-eval", "cantor-cdf-grid"])
+def test_a_complex_input_that_must_be_real_exits_2(tmp_path, monkeypatch, capsys, argv, text):
+    # neither dropped to its real part (exit 0) nor a TypeError (exit 1)
+    _golden_run(tmp_path, monkeypatch, GOLDEN_OUTPUTS[0][0])
+    (tmp_path / "bad.csv").write_text(text)
+    out = tmp_path / "bad.out"
+    assert cli.run(argv + ["--out", str(out)]) == 2
+    assert "bad.csv: expected real values, got complex128" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,7 +6,6 @@ each is pinned to a fixed seed so a failure is a real regression, not noise.
 
 import hashlib
 import math
-import re
 import subprocess
 import sys
 import threading
@@ -20,24 +19,44 @@ from hypothesis import strategies as st
 
 import kernel_forge as kf
 from kernel_forge import gpsim
-from kernel_forge.gpsim import RngSeedPolicy, custom_pair
+from kernel_forge.gpsim import RngSeedPolicy
 
 
 # ---------------------------------------------------------------------------
 # RNG policy
 
 
+# the per-path draw that `_fill_chunk` replaced, kept as its oracle: a
+# Philox generator keyed by (seed, path), its raw words as open-interval
+# uniforms, and their normals through the inverse CDF
+
+
+def raw(policy, path, count):
+    key = np.array([policy.master_seed, path], dtype=np.uint64)
+    return np.random.Philox(key=key).random_raw(count)
+
+
+def uniforms(policy, path, count):
+    # (word >> 11) keeps 53 bits; +0.5 centers in (0, 1), so the
+    # inverse CDF never sees 0 or 1
+    return ((raw(policy, path, count) >> np.uint64(11)) + 0.5) * 2.0 ** -53
+
+
+def normals(policy, path, count):
+    return gpsim._ndtri()(uniforms(policy, path, count))
+
+
 def test_rng_is_deterministic_per_path():
     pol = RngSeedPolicy(123)
-    a = pol.normals(path=7, count=64)
-    b = pol.normals(path=7, count=64)
+    a = normals(pol, path=7, count=64)
+    b = normals(pol, path=7, count=64)
     np.testing.assert_array_equal(a, b)
-    c = pol.normals(path=8, count=64)
+    c = normals(pol, path=8, count=64)
     assert not np.array_equal(a, c)
 
 
 def test_rng_uniforms_in_open_interval():
-    u = RngSeedPolicy(0).uniforms(path=0, count=4096)
+    u = uniforms(RngSeedPolicy(0), path=0, count=4096)
     assert np.all(u > 0.0) and np.all(u < 1.0)
 
 
@@ -48,7 +67,7 @@ def test_rng_block_matches_per_path():
     for count in (1, 3, 5, 16, 4095):
         block = pol.normal_block(first_path=5, n_paths=3, count=count)
         for k in range(3):
-            np.testing.assert_array_equal(block[k], pol.normals(path=5 + k, count=count))
+            np.testing.assert_array_equal(block[k], normals(pol, path=5 + k, count=count))
 
 
 # sha256 of normal_block's bytes: the draws are pinned bit for bit, across a
@@ -184,78 +203,6 @@ def test_rng_rejects_bad_seed():
 
 
 # ---------------------------------------------------------------------------
-# Gaussian vectors
-
-
-def test_gaussian_vector_scaling():
-    ens = gpsim.sample_gaussian_vector(np.array([[4.0]]), n_paths=20000, seed=1)
-    var = float(np.var(ens.paths))
-    assert var == pytest.approx(4.0, rel=0.05)
-
-
-def test_gaussian_vector_zero_matrix():
-    ens = gpsim.sample_gaussian_vector(np.zeros((3, 3)), n_paths=50, seed=0)
-    np.testing.assert_array_equal(ens.paths, np.zeros((50, 3)))
-
-
-def test_gaussian_vector_small_singular_matrix():
-    # rank one at scale 1e-6: the ridge retry must succeed at any scale
-    g = 1e-6 * np.array([[1.0, 1.0], [1.0, 1.0]])
-    ens = gpsim.sample_gaussian_vector(g, n_paths=2000, seed=5)
-    np.testing.assert_allclose(ens.paths[:, 0], ens.paths[:, 1], atol=1e-8)
-    emp = gpsim.empirical_covariance(ens)
-    tol = 5.0 * float(np.abs(g).max()) / np.sqrt(2000)
-    assert float(np.max(np.abs(emp - g))) <= tol
-
-
-def test_gaussian_vector_reports_its_ridge():
-    rank_one = np.array([[1.0, 2.0], [2.0, 4.0]])
-    ens = gpsim.sample_gaussian_vector(rank_one, n_paths=10, seed=0)
-    assert ens.ridge_used == pytest.approx(5e-12) and ens.ridge_used > 0.0
-    full_rank = kf.gram(kf.brownian_min(), [1.0, 2.0])
-    assert gpsim.sample_gaussian_vector(full_rank, n_paths=10, seed=0).ridge_used == 0.0
-
-
-def test_gaussian_vector_brownian_covariance():
-    g = kf.gram(kf.brownian_min(), [1.0, 2.0, 3.0])
-    ens = gpsim.sample_gaussian_vector(g, n_paths=100_000, seed=42)
-    emp = gpsim.empirical_covariance(ens)
-    assert float(np.max(np.abs(emp - g.entries))) <= 0.05
-
-
-def test_gaussian_vector_complex_covariance():
-    g = kf.gram(kf.szego(), [0.1 + 0.2j, -0.4j, 0.3])
-    ens = gpsim.sample_gaussian_vector(g, n_paths=60_000, seed=7)
-    emp = gpsim.empirical_covariance(ens)
-    tol = 5.0 * float(np.abs(g.entries).max()) / np.sqrt(60_000)
-    assert float(np.max(np.abs(emp - g.entries))) <= tol
-
-
-def test_gaussian_vector_complex_is_circular():
-    # complex G samples conj(M) @ Z with M = [L, -iL] / sqrt(2): M M^H = G
-    # and M M^T = 0, so the pseudo-covariance E(V V^T) vanishes
-    g = kf.gram(kf.szego(), [0.1 + 0.2j, -0.4j, 0.3])
-    scale = float(np.abs(g.entries).max())
-    m = gpsim._sampling_factor(g.entries, 0.0)
-    assert m.shape == (3, 6)
-    assert float(np.max(np.abs(m @ m.conj().T - g.entries))) <= 1e-14 * scale
-    assert float(np.max(np.abs(m @ m.T))) <= 1e-14 * scale
-    n_paths = 60_000
-    v = gpsim.sample_gaussian_vector(g, n_paths=n_paths, seed=7).paths
-    products = v[:, :, None] * v[:, None, :]
-    pseudo = products.mean(axis=0)
-    se = products.std(axis=0) / np.sqrt(n_paths)
-    assert np.all(np.abs(pseudo) <= 5.0 * se)
-
-
-def test_gaussian_vector_deterministic():
-    g = kf.gram(kf.brownian_min(), [1.0, 2.0])
-    a = gpsim.sample_gaussian_vector(g, n_paths=10, seed=3).paths
-    b = gpsim.sample_gaussian_vector(g, n_paths=10, seed=3).paths
-    np.testing.assert_array_equal(a, b)
-
-
-# ---------------------------------------------------------------------------
 # Brownian paths over a base measure: the Ito sum of chi_[0, x]
 
 
@@ -336,9 +283,10 @@ def test_wiener_routines_need_a_path(n_paths):
 
 
 def test_ito_constant_feature_gives_total_mass():
-    pair = custom_pair(lambda x, reps: np.ones_like(reps), kf.lebesgue())
-    ens = gpsim.ito_synthesize(pair, 5, [0.25, 0.75], n_paths=30_000, seed=4)
-    # k identically 1 integrates the whole field: V_x = W([0,1]) for every x
+    # chi_[0, x] is identically 1 on [0, 1] for x >= 1, so it integrates
+    # the whole field: V_x = W([0,1]) for every such x
+    pair = gpsim.pair_ex1(kf.lebesgue())
+    ens = gpsim.ito_synthesize(pair, 5, [1.0, 1.75], n_paths=30_000, seed=4)
     np.testing.assert_allclose(ens.paths[:, 0], ens.paths[:, 1], atol=1e-12)
     assert float(np.var(ens.paths[:, 0])) == pytest.approx(1.0, rel=0.05)
 
@@ -456,13 +404,6 @@ def test_mix_integer_and_single_mixers_give_double_paths():
     assert gpsim._mix_paths(pol, 9, single).dtype == np.complex128
 
 
-def test_frame_synthesize_of_integer_functions_is_not_truncated():
-    ints = gpsim.frame_synthesize([lambda x: 1, lambda x: 2], [0.1, 0.5], 4, seed=1)
-    floats = gpsim.frame_synthesize([lambda x: 1.0, lambda x: 2.0], [0.1, 0.5], 4, seed=1)
-    assert ints.paths.dtype == np.float64
-    assert ints.paths.tobytes() == floats.paths.tobytes()
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
@@ -533,8 +474,6 @@ def _feature_row(self, x, reps: np.ndarray) -> np.ndarray:
             p = 4 ** n
             out *= 1.0 + (z ** p) * np.exp(-2j * np.pi * p * reps)
         return out
-    vals = np.asarray(self.feature(x, reps))
-    return vals.astype(complex if self.complex_valued else float)
 
 
 @pytest.mark.parametrize(
@@ -545,13 +484,13 @@ def _feature_row(self, x, reps: np.ndarray) -> np.ndarray:
         (gpsim.pair_ex2(), [0.0, 0.5, -0.3 + 0.4j, 0.9j, 0.999]),
         (gpsim.pair_ex3(), [0.0, 0.2, 0.1 + 0.3j, -0.7j, 0.95]),
         (gpsim.pair_ex3(trunc=1), [0.5j, 0.3]),
-        (custom_pair(lambda x, s: np.cos(x * s), kf.lebesgue()), [0.0, 1.0, 2.5]),
+        (gpsim.pair_ex1(kf.cantor4()), [0.0, 0.25, 1 / 3, 2.5]),
         (gpsim.pair_ex2(), []),
         (gpsim.pair_ex1(), []),
         (gpsim.pair_ex3(trunc=3), []),
-        (custom_pair(lambda x, s: np.cos(x * s), kf.lebesgue()), []),
-        (custom_pair(lambda x, s: np.exp(1j * x * s), kf.lebesgue(), True), [0.5, 2.0]),
-        (custom_pair(lambda x, s: np.exp(1j * x * s), kf.lebesgue(), True), []),
+        (gpsim.pair_ex1(kf.cantor4()), []),
+        (gpsim.pair_ex2(kf.cantor4()), [0.5j, -0.25, 0.0]),
+        (gpsim.pair_ex3(trunc=1), []),
     ],
 )
 @pytest.mark.parametrize("resolution", [3, 8, 12])
@@ -559,47 +498,17 @@ def test_feature_matrix_matches_feature_rows(pair, grid, resolution):
     reps = kf.cells(pair.measure, resolution).reps
     rows = np.array([_feature_row(pair, x, reps) for x in grid])
     if not grid:  # np.array([]) is (0,) float64; the matrix keeps its columns
-        rows = np.empty((0, len(reps)), complex if pair.complex_valued else float)
+        rows = np.empty((0, len(reps)), float if pair.kind == "indicator" else complex)
     mat = pair.feature_matrix(grid, reps)
     assert mat.dtype == rows.dtype and mat.shape == rows.shape
     assert mat.tobytes() == rows.tobytes()
 
 
-def test_empty_grid_runs_through_duality_ito_and_adjoint():
+def test_empty_grid_runs_through_duality_and_ito():
     rep = gpsim.duality_check(gpsim.pair_ex1(), kf.brownian_min(), [], 3, 10)
     assert rep.quad_error == 0.0 and rep.mc_error == 0.0 and rep.passed
     ens = gpsim.ito_synthesize(gpsim.pair_ex2(), 3, [], 10)
     assert ens.paths.shape == (10, 0) and ens.paths.dtype == complex
-    out = gpsim.transform_adjoint(gpsim.pair_ex1(), np.cos, [], 3)
-    assert out.shape == (0,)
-
-
-@pytest.mark.parametrize(
-    "feature,returned",
-    [(lambda x, s: 1.0, "()"), (lambda x, s: np.ones(3), "(3,)")],
-    ids=["scalar", "length-3"],
-)
-def test_custom_feature_of_the_wrong_shape_is_rejected(feature, returned):
-    pair = custom_pair(feature, kf.lebesgue())
-    reps = kf.cells(pair.measure, 3).reps  # 8 cells
-    message = f"feature(0.5, reps) returned shape {returned}, expected (8,)"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        pair.feature_matrix([0.5], reps)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        gpsim.ito_synthesize(pair, 3, [0.5], 10)
-
-
-def test_complex_custom_feature_needs_a_complex_pair():
-    # numpy would keep only the real part of exp(i x s) in a float row
-    pair = custom_pair(lambda x, s: np.exp(1j * x * s), kf.lebesgue())
-    message = "feature(2.0, reps) is complex: the pair needs complex_valued=True"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        gpsim.transform_adjoint(pair, lambda s: np.ones_like(s), [2.0], 8)
-    complex_pair = custom_pair(lambda x, s: np.exp(1j * x * s), kf.lebesgue(), True)
-    value = gpsim.transform_adjoint(complex_pair, lambda s: np.ones_like(s), [2.0], 8)
-    # integral of exp(-2i s) over [0, 1] is (1 - exp(-2i)) / 2i; left-endpoint
-    # quadrature on 256 cells is within 2 / 256 of it
-    assert abs(value[0] - (1 - np.exp(-2j)) / 2j) < 2.0 / 256
 
 
 @pytest.mark.parametrize(
@@ -618,57 +527,6 @@ def test_pair_grids_take_their_kernel_domain(pair, grid):
     # a pair and the kernel it factors take the same points
     with pytest.raises(kf.OutOfDomainError):
         gpsim.ito_synthesize(pair, 3, grid, 4)
-    with pytest.raises(kf.OutOfDomainError):
-        gpsim.transform_adjoint(pair, lambda s: np.ones_like(s), grid, 3)
-
-
-# ---------------------------------------------------------------------------
-# frame synthesis
-
-
-def test_frame_synthesize_rank_one():
-    g = [lambda x: np.ones_like(np.asarray(x, dtype=float))]
-    ens = gpsim.frame_synthesize(g, [0.1, 0.9], n_paths=5000, seed=1)
-    corr = np.corrcoef(ens.paths[:, 0], ens.paths[:, 1])[0, 1]
-    assert abs(abs(corr) - 1.0) < 1e-12
-
-
-def test_frame_synthesize_matches_cholesky_columns():
-    pts = [1.0, 2.0, 3.0]
-    L = kf.brownian_cholesky_closed_form(pts).L
-
-    def column(m):
-        # evaluate column m of L at x: the row is the last sample <= x
-        def g(x):
-            rows = np.searchsorted(pts, np.atleast_1d(x), side="right") - 1
-            return np.where(rows >= 0, L[np.clip(rows, 0, 2), m], 0.0)
-
-        return g
-
-    gs = [column(m) for m in range(3)]
-    ens = gpsim.frame_synthesize(gs, pts, n_paths=80_000, seed=6)
-    emp = gpsim.empirical_covariance(ens)
-    target = kf.gram(kf.brownian_min(), pts).entries
-    tol = 5.0 * target.max() / np.sqrt(80_000)
-    assert float(np.max(np.abs(emp - target))) <= tol
-
-
-def test_frame_synthesize_on_an_empty_grid():
-    ens = gpsim.frame_synthesize([np.sin, np.cos, np.exp], [], n_paths=7)
-    assert ens.paths.shape == (7, 0) and ens.paths.dtype == float
-
-
-def test_frame_synthesize_sinc_translates():
-    n_range = range(-20, 21)
-    gs = [
-        (lambda n: lambda x: np.sinc(np.asarray(x, dtype=float) - n))(n)
-        for n in n_range
-    ]
-    grid = [0.0, 0.5, 1.25]
-    ens = gpsim.frame_synthesize(gs, grid, n_paths=60_000, seed=12)
-    emp = gpsim.empirical_covariance(ens)
-    target = kf.gram(kf.shannon(), grid).entries
-    assert float(np.max(np.abs(emp - target))) <= 0.03
 
 
 # ---------------------------------------------------------------------------
@@ -676,20 +534,23 @@ def test_frame_synthesize_sinc_translates():
 
 
 def test_empirical_covariance_zero():
-    ens = gpsim.PathEnsemble(grid=[0.1, 0.2], paths=np.zeros((10, 2)), seed=0)
+    ens = gpsim.PathEnsemble(grid=[0.1, 0.2], paths=np.zeros((10, 2)), seed=0,
+                             partition_resolution=0)
     np.testing.assert_array_equal(gpsim.empirical_covariance(ens), np.zeros((2, 2)))
 
 
 def test_empirical_covariance_hermitian_exactly():
     rng = np.random.default_rng(0)
     paths = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
-    ens = gpsim.PathEnsemble(grid=[0.1, 0.2, 0.3], paths=paths, seed=0)
+    ens = gpsim.PathEnsemble(grid=[0.1, 0.2, 0.3], paths=paths, seed=0,
+                             partition_resolution=0)
     c = gpsim.empirical_covariance(ens)
     assert np.array_equal(c, c.conj().T)
 
 
 def test_empirical_covariance_needs_two_paths():
-    ens = gpsim.PathEnsemble(grid=[0.0], paths=np.zeros((1, 1)), seed=0)
+    ens = gpsim.PathEnsemble(grid=[0.0], paths=np.zeros((1, 1)), seed=0,
+                             partition_resolution=0)
     with pytest.raises(ValueError):
         gpsim.empirical_covariance(ens)
 
@@ -775,16 +636,11 @@ def _monte_carlo_call(caller):
         _duality("ex1")
     elif caller == "ito_synthesize":  # simulate calls it outside duality_check
         gpsim.ito_synthesize(gpsim.pair_ex1(), 10, [0.25, 0.5, 1.0], 3000, seed=3)
-    elif caller == "sample_gaussian_vector":
-        g = kf.gram(kf.szego(), [0.9 * np.exp(2j * np.pi * k / 256) for k in range(256)])
-        gpsim.sample_gaussian_vector(g, 3000, seed=3)  # 512 draws a path
-    else:
-        gs = [(lambda n: lambda x: np.sinc(x - n))(n) for n in range(512)]
-        gpsim.frame_synthesize(gs, [0.0, 0.5, 1.25], 3000, seed=3)
+    else:  # a complex mixer, mixed as its float view
+        gpsim.ito_synthesize(gpsim.pair_ex2(), 10, [0.1 + 0.1j, -0.3j, 0.2], 3000, seed=3)
 
 
-@pytest.mark.parametrize(
-    "caller", ["duality_check", "ito_synthesize", "sample_gaussian_vector", "frame_synthesize"])
+@pytest.mark.parametrize("caller", ["duality_check", "ito_synthesize", "ito_synthesize_complex"])
 def test_pooled_draws_and_mixing_see_one_blas_thread(monkeypatch, blas_threads, caller):
     # every block is drawn and multiplied by one worker, at one BLAS thread
     get_n = blas_threads
@@ -1120,18 +976,3 @@ def test_qvar_validates_interval():
             kf.lebesgue(), (0.5, 0.25), resolutions=[2], n_paths=100, seed=0
         )
 
-
-# ---------------------------------------------------------------------------
-# adjoint transform
-
-
-def test_transform_adjoint_zero():
-    got = gpsim.transform_adjoint(gpsim.pair_ex1(), lambda x: 0.0 * x, [0.25, 0.5], 8)
-    np.testing.assert_allclose(got, [0.0, 0.0], atol=1e-15)
-
-
-def test_transform_adjoint_integrates_indicator():
-    # indicator features turn f=1 into x -> lebesgue([0, x])
-    grid = [0.25, 0.5, 1.0]
-    got = gpsim.transform_adjoint(gpsim.pair_ex1(), lambda x: np.ones_like(x), grid, 10)
-    np.testing.assert_allclose(got, grid, atol=2.0**-10)

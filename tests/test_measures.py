@@ -405,7 +405,3 @@ def test_scalar_only_callables_fall_back_elementwise(measure):
     # math.sin raises TypeError on an array; np.sin is the vectorized twin
     m = measure()
     assert kf.integrate(m, math.sin, 3) == kf.integrate(m, np.sin, 3)
-    pair = kf.pair_ex1(m)
-    grid = [0.25, 0.5, 1.0]
-    got = kf.transform_adjoint(pair, math.sin, grid, 3)
-    assert got.tobytes() == kf.transform_adjoint(pair, np.sin, grid, 3).tobytes()
