@@ -14,7 +14,10 @@ depends on it.  A check that spans flags (`frame check`'s tests,
 
 Every run is reproducible: seeds default to 0 and are never time-based,
 JSON reports are schema-versioned with sorted keys, and identical argv
-produces byte-identical output.  `--threads` (or KERNEL_FORGE_THREADS)
+produces byte-identical output at a fixed BLAS thread count.  LAPACK's
+blocking follows that count, so the last bits of `chol`, `inv` and
+`graph` can change with it; Monte Carlo output holds for any count, as
+its products run on one BLAS thread.  `--threads` (or KERNEL_FORGE_THREADS)
 caps the workers of the Monte Carlo draw engine (`gpsim`), which runs
 a job of at least 2^20 normals block by block on a thread pool of
 min(cap, usable cores, blocks) workers; unset means usable cores.  While

@@ -202,11 +202,13 @@ def inverse_gram(g) -> np.ndarray:
     alike.  Raises SingularMatrixError as `invertible_cholesky` does.
     """
     factor = invertible_cholesky(g)
-    # inv(L), not inv(L^H): on a Brownian Gram it keeps most zeros of the
-    # tridiagonal inverse exact (78% at n = 300, inv(L^H) none), so the
-    # written inverse is shorter and faster to format.  `factor` stays
-    # bound until the product is formed: freeing L before it raised the
-    # peak RSS of a CLI `inv` at n = 300 by about one n x n block.
+    # inv(L), not inv(L^H): on a Brownian Gram it keeps zeros of the
+    # tridiagonal inverse exact (inv(L^H) none), so the written inverse is
+    # shorter and faster to format.  How many depends on LAPACK's blocking,
+    # which follows the BLAS thread count: at n = 300 about 90% of the
+    # entries with 2 threads, 3-19% with 1.  `factor` stays bound until the
+    # product is formed: freeing L before it raised the peak RSS of a CLI
+    # `inv` at n = 300 by about one n x n block.
     w = np.linalg.inv(factor.L)
     return w.conj().T @ w
 

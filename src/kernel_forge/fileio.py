@@ -13,20 +13,23 @@ report is exactly the bytes of `json.dumps(sort_keys=True, indent=2,
 allow_nan=False)` of the converted record.  A matrix equal to its
 transpose bit for bit (a Gram matrix, its inverse, a Hermitian matrix's
 real part) converts only the distinct values of its upper triangle and
-mirrors their text, so the Brownian Gram min(s, t) on n points costs n
-`repr` calls, not n^2.  `json_value` passes a list that is already plain
-scalars (`matrix_json`'s entries) with one type check.  `_render` writes
-a report without json's pure-Python indenting encoder: it walks dicts,
-lists and tuples itself, converting any other value with `json_value` as
-it meets it, and each list of plain scalars (a matrix's entries, a grid)
-is one type scan and one call of json's C encoder, whose item separator
-carries the newline and the indent; the list is never copied.  NaN and
-+-inf are not JSON: a report or header holding one raises ValueError
-(`allow_nan=False`), with json's message naming the value, instead of
-writing `NaN` or `Infinity`.  Readers parse a whole matrix with `float()`
-first and take the per-cell route only for complex or parenthesised
-cells.  Malformed input raises `ValueError` naming the file and the
-line; it is never truncated.
+mirrors their text (`_mirrored_reprs`), so the Brownian Gram min(s, t)
+on n points costs n `repr` calls, not n^2.  This holds for CSV and for
+JSON alike: `matrix_json` keeps the array, and a finite float64 one that
+is bit-symmetric is written from that text, which is json's own for a
+finite float; `json_value` turns it into the plain flat list of its
+entries, as written for any other matrix.  `_render` writes a report
+without json's pure-Python indenting encoder: it walks dicts, lists and
+tuples itself, converting any other value with `json_value` as it meets
+it, and each list of plain scalars (a grid, a matrix's entries off the
+route above) is one type scan and one call of json's C encoder, whose
+item separator carries the newline and the indent; the list is never
+copied.  NaN and +-inf are not JSON: a report or header holding one
+raises ValueError (`allow_nan=False`), with json's message naming the
+value, instead of writing `NaN` or `Infinity`.  Readers parse a whole
+matrix with `float()` first and take the per-cell route only for complex
+or parenthesised cells.  Malformed input raises `ValueError` naming the
+file and the line; it is never truncated.
 """
 
 from __future__ import annotations
@@ -205,25 +208,34 @@ def read_matrix(path: str) -> np.ndarray:
     return np.array(data, dtype=dtype)
 
 
-def _reprs(a: np.ndarray) -> list:
-    """Rows of the `repr` text of each entry of a real 2-D array.
-
-    A square array equal to its transpose bit for bit converts only the
-    distinct values of its upper triangle and mirrors their text.  Bits,
-    not values, are compared, so a mirrored 0.0/-0.0 pair takes the
-    general route, one conversion per entry.
+def _mirrored_reprs(a: np.ndarray) -> Optional[np.ndarray]:
+    """The n x n object array of the `repr` text of each entry of a square
+    float64 array equal to its transpose bit for bit, or None for any other
+    array.  Only the distinct values of the upper triangle are converted;
+    their text is mirrored.  Bits, not values, are compared, so a mirrored
+    0.0/-0.0 pair gives None.
     """
-    a = a.astype(np.float64, copy=False)
     n = len(a)
-    if a.shape == (n, n):
-        bits = a.view(np.uint64)
-        if np.array_equal(bits, bits.T):
-            upper = np.triu_indices(n)
-            values, inverse = np.unique(bits[upper], return_inverse=True)
-            table = np.array(list(map(repr, values.view(np.float64).tolist())), dtype=object)
-            text = np.empty((n, n), dtype=object)
-            text[upper] = text.T[upper] = table[inverse]
-            return text.tolist()
+    if a.shape != (n, n):
+        return None
+    bits = a.view(np.uint64)
+    if not np.array_equal(bits, bits.T):
+        return None
+    upper = np.triu_indices(n)
+    values, inverse = np.unique(bits[upper], return_inverse=True)
+    table = np.array(list(map(repr, values.view(np.float64).tolist())), dtype=object)
+    text = np.empty((n, n), dtype=object)
+    text[upper] = text.T[upper] = table[inverse]
+    return text
+
+
+def _reprs(a: np.ndarray) -> list:
+    """Rows of the `repr` text of each entry of a real 2-D array: from
+    `_mirrored_reprs` when it applies, else one conversion per entry."""
+    a = a.astype(np.float64, copy=False)
+    text = _mirrored_reprs(a)
+    if text is not None:
+        return text.tolist()
     return [map(repr, row) for row in a.tolist()]
 
 
@@ -276,16 +288,26 @@ _TOLIST_TYPES = (np.float64, np.float32, np.float16)
 _WALKED = _PLAIN | {dict, list, tuple}
 
 
+class _Entries:
+    """`matrix_json`'s entries: a matrix whose JSON form is the flat list of
+    its entries, kept as the array until it is written."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+
 def json_value(v):
     """Recursively convert numerics for JSON: complex -> [re, im]."""
     if isinstance(v, dict):
         return {k: json_value(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
-        if _PLAIN.issuperset(map(type, v)):  # one C-speed pass, e.g. matrix_json's entries
-            return list(v)
         return [x if type(x) in _PLAIN else json_value(x) for x in v]
     if isinstance(v, IntervalSet):
         return [list(pair) for pair in v.intervals]
+    if isinstance(v, _Entries):
+        return json_value(v.matrix.ravel())
     if isinstance(v, np.ndarray):
         if v.dtype.kind in "biu" or v.dtype.type in _TOLIST_TYPES:
             return v.tolist()
@@ -303,8 +325,11 @@ def json_value(v):
 
 
 def matrix_json(arr: np.ndarray, points=None) -> dict:
+    """A matrix's report record: n, its flat entries and, when given, its
+    points.  The entries stay the array until `_render` writes them;
+    `json_value` of the record is the plain one."""
     arr = np.asarray(arr)
-    doc = {"n": int(arr.shape[0]), "entries": json_value(arr.ravel())}
+    doc = {"n": int(arr.shape[0]), "entries": _Entries(arr)}
     if points is not None:
         doc["points"] = [json_value(p) for p in points]
     return doc
@@ -348,7 +373,17 @@ def _key(k) -> str:
 def _render(v, pad: str, out: list) -> None:
     """Append to out the `indent=2` JSON text of json_value(v), which starts
     on a line indented by pad; dicts, lists and tuples are walked as they
-    are, so each list's item types are scanned once and it is never copied."""
+    are, so each list's item types are scanned once and it is never copied.
+    A finite float64 matrix of `matrix_json` that `_mirrored_reprs` takes
+    is written from that text, which is json's for a finite float."""
+    if type(v) is _Entries:
+        a = v.matrix
+        if a.dtype == np.float64 and a.size and np.isfinite(a).all():
+            text = _mirrored_reprs(a)
+            if text is not None:
+                inner = pad + "  "
+                out.append(f"[\n{inner}" + (",\n" + inner).join(text.ravel().tolist()) + f"\n{pad}]")
+                return
     if type(v) not in _WALKED:
         v = json_value(v)  # an array, a numpy or complex scalar, an IntervalSet
     kind = type(v)

@@ -610,9 +610,12 @@ loaded = {}
 for name, argv in [
     ("gram", ["gram", "--kernel", "brownian-min", "--points", pts, "--format", "csv",
               "--out", d + "/g.csv"]),
+    ("gram_json", ["gram", "--kernel", "brownian-min", "--points", pts, "--format", "json",
+                   "--out", d + "/g.json"]),
     ("inv", ["inv", "--matrix", d + "/g.csv", "--format", "json", "--out", d + "/i.json"]),
     ("eig", ["eig", "--kernel", "brownian-min", "--points", pts, "--method", "jacobi",
              "--out", d + "/e.json"]),
+    ("graph", ["graph", "--kernel", "brownian-min", "--points", pts, "--out", d + "/w.json"]),
     ("simulate", ["simulate", "--example", "ex1", "--paths", "50", "--resolution", "6",
                   "--grid-file", grid, "--seed", "7", "--out", d + "/s.csv"]),
 ]:
@@ -630,7 +633,8 @@ def test_only_a_draw_loads_scipy(tmp_path, points_file, unit_grid_file):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    assert loaded["gram"] == loaded["inv"] == loaded["eig"] == []
+    for name in ("gram", "gram_json", "inv", "eig", "graph"):
+        assert loaded[name] == [], name
     assert "scipy.special" in loaded["simulate"]
 
 

@@ -331,14 +331,18 @@ def test_format_matrix_matches_cell_loop(a):
     assert fileio.format_matrix(a) == ref_format_matrix(a)
 
 
+SYMMETRIC_ELEMENTS = {d: ELEMENTS[d] for d in
+                      (np.float64, np.float32, np.int64, np.complex128, np.complex64)}
+
+
 @st.composite
-def symmetric_arrays(draw):
+def symmetric_arrays(draw, elements=SYMMETRIC_ELEMENTS):
     """Symmetric real and Hermitian complex matrices, often with repeated
     values; in some, one mirrored pair differs only by the sign of a zero."""
-    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64, np.complex128, np.complex64]))
+    dtype = draw(st.sampled_from(list(elements)))
     n = draw(st.integers(0, 6))
-    pool = draw(st.lists(ELEMENTS[dtype], min_size=1, max_size=3))
-    items = st.one_of(st.sampled_from(pool), ELEMENTS[dtype])
+    pool = draw(st.lists(elements[dtype], min_size=1, max_size=3))
+    items = st.one_of(st.sampled_from(pool), elements[dtype])
     a = np.array(draw(st.lists(items, min_size=n * n, max_size=n * n)), dtype=dtype).reshape(n, n)
     lower = np.tril_indices(n, -1)
     a[lower] = a.T[lower].conj()
@@ -378,6 +382,49 @@ def test_symmetric_matrix_converts_each_distinct_value_once(monkeypatch):
     assert len(calls) == 40 * 40
 
 
+def test_symmetric_json_matrix_converts_each_distinct_value_once(monkeypatch):
+    calls = []
+
+    def counting_repr(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(fileio, "repr", counting_repr, raising=False)
+    x = np.arange(1, 41) / 8.0
+    g = np.minimum.outer(x, x)  # the brownian-min Gram: 40 distinct values
+
+    def check(a):
+        got = fileio.render_report("gram", {}, {"matrix": fileio.matrix_json(a, x)})
+        assert got == ref_render_report("gram", {}, {"matrix": ref_matrix_json(a, x)})
+
+    check(g)
+    assert len(calls) == 40
+    calls.clear()
+    check(np.triu(g))  # not symmetric: json's C encoder writes every entry
+    assert calls == []
+
+
+FINITE_F64 = st.one_of(st.sampled_from([x for x in SPECIALS if np.isfinite(x)]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(arrays(), symmetric_arrays(), symmetric_arrays({np.float64: FINITE_F64})),
+       st.sampled_from([None, [], [0.5, 1 + 2j]]))
+def test_matrix_json_report_matches_json(a, points):
+    # real and complex, bit-symmetric or not, 0 x 0, 1 x 1 and 1-D; a NaN or
+    # +-inf entry raises json's own error, naming the first such value
+    payload = {"m": fileio.matrix_json(a, points)}
+    try:
+        want = ref_render_report("cmd", {}, {"m": ref_matrix_json(a, points)})
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            fileio.render_report("cmd", {}, payload)
+        assert str(got.value) == str(exc)
+    else:
+        assert fileio.render_report("cmd", {}, payload) == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(arrays(st.tuples(st.integers(0, 7))))
 def test_format_values_matches_cell_loop(a):
@@ -397,7 +444,7 @@ def test_json_value_matches_recursive_loop(a):
     got = fileio.json_value(a)
     assert_plain(got)
     assert json.dumps(got) == json.dumps(ref_json_value(a))
-    got = fileio.matrix_json(np.atleast_1d(a), points=[0.5, 1 + 2j])
+    got = fileio.json_value(fileio.matrix_json(np.atleast_1d(a), points=[0.5, 1 + 2j]))
     assert_plain(got)
     assert json.dumps(got) == json.dumps(ref_matrix_json(np.atleast_1d(a), [0.5, 1 + 2j]))
 
