@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tol",
         type=float,
-        default=1e-12,
+        default=factorize._PIVOT_TOL,
         help="relative pivot tolerance: a pivot below tol * max|G_ii| fails",
     )
 

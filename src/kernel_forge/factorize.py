@@ -1,9 +1,12 @@
 """Gram-matrix factorizations: Cholesky, inversion, and spectra.
 
 Cholesky factors come from numpy's LAPACK (never scipy's, see
-`_lr_factor`) and a relative pivot test; the first-hitting-time Gram
-matrices of the Brownian family admit a closed-form factor built from
-increment square roots, and the generic routine must reproduce it.
+`_lr_factor`) and a relative pivot test, the package's one
+positive-definiteness verdict: `inverse_gram`, `solve_gram`, the chain
+questions and `alt_cholesky_eigs` all take it from `cholesky`.  The
+first-hitting-time Gram matrices of the Brownian family admit a
+closed-form factor built from increment square roots, and the generic
+routine must reproduce it.
 Spectra come from two independent routes that the test suite
 cross-checks against each other: a shifted alternating Cholesky
 iteration (factor B - sI, transpose-swap, add sI back, repeat, until the
@@ -58,6 +61,7 @@ __all__ = [
     "matrix_scale",
 ]
 
+_PIVOT_TOL = 1e-12  # a Cholesky pivot below this times matrix_scale fails
 _EIG_FLOOR = 1e-10  # negative eigenvalues above -floor*scale are rounding noise
 _MAX_JACOBI_SWEEPS = 60
 _EPS = float(np.finfo(float).eps)
@@ -116,7 +120,7 @@ class CholeskyFactor:
         return self.L @ self.L.conj().T
 
 
-def cholesky(g, ridge: float = 0.0, tol: float = 1e-12) -> CholeskyFactor:
+def cholesky(g, ridge: float = 0.0, tol: float = _PIVOT_TOL) -> CholeskyFactor:
     """Cholesky factor of a Hermitian PSD matrix (plus optional ridge).
 
     Real or complex input goes to numpy's `potrf` (lower triangle) as it
@@ -171,13 +175,13 @@ def _nonnegative(**values) -> None:
 
 def _increments_from_zero(xs) -> np.ndarray:
     """x_k - x_{k-1} for abscissae x_1..x_N and x_0 = 0; NotIncreasingError
-    unless every increment is > 0 (NaN is not)."""
+    unless every increment is finite and > 0 (NaN and +inf are not)."""
     x = np.concatenate(([0.0], np.asarray(xs, dtype=float)))
     dx = np.diff(x)
-    increasing = dx > 0.0
+    increasing = (0.0 < dx) & (dx < math.inf)
     if not increasing.all():
         k = increasing.argmin()  # the first False
-        raise NotIncreasingError(f"need 0 < x_1 < x_2 < ..., got {x[k + 1]} after {x[k]}")
+        raise NotIncreasingError(f"need finite 0 < x_1 < x_2 < ..., got {x[k + 1]} after {x[k]}")
     return dx
 
 
@@ -187,10 +191,10 @@ def invertible_cholesky(g) -> CholeskyFactor:
     The factor of `inverse_gram` and `solve_gram`, and of the one-factor
     chain questions in `rkhs`.  Raises SingularMatrixError when the matrix
     is not safely invertible: a Cholesky pivot falls below
-    1e-12 * matrix_scale(G).
+    `_PIVOT_TOL` * matrix_scale(G).
     """
     try:
-        return cholesky(g, ridge=0.0, tol=1e-12)
+        return cholesky(g)
     except NotPositiveDefiniteError as exc:
         raise SingularMatrixError(f"matrix is singular or indefinite: {exc}") from exc
 
@@ -348,19 +352,21 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
     LR iteration with shifts); the iterates share G's spectrum and converge
     to the diagonal eigenvalue matrix.  Iteration stops when the
     off-diagonal infinity norm drops below ``tol * trace(G)``, relative at
-    every scale (`_unit`); a trace <= 0, which no positive-definite matrix
-    has, gives no stop, and the matrix is rejected as below.
+    every scale (`_unit`).
+
+    Whether G is positive definite is `cholesky`'s verdict, taken before
+    the first step: a pivot below ``_PIVOT_TOL * matrix_scale(G)`` raises
+    NotPositiveDefiniteError, as it does in `cholesky`, so the two routes
+    reject the same near-singular matrices, whatever their last bits.
 
     Every block of size 2 or more takes the same step.  Its shift s_k is
     the block's Gershgorin lower bound on lambda_min, lowered by a
     rounding margin and clipped at 0.  If the shifted factorization fails
-    anyway, the step retries with s_k = 0, and if that fails too the
-    iterate, hence G, is not positive definite and NotPositiveDefiniteError
-    is raised: the pivot rule is LAPACK's (a pivot must be > 0), the one
-    `cholesky` applies, so a singular 2 x 2 input is rejected as a singular
-    3 x 3 one is.  The finished diagonal must pass it too, so an input that
-    no step factors (1 x 1, or diag(-1, 2)) is checked.  The shift turns
-    the convergence ratio lambda_j / lambda_i of a coupling into
+    anyway, the step retries with s_k = 0, and if that fails too
+    NotPositiveDefiniteError is raised: an input whose smallest eigenvalue
+    is far below its smallest pivot can pass `cholesky` and still fail a
+    step.  The shift turns the convergence
+    ratio lambda_j / lambda_i of a coupling into
     (lambda_j - s) / (lambda_i - s), so the bottom of the spectrum splits
     off within a few steps.
 
@@ -382,16 +388,14 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
     """
     _nonnegative(max_iter=max_iter, tol=tol)
     arr = _as_matrix(g)
-    _check_hermitian(arr)
+    cholesky(arr)  # the verdict; it also checks that arr is Hermitian
     n = arr.shape[0]
     scale = matrix_scale(arr)
     unit = _unit(arr)
     arr = arr * unit  # in arr's layout, which sets the order of each row sum
-    # no positive-definite matrix has a trace <= 0: it gets no stop, and
-    # its first factor or the pivot rule rejects it
-    stop = tol * max(float(np.trace(arr).real), 0.0)
+    stop = tol * float(np.trace(arr).real)
     deflate = 0.01 * stop / max(n, 1)
-    # a 1 x 1 input is finished as it is; the pivot rule below still applies
+    # a 1 x 1 input is finished as it is
     finished: list[float] = list(np.diag(arr).real) if n <= 1 else []
     # (block, depth, local): a block split off as a component is connected,
     # so its first split test waits a full period
@@ -438,8 +442,6 @@ def alt_cholesky_eigs(g, max_iter: int = 500, tol: float = 1e-12) -> SpectralRes
                 _diagonal(block)[:] += shift
             depth += 1
             local += 1
-    if not all(value > 0.0 for value in finished):  # the pivot rule; NaN fails it
-        raise NotPositiveDefiniteError("finished diagonal has a pivot <= 0")
     return _finish_spectrum(np.divide(finished, unit), deepest, converged, scale)
 
 

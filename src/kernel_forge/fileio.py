@@ -125,31 +125,6 @@ def read_points(path: str) -> SampleSet:
     return SampleSet(points=points, domain=tag)
 
 
-def write_points(path: str, sample: SampleSet) -> None:
-    tag = sample.domain or "real-line"
-    lines = [tag]
-    for p in sample.points:
-        if isinstance(p, IntervalSet):
-            flat = [v for pair in p.intervals for v in pair]
-            lines.append(",".join(repr(float(v)) for v in flat))
-        else:
-            arr = np.asarray(p)
-            if arr.ndim == 0:
-                val = complex(arr)
-                if tag in _SCALAR_TAGS:
-                    lines.append(repr(float(val.real)))
-                else:
-                    lines.append(f"{val.real!r},{val.imag!r}")
-            else:
-                parts = []
-                for v in arr.ravel():
-                    c = complex(v)
-                    parts.extend((repr(c.real), repr(c.imag)))
-                lines.append(",".join(parts))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def read_values(path: str) -> np.ndarray:
     """Sample values: one column of reals, or re,im pairs for complex.
 
@@ -261,11 +236,6 @@ def format_matrix(arr: np.ndarray) -> str:
     else:
         lines = map(",".join, _reprs(a))
     return "\n".join(lines) + "\n"
-
-
-def write_matrix(path: str, arr: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix(arr))
 
 
 def read_chain(path: str):

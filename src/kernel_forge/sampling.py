@@ -202,16 +202,20 @@ def sawtooth_witness(knots, slope_rule: Union[str, list] = "harmonic") -> Sawtoo
     slope_rule "harmonic" takes c_n = 1 / (n sqrt(dx_n)), so each
     interval contributes exactly 1/n^2 of energy and the truncated
     norm_sq is the partial sum of sum 1/n^2; an explicit sequence of
-    slopes (one per interval) may be given instead.  The existence of
-    such a witness for every discrete knot set shows the knots cannot
-    determine functions of the min-kernel space.
+    finite slopes (one per interval) may be given instead.  Every gap
+    between knots must be finite and > 0, so a NaN or infinite knot
+    raises NotIncreasingError; a NaN or infinite slope raises ValueError.
+    The existence of such a witness for every discrete knot set shows the
+    knots cannot determine functions of the min-kernel space.
     """
     xs = np.array([float(x) for x in knots])
     if len(xs) < 2:
         raise ValueError("need at least two knots")
     dx = np.diff(xs)
-    if not np.all(dx > 0):
-        raise NotIncreasingError("knots must be strictly increasing")
+    increasing = (0.0 < dx) & (dx < math.inf)  # False for a NaN or infinite knot
+    if not increasing.all():
+        k = increasing.argmin()  # the first False
+        raise NotIncreasingError(f"need finite x_1 < x_2 < ..., got {xs[k + 1]} after {xs[k]}")
     if isinstance(slope_rule, str):
         if slope_rule != "harmonic":
             raise ValueError(f"unknown slope rule {slope_rule!r}")
@@ -221,6 +225,9 @@ def sawtooth_witness(knots, slope_rule: Union[str, list] = "harmonic") -> Sawtoo
         slopes = np.array([float(c) for c in slope_rule])
         if slopes.shape != dx.shape:
             raise ValueError(f"need {len(dx)} slopes, got {len(slopes)}")
+        finite = np.isfinite(slopes)
+        if not finite.all():
+            raise ValueError(f"slopes must be finite, got {slopes[finite.argmin()]}")
     mids = xs[:-1] + 0.5 * dx
     apexes = slopes * dx / 2.0
     breakpoints = np.empty(2 * len(xs) - 1)

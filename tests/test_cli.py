@@ -308,6 +308,16 @@ def test_interpolate_needs_x_y_rows(tmp_path, capsys, text, width):
     assert not out.exists()
 
 
+def test_interpolate_rejects_an_infinite_abscissa(tmp_path, capsys):
+    # caught by the abscissa check, not only by the JSON writer's allow_nan
+    data = tmp_path / "data.csv"
+    data.write_text("0.5,1.0\ninf,2.0\n")
+    out = tmp_path / "out.json"
+    assert cli.run(["interpolate", "--data", str(data), "--out", str(out)]) == 2
+    assert "need finite 0 < x_1 < x_2 < ..., got inf after 0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_interpolate_rejects_a_nan_eval_point(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("1.0,1.0\n2.0,3.0\n")

@@ -14,6 +14,7 @@ iterates and iterate on a complex matrix as it is.  LAPACK's
 which Jacobi checks in turn.
 """
 
+import cmath
 import hashlib
 import json
 import math
@@ -400,21 +401,115 @@ def test_complex_input_iterates_at_its_own_size(monkeypatch):
     assert max(shape[0] for shape, _ in seen) == 8  # Jacobi pads 7 to 8
 
 
-def test_alt_cholesky_takes_the_near_singular_szego_ring():
-    # 40 points on the ring |z| = 0.6: the Gram is positive definite, but
-    # its smallest eigenvalue is about 5e-18 of its largest, below working
-    # precision.  Iterated through the real 80 x 80 embedding the LR route
-    # raised NotPositiveDefiniteError here; on the 40 x 40 complex Gram it
-    # converges, and agrees with LAPACK and with Jacobi
-    z = 0.6 * np.exp(2j * np.pi * np.arange(40) / 40)
-    g = kf.gram(kf.szego(), [complex(p) for p in z]).entries
-    res = kf.alt_cholesky_eigs(g)
-    assert res.converged
-    bound = 1e-12 * _yardstick(g)
-    np.testing.assert_allclose(res.eigenvalues, _sorted_lapack(g), rtol=0, atol=bound)
+# 40 points on the ring |z| = 0.6, from a vectorized and a scalar `exp`:
+# the two point sets differ in the last bits only
+RING_POINTS = {
+    "np.exp": lambda: [complex(z) for z in 0.6 * np.exp(2j * np.pi * np.arange(40) / 40)],
+    "cmath.exp": lambda: [0.6 * cmath.exp(2j * cmath.pi * k / 40) for k in range(40)],
+}
+
+
+def _szego_ring(exp):
+    return kf.gram(kf.szego(), RING_POINTS[exp]()).entries
+
+
+@pytest.mark.parametrize("exp", sorted(RING_POINTS))
+def test_alt_cholesky_rejects_the_near_singular_szego_ring(exp):
+    # the Gram's smallest eigenvalue is about 5e-18 of its largest, below
+    # working precision.  `cholesky` meets a pivot below 1e-12 * max|G_ii|
+    # on either point set, and the LR route takes its verdict; by LAPACK's
+    # absolute rule (a pivot > 0) it converged on the np.exp points and
+    # raised on the cmath.exp ones.  Jacobi gives no verdict and agrees
+    # with LAPACK on both
+    g = _szego_ring(exp)
+    with pytest.raises(kf.NotPositiveDefiniteError):
+        kf.cholesky(g)
+    with pytest.raises(kf.NotPositiveDefiniteError):
+        kf.alt_cholesky_eigs(g)
     jac = kf.jacobi_eigs(g)
     assert jac.converged
-    np.testing.assert_allclose(res.eigenvalues, jac.eigenvalues, rtol=0, atol=1e-11 * _yardstick(g))
+    np.testing.assert_allclose(jac.eigenvalues, _sorted_lapack(g), rtol=0, atol=1e-11 * _yardstick(g))
+
+
+def _verdict(route, g):
+    try:
+        route(g)
+    except kf.NotPositiveDefiniteError:
+        return "not-pd"
+    return "pd"
+
+
+def _near_singular(seed, n, rank_share, complex_valued, exponent):
+    """A A^H of rank 1 to n, real or complex, plus a ridge of
+    10**exponent * max|G_ii|: singular to within the ridge."""
+    rng = np.random.default_rng(seed)
+    shape = (n, max(1, round(rank_share * n)))
+    a = rng.standard_normal(shape)
+    if complex_valued:
+        a = a + 1j * rng.standard_normal(shape)
+    g = a @ a.conj().T
+    return g + 10.0**exponent * matrix_scale(g) * np.eye(n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.builds(
+    _near_singular,
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=2, max_value=24),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.booleans(),
+    st.floats(min_value=-16.0, max_value=-9.0),
+))
+@example(_szego_ring("np.exp"))
+@example(_szego_ring("cmath.exp"))
+def test_alt_cholesky_rejects_exactly_what_cholesky_rejects(g):
+    # one positive-definiteness rule: the LR route raises if and only if
+    # `cholesky` does, also within rounding of singular
+    assert _verdict(kf.alt_cholesky_eigs, g) == _verdict(kf.cholesky, g)
+
+
+def _one_ulp(rng, g):
+    """g with every entry (each real and imaginary part) one ulp up or
+    down at random, still exactly Hermitian."""
+    up = rng.integers(2, size=g.shape).astype(bool)
+
+    def nudge(x):
+        return np.where(up, np.nextafter(x, np.inf), np.nextafter(x, -np.inf))
+
+    moved = nudge(g.real) + 1j * nudge(g.imag) if np.iscomplexobj(g) else nudge(g)
+    upper = np.triu(moved, 1)
+    return upper + upper.conj().T + np.diag(moved.diagonal().real)
+
+
+# inputs whose smallest pivot is far from the threshold 1e-12 * max|G_ii|:
+# `_near_singular`'s (rank share, complex, ridge exponent) at n = 12, or
+# None for the ring, and the verdict
+FAR_FROM_THE_THRESHOLD = {
+    # full rank and a ridge of 1e-6: lambda_min is at least 1e-6 of the scale
+    "pd-real": ((1.0, False, -6.0), "pd"),
+    "pd-complex": ((1.0, True, -6.0), "pd"),
+    # rank 4 and a ridge of 1e-15: the pivots beyond the rank are about
+    # 1e-15 of the scale
+    "singular-real": ((1 / 3, False, -15.0), "not-pd"),
+    "singular-complex": ((1 / 3, True, -15.0), "not-pd"),
+    "ring": (None, "not-pd"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAR_FROM_THE_THRESHOLD))
+def test_the_verdict_survives_a_one_ulp_perturbation(kind):
+    # LAPACK's absolute rule (a pivot > 0) is decided by rounding on a
+    # matrix within rounding of singular; the relative rule is not
+    shape, verdict = FAR_FROM_THE_THRESHOLD[kind]
+    rng = np.random.default_rng(28)
+    for _ in range(4):
+        if shape is None:
+            g = _szego_ring("np.exp")
+        else:
+            g = _near_singular(rng.integers(2**31), 12, *shape)
+        for _ in range(5):
+            h = _one_ulp(rng, g)
+            assert _verdict(kf.cholesky, h) == _verdict(kf.alt_cholesky_eigs, h) == verdict
 
 
 # a converged LR spectrum against LAPACK's, in units of max|G|
@@ -762,5 +857,5 @@ def test_cli_eig_alt_chol_on_an_indefinite_diagonal_exits_one(tmp_path, capsys):
     m.write_text("-1.0,0.0\n0.0,2.0\n")
     out = tmp_path / "out.json"
     assert cli.run(["eig", "--matrix", str(m), "--method", "alt-chol", "--out", str(out)]) == 1
-    assert "pivot <= 0" in capsys.readouterr().err
+    assert "a Cholesky pivot is not positive" in capsys.readouterr().err
     assert not out.exists() or out.read_text() == ""

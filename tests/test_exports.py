@@ -1,10 +1,13 @@
 """The public names: every `__all__` entry resolves, and the package's
 `__all__` is exactly what it imports, so a deletion cannot leave a stale
 export behind.  The benchmark's tracing targets resolve too, so a rename
-cannot break only the benchmark's set-up."""
+cannot break only the benchmark's set-up.  And LAPACK's Cholesky is
+called from `factorize` alone, so no module can grow a second
+positive-definiteness rule beside `cholesky`'s."""
 
 import importlib
 import pkgutil
+import re
 import types
 from pathlib import Path
 
@@ -59,3 +62,20 @@ def test_every_tracing_target_resolves(target):
         assert callable(vars(getattr(mod, cls_name)).get(meth))
     else:
         assert callable(getattr(mod, attr, None))
+
+
+PACKAGE = Path(kf.__file__).resolve().parent
+# a LAPACK Cholesky reached through numpy's or scipy's linalg, by attribute
+# or by import
+LAPACK_CHOLESKY = re.compile(
+    r"linalg\.(cholesky|cho_factor)\b|linalg import[^\n]*\b(cholesky|cho_factor)\b"
+)
+
+
+def test_only_factorize_calls_lapack_cholesky():
+    calls = {
+        path.name: len(LAPACK_CHOLESKY.findall(path.read_text(encoding="utf-8")))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert calls.pop("factorize.py") > 0  # the pattern still sees the one owner
+    assert {name: count for name, count in calls.items() if count} == {}

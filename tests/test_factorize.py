@@ -276,6 +276,13 @@ def test_closed_form_rejects_a_nan_point():
             kf.brownian_cholesky_closed_form(pts)
 
 
+def test_closed_form_rejects_an_infinite_point():
+    # its factor had an inf entry
+    for pts in ([0.5, math.inf], [math.inf]):
+        with pytest.raises(kf.NotIncreasingError, match="got inf after"):
+            kf.brownian_cholesky_closed_form(pts)
+
+
 def test_closed_form_matches_generic():
     rng = np.random.default_rng(5)
     for _ in range(25):

@@ -13,8 +13,7 @@ from kernel_forge import cli, fileio
 
 def test_points_roundtrip_real(tmp_path):
     p = tmp_path / "pts.csv"
-    sample = kf.SampleSet(points=[0.5, 1.25, 3.0], domain="real-line")
-    fileio.write_points(str(p), sample)
+    p.write_text("real-line\n0.5\n1.25\n3.0\n")
     back = fileio.read_points(str(p))
     assert back.domain == "real-line"
     assert back.points == [0.5, 1.25, 3.0]
@@ -22,8 +21,7 @@ def test_points_roundtrip_real(tmp_path):
 
 def test_points_roundtrip_disk(tmp_path):
     p = tmp_path / "pts.csv"
-    sample = kf.SampleSet(points=[0.1 + 0.2j, -0.3j], domain="complex-disk")
-    fileio.write_points(str(p), sample)
+    p.write_text("complex-disk\n0.1,0.2\n-0.0,-0.3\n")
     back = fileio.read_points(str(p))
     assert back.points == [0.1 + 0.2j, -0.3j]
 
@@ -31,7 +29,7 @@ def test_points_roundtrip_disk(tmp_path):
 def test_points_roundtrip_interval_set(tmp_path):
     p = tmp_path / "sets.csv"
     a = kf.IntervalSet(((0.0, 0.25), (0.5, 0.75)))
-    fileio.write_points(str(p), kf.SampleSet(points=[a], domain="interval-set"))
+    p.write_text("interval-set\n0.0,0.25,0.5,0.75\n")
     back = fileio.read_points(str(p))
     assert back.points[0].intervals == a.intervals
 
@@ -39,7 +37,7 @@ def test_points_roundtrip_interval_set(tmp_path):
 def test_points_roundtrip_complex_vectors(tmp_path):
     p = tmp_path / "vecs.csv"
     pts = [np.array([0.1 + 0.2j, 0.3]), np.array([0.0, -0.25j])]
-    fileio.write_points(str(p), kf.SampleSet(points=pts, domain="complex-vector(2)"))
+    p.write_text("complex-vector(2)\n0.1,0.2,0.3,0.0\n0.0,0.0,-0.0,-0.25\n")
     back = fileio.read_points(str(p))
     np.testing.assert_array_equal(back.points[0], pts[0])
     np.testing.assert_array_equal(back.points[1], pts[1])
@@ -55,14 +53,18 @@ def test_points_unknown_tag(tmp_path):
 def test_matrix_roundtrip_real(tmp_path):
     p = tmp_path / "m.csv"
     m = np.array([[1.0, 0.5], [0.5, 2.0]])
-    fileio.write_matrix(str(p), m)
+    text = "1.0,0.5\n0.5,2.0\n"
+    assert fileio.format_matrix(m) == text
+    p.write_text(text)
     np.testing.assert_array_equal(fileio.read_matrix(str(p)), m)
 
 
 def test_matrix_roundtrip_complex(tmp_path):
     p = tmp_path / "m.csv"
     m = np.array([[1.0 + 0j, 0.5 - 0.25j], [0.5 + 0.25j, 2.0 + 0j]])
-    fileio.write_matrix(str(p), m)
+    text = "1.0+0.0j,0.5-0.25j\n0.5+0.25j,2.0+0.0j\n"
+    assert fileio.format_matrix(m) == text
+    p.write_text(text)
     np.testing.assert_array_equal(fileio.read_matrix(str(p)), m)
 
 

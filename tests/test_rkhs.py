@@ -163,6 +163,14 @@ def test_min_norm_interpolant_rejects_a_nan_abscissa():
             kf.min_norm_interpolant(data)
 
 
+def test_min_norm_interpolant_rejects_an_infinite_abscissa():
+    # [(0.5, 1.0), (inf, 2.0)] reported norm_sq = 2.0, as if the last
+    # segment had no energy
+    for data in ([(0.5, 1.0), (float("inf"), 2.0)], [(float("inf"), 1.0)]):
+        with pytest.raises(kf.NotIncreasingError, match="got inf after"):
+            kf.min_norm_interpolant(data)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_min_norm_interpolant_rejects_a_non_finite_value(bad):
     with pytest.raises(ValueError, match="finite y"):

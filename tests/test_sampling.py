@@ -1,5 +1,7 @@
 """Parseval diagnostics, frame bounds, reconstruction, sawtooth witnesses."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,15 @@ def test_parseval_tolerances_outside_their_domain_raise(option, bad):
 def test_sawtooth_rejects_a_nan_knot():
     with pytest.raises(kf.NotIncreasingError):
         kf.sawtooth_witness([1.0, float("nan"), 3.0])
+
+
+@pytest.mark.parametrize("knots", [[0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0]])
+def test_sawtooth_rejects_an_infinite_knot(knots):
+    with pytest.raises(kf.NotIncreasingError, match="need finite"):
+        kf.sawtooth_witness(knots)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sawtooth_rejects_a_non_finite_slope(bad):
+    with pytest.raises(ValueError, match="slopes must be finite"):
+        kf.sawtooth_witness([1.0, 2.0, 3.0], slope_rule=[1.0, bad])
