@@ -67,10 +67,7 @@ from .kernels import (
     brownian_min,
     cantor_product,
     cross_gram,
-    drury_arveson,
-    eval_kernel,
     gram,
-    green_1d,
     kernel_diagonal,
     overlap,
     shannon,
@@ -155,16 +152,13 @@ __all__ = [
     "cholesky",
     "cross_gram",
     "delta_membership",
-    "drury_arveson",
     "duality_check",
     "empirical_covariance",
-    "eval_kernel",
     "fourier_gram",
     "frame_bounds",
     "frame_reconstruct",
     "generating_function",
     "gram",
-    "green_1d",
     "induced_graph",
     "integrate",
     "inverse_gram",

@@ -295,7 +295,7 @@ def _cmd_frame_check(args):
     if (args.test_points is None) == (args.test is None):
         raise ValueError("frame check needs one of --test-points and --test")
     spec = _build_kernel(args)
-    s = args.set if args.set in ("integers", "positive-integers") else None
+    s = args.set if args.set in sampling._LATTICES else None
     sample = s or fileio.read_points(args.set)
     if args.test is None:
         tests = fileio.read_points(args.test_points).points
@@ -508,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     f = _command(fsubs, "check", _cmd_frame_check)
     _add_kernel_flags(f)
     f.add_argument("--set", required=True,
-                   help="'integers', 'positive-integers', or a points CSV")
+                   help=f"{', '.join(map(repr, sampling._LATTICES))}, or a points CSV")
     f.add_argument("--test-points", help="points CSV of test locations")
     f.add_argument("--test", type=float, nargs="+", help="inline test locations")
     f.add_argument("--truncation", type=int, required=True)

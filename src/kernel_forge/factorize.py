@@ -112,13 +112,6 @@ class CholeskyFactor:
     L: np.ndarray
     ridge_used: float = 0.0
 
-    @property
-    def n(self) -> int:
-        return self.L.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        return self.L @ self.L.conj().T
-
 
 def cholesky(g, ridge: float = 0.0, tol: float = _PIVOT_TOL) -> CholeskyFactor:
     """Cholesky factor of a Hermitian PSD matrix (plus optional ridge).
@@ -173,16 +166,27 @@ def _nonnegative(**values) -> None:
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-def _increments_from_zero(xs) -> np.ndarray:
-    """x_k - x_{k-1} for abscissae x_1..x_N and x_0 = 0; NotIncreasingError
-    unless every increment is finite and > 0 (NaN and +inf are not)."""
-    x = np.concatenate(([0.0], np.asarray(xs, dtype=float)))
-    dx = np.diff(x)
+def _increments(x: np.ndarray, order: str) -> np.ndarray:
+    """x_k - x_{k-1} for k >= 1; NotIncreasingError, whose message names
+    `order`, unless every increment is finite and > 0 (NaN and +inf are
+    not, nor the overflowing gap of two finite knots such as +-1e308).
+    The one gap rule for Brownian abscissae and sawtooth knots alike."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+        dx = np.diff(x)
     increasing = (0.0 < dx) & (dx < math.inf)
     if not increasing.all():
         k = increasing.argmin()  # the first False
-        raise NotIncreasingError(f"need finite 0 < x_1 < x_2 < ..., got {x[k + 1]} after {x[k]}")
+        lo, hi = x[k], x[k + 1]
+        overflow = -math.inf < lo < hi < math.inf
+        why = f"but the gap from {lo} to {hi} overflows" if overflow else f"got {hi} after {lo}"
+        raise NotIncreasingError(f"need finite {order}, {why}")
     return dx
+
+
+def _increments_from_zero(xs) -> np.ndarray:
+    """`_increments` of abscissae x_1..x_N with x_0 = 0 put in front."""
+    x = np.concatenate(([0.0], np.asarray(xs, dtype=float)))
+    return _increments(x, "0 < x_1 < x_2 < ...")
 
 
 def invertible_cholesky(g) -> CholeskyFactor:

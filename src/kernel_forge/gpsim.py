@@ -357,8 +357,10 @@ class FactorizationPair:
     def __post_init__(self):
         if self.kind not in _PAIR_FAMILIES:
             raise ValueError(f"unknown pair kind {self.kind!r}")
-        if self.kind == "cantor-product" and self.trunc < 1:
-            raise ValueError("cantor-product pairs need trunc >= 1")
+        self._kernel()  # KernelSpec's verdict on trunc
+
+    def _kernel(self) -> KernelSpec:  # the kernel the pair factors
+        return KernelSpec(_PAIR_FAMILIES[self.kind], trunc=self.trunc)
 
     def feature_matrix(self, grid, reps: np.ndarray) -> np.ndarray:
         """(grid, cells) matrix of k_x(s) for x in grid, s in reps.
@@ -369,7 +371,7 @@ class FactorizationPair:
         Python complex power per grid point.
         """
         grid = list(grid)
-        xs = _points(KernelSpec(_PAIR_FAMILIES[self.kind], trunc=self.trunc), grid)
+        xs = _points(self._kernel(), grid)
         if self.kind == "indicator":
             return (reps <= xs[:, None]).astype(float)
         if self.kind == "szego":
@@ -389,18 +391,14 @@ def pair_ex1(measure: Optional[MeasureModel] = None) -> FactorizationPair:
     )
 
 
-def pair_ex2(measure: Optional[MeasureModel] = None) -> FactorizationPair:
-    """Szego features on the circle; covariance 1/(1 - conj(z) w)."""
-    return FactorizationPair(kind="szego", measure=measure or MeasureModel("lebesgue"))
+def pair_ex2() -> FactorizationPair:
+    """Szego features against Lebesgue on the circle; covariance 1/(1 - conj(z) w)."""
+    return FactorizationPair(kind="szego", measure=MeasureModel("lebesgue"))
 
 
-def pair_ex3(trunc: int = 8, measure: Optional[MeasureModel] = None) -> FactorizationPair:
+def pair_ex3(trunc: int = 8) -> FactorizationPair:
     """Quartic product features against the Cantor measure."""
-    return FactorizationPair(
-        kind="cantor-product",
-        measure=measure or MeasureModel("cantor4"),
-        trunc=trunc,
-    )
+    return FactorizationPair(kind="cantor-product", measure=MeasureModel("cantor4"), trunc=trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ overlap(mu)         finite unions of intervals mu(A intersect B)
 Each family is one `Family` record in `FAMILY_TABLE`: the sample-set
 tags it accepts (its own domain first), a validator that turns a point
 list into an array (one row per point), and one elementwise formula
-k(X, Y) over broadcast point arrays.  `gram`, `cross_gram`,
-`kernel_diagonal` and `eval_kernel` all evaluate that formula, so a
-matrix of any size costs one vectorized call rather than one Python call
-per entry.  Each validator's domain test is True inside the domain, so
-NaN and +-inf points raise OutOfDomainError; `gpsim`'s factorization
-pairs check their grids with the validator of the family they factor.
+k(X, Y) over broadcast point arrays.  `gram`, `cross_gram` and
+`kernel_diagonal` all evaluate that formula, so a matrix of any size
+(one value is the 1 x 1 `cross_gram(spec, [x], [y])`) costs one
+vectorized call rather than one Python call per entry.  Each validator's
+domain test is True inside the domain, so NaN and +-inf points raise
+OutOfDomainError; `gpsim`'s factorization pairs check their grids with
+the validator of the family they factor.
 
 The overlap family knows its measure only through `measures.cdf`: each
 interval carries the CDF at its two ends, and mu(I intersect J) is a
@@ -56,6 +57,7 @@ from .measures import MeasureModel, cdf
 # smallest positive-power magnitude worth multiplying in; below this the
 # factor is 1 to double precision
 _LOG_TINY = math.log(5e-324)
+_PSD_TOL = 1e-8  # validate_psd's eigenvalue floor, in units of matrix_scale
 
 
 @dataclass(frozen=True)
@@ -73,15 +75,6 @@ class IntervalSet:
         for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
             if b1 >= a2:
                 raise ValueError("intervals must be pairwise disjoint and ascending")
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        for a1, b1 in self.intervals:
-            for a2, b2 in other.intervals:
-                lo, hi = max(a1, a2), min(b1, b2)
-                if lo < hi:
-                    out.append((lo, hi))
-        return IntervalSet(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +327,8 @@ def shannon() -> KernelSpec:
     return KernelSpec("shannon")
 
 
-def drury_arveson(dim: int = 2) -> KernelSpec:
-    return KernelSpec("drury-arveson", dim=dim)
-
-
 def overlap(measure: MeasureModel) -> KernelSpec:
     return KernelSpec("overlap", measure=measure)
-
-
-def green_1d() -> KernelSpec:
-    return KernelSpec("green-1d")
 
 
 @dataclass(frozen=True)
@@ -397,10 +382,10 @@ def point_key(p):
     return ("vec", tuple(complex(v) for v in arr.ravel()))
 
 
-def as_sample_set(points, domain: Optional[str] = None) -> SampleSet:
+def as_sample_set(points) -> SampleSet:
     if isinstance(points, SampleSet):
         return points
-    return SampleSet(points=list(points), domain=domain)
+    return SampleSet(points=list(points))
 
 
 @dataclass(frozen=True)
@@ -417,10 +402,6 @@ class GramMatrix:
     n: int
     entries: np.ndarray
     points: SampleSet
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.entries)
 
 
 def _check_tag(spec: KernelSpec, tag: Optional[str]):
@@ -444,11 +425,6 @@ def _evaluate(spec: KernelSpec, x, y, shape) -> np.ndarray:
 
 def _points(spec: KernelSpec, points) -> np.ndarray:
     return FAMILY_TABLE[spec.family].points(spec, list(points))
-
-
-def eval_kernel(spec: KernelSpec, x, y):
-    """K(x, y) for the given family; Hermitian in its two arguments."""
-    return _evaluate(spec, _points(spec, [x]), _points(spec, [y]), (1,))[0]
 
 
 def gram(spec: KernelSpec, points) -> GramMatrix:
@@ -489,19 +465,19 @@ def kernel_diagonal(spec: KernelSpec, points) -> np.ndarray:
     return _evaluate(spec, x, x, (len(x),)).real
 
 
-def validate_psd(g, tol: float = 1e-8):
+def validate_psd(g):
     """(is_psd, min_eigenvalue) for a Hermitian matrix or GramMatrix.
 
-    Verdict: min eigenvalue >= -tol * max|G_ii|, a threshold relative to
-    the matrix (`factorize.matrix_scale`), so c * G gets the verdict of G
-    for every c > 0.  The eigenvalue comes from LAPACK's `eigvalsh`
-    through `factorize.eig_range`, which applies the checks of every
-    factorization route: a non-square, NaN/infinite or non-Hermitian input
-    raises ValueError.  A 0 x 0 matrix is vacuously PSD with sentinel
-    +inf.
+    Verdict: min eigenvalue >= -1e-8 * max|G_ii| (`_PSD_TOL`), a
+    threshold relative to the matrix (`factorize.matrix_scale`), so c * G
+    gets the verdict of G for every c > 0.  The eigenvalue comes from
+    LAPACK's `eigvalsh` through `factorize.eig_range`, which applies the
+    checks of every factorization route: a non-square, NaN/infinite or
+    non-Hermitian input raises ValueError.  A 0 x 0 matrix is vacuously
+    PSD with sentinel +inf.
     """
     from . import factorize
 
     min_eig, _ = factorize.eig_range(g)
     arr = g.entries if isinstance(g, GramMatrix) else np.asarray(g)
-    return bool(min_eig >= -tol * factorize.matrix_scale(arr)), min_eig
+    return bool(min_eig >= -_PSD_TOL * factorize.matrix_scale(arr)), min_eig

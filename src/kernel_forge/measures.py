@@ -39,6 +39,7 @@ from .errors import CellMisalignmentError, OutOfDomainError
 MAX_RESOLUTION = 26
 
 _CDF_DIGIT_CAP = 64
+_ORACLE_DEPTH = 10  # mu4_fourier's quadrature resolution: 2^10 cells
 # per base-4 digit of the CDF walk: what it adds to acc, in units of w,
 # and whether the walk goes on
 _DIGIT_GAIN = np.array([0.0, 0.5, 0.5, 1.0])
@@ -313,10 +314,11 @@ class Mu4Fourier:
         return abs(self.product_value - self.quadrature_value)
 
 
-def mu4_fourier(t: float, trunc: int, oracle_depth: int = 10) -> Mu4Fourier:
+def mu4_fourier(t: float, trunc: int) -> Mu4Fourier:
     """Truncated transform product at t, plus the quadrature oracle.
 
-    A NaN or infinite t raises OutOfDomainError.
+    The oracle is `integrate` at resolution 10 (`_ORACLE_DEPTH`), over the
+    2^10 cells of mu4.  A NaN or infinite t raises OutOfDomainError.
     """
     if not math.isfinite(t):
         raise OutOfDomainError(f"frequency t must be finite, got {t}")
@@ -325,7 +327,7 @@ def mu4_fourier(t: float, trunc: int, oracle_depth: int = 10) -> Mu4Fourier:
     prod = 1.0 + 0.0j
     for k in range(1, trunc + 1):
         prod *= 0.5 * (1.0 + cmath.exp(1j * math.pi * t / 4 ** k))
-    quad = integrate(cantor4(), lambda x: np.exp(2j * np.pi * t * x), oracle_depth)
+    quad = integrate(cantor4(), lambda x: np.exp(2j * np.pi * t * x), _ORACLE_DEPTH)
     return Mu4Fourier(t=float(t), product_value=prod, quadrature_value=complex(quad))
 
 

@@ -21,9 +21,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import NotIncreasingError, OutOfDomainError, SingularMatrixError
-from .factorize import _nonnegative, eig_range, matrix_scale
-from .kernels import KernelSpec, SampleSet, as_sample_set, cross_gram, gram, kernel_diagonal
+from .errors import OutOfDomainError, SingularMatrixError
+from .factorize import _increments, _nonnegative, eig_range, matrix_scale
+from .kernels import KernelSpec, as_sample_set, cross_gram, gram, kernel_diagonal
 
 __all__ = [
     "FrameReport",
@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 WINDOW_CAP = 50  # parseval_check's frame-bound window; its a and b depend on the size
+_BOUND_TOL = 0.01  # parseval_check's frame bounds must lie this close to 1
+_LATTICES = ("integers", "positive-integers")  # the names parseval_check takes for S
 
 
 def _lattice_points(s, truncation: int):
@@ -44,7 +46,7 @@ def _lattice_points(s, truncation: int):
             return [float(n) for n in range(-truncation, truncation + 1)]
         if s == "positive-integers":
             return [float(n) for n in range(1, truncation + 1)]
-        raise ValueError(f"unknown lattice {s!r}; use 'integers' or 'positive-integers'")
+        raise ValueError(f"unknown lattice {s!r}; use {' or '.join(map(repr, _LATTICES))}")
     return list(as_sample_set(s).points)
 
 
@@ -74,19 +76,17 @@ def parseval_check(
     test_points,
     truncation: int,
     tol: float = 1e-4,
-    bound_tol: float = 0.01,
 ) -> FrameReport:
     """Check K(x,x) = sum over S of |K(x,s)|^2 at the test points.
 
     `s` may be explicit points, or "integers" / "positive-integers" for
     lattices truncated to |n| <= truncation.  The verdict is "parseval"
     when the worst deficit is within tol and the window frame bounds are
-    both within bound_tol of 1; otherwise "not-parseval".  For the
-    Shannon kernel the reported tail bound 2 / (pi^2 (N - |x|)) makes the
-    truncated verdict rigorous.  `tol` and `bound_tol` must be finite
-    and >= 0.
+    both within 0.01 (`_BOUND_TOL`) of 1; otherwise "not-parseval".  For
+    the Shannon kernel the reported tail bound 2 / (pi^2 (N - |x|)) makes
+    the truncated verdict rigorous.  `tol` must be finite and >= 0.
     """
-    _nonnegative(tol=tol, bound_tol=bound_tol)
+    _nonnegative(tol=tol)
     pts = _lattice_points(s, truncation)
     tests = list(test_points)
     sections = cross_gram(spec, tests, pts)  # tests x |S|
@@ -107,7 +107,7 @@ def parseval_check(
         window = [float(n) for n in range(-half, half + 1)]
     a, b = frame_bounds(spec, window)
 
-    ok = deficit <= tol and abs(a - 1.0) <= bound_tol and abs(b - 1.0) <= bound_tol
+    ok = deficit <= tol and abs(a - 1.0) <= _BOUND_TOL and abs(b - 1.0) <= _BOUND_TOL
     return FrameReport(
         a=a,
         b=b,
@@ -130,8 +130,7 @@ def frame_bounds(spec: KernelSpec, s) -> tuple:
     raised, when lambda_min <= 1e-12 * matrix_scale(K_S), a threshold
     relative to the Gram, so the verdict does not depend on its scale.
     """
-    sample = as_sample_set(s) if not isinstance(s, SampleSet) else s
-    g = gram(spec, sample)
+    g = gram(spec, s)
     if g.n == 0:
         raise ValueError("frame bounds need at least one sample point")
     a, b = eig_range(g.entries)
@@ -203,19 +202,16 @@ def sawtooth_witness(knots, slope_rule: Union[str, list] = "harmonic") -> Sawtoo
     interval contributes exactly 1/n^2 of energy and the truncated
     norm_sq is the partial sum of sum 1/n^2; an explicit sequence of
     finite slopes (one per interval) may be given instead.  Every gap
-    between knots must be finite and > 0, so a NaN or infinite knot
-    raises NotIncreasingError; a NaN or infinite slope raises ValueError.
+    between knots must be finite and > 0 (`factorize._increments`), so a
+    NaN or infinite knot, or two knots whose gap overflows, raises
+    NotIncreasingError; a NaN or infinite slope raises ValueError.
     The existence of such a witness for every discrete knot set shows the
     knots cannot determine functions of the min-kernel space.
     """
     xs = np.array([float(x) for x in knots])
     if len(xs) < 2:
         raise ValueError("need at least two knots")
-    dx = np.diff(xs)
-    increasing = (0.0 < dx) & (dx < math.inf)  # False for a NaN or infinite knot
-    if not increasing.all():
-        k = increasing.argmin()  # the first False
-        raise NotIncreasingError(f"need finite x_1 < x_2 < ..., got {xs[k + 1]} after {xs[k]}")
+    dx = _increments(xs, "x_1 < x_2 < ...")
     if isinstance(slope_rule, str):
         if slope_rule != "harmonic":
             raise ValueError(f"unknown slope rule {slope_rule!r}")

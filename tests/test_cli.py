@@ -318,6 +318,18 @@ def test_interpolate_rejects_an_infinite_abscissa(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_interpolate_rejects_a_decreasing_abscissa_whose_gap_overflows(tmp_path, capsys):
+    # -1e308 - 1e308 overflows: no numpy warning, and the abscissa message
+    data = tmp_path / "data.csv"
+    data.write_text("1e308,1.0\n-1e308,2.0\n")
+    out = tmp_path / "out.json"
+    assert cli.run(["interpolate", "--data", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "need finite 0 < x_1 < x_2 < ..., got -1e+308 after 1e+308" in err
+    assert "RuntimeWarning" not in err
+    assert not out.exists()
+
+
 def test_interpolate_rejects_a_nan_eval_point(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("1.0,1.0\n2.0,3.0\n")
@@ -428,7 +440,7 @@ def test_covcheck_passes(tmp_path, unit_grid_file):
 def test_simulate_ex3_rejects_zero_trunc(tmp_path, disk_grid_file, capsys):
     assert cli.run(["simulate", "--example", "ex3", "--trunc", "0", "--paths", "4",
                     "--resolution", "3", "--grid-file", disk_grid_file]) == 2
-    assert "cantor-product pairs need trunc >= 1" in capsys.readouterr().err
+    assert "cantor-product needs trunc >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("point", ["1.5,0.0", "0.0,1.0"])
@@ -568,6 +580,18 @@ def test_witness_slopes_need_custom_rule(tmp_path, capsys):
     assert cli.run(["witness", "sawtooth", "--knots", str(knots), "--slopes", str(slopes),
                     "--out", str(out)]) == 2
     assert "--slopes needs --rule custom" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_witness_says_that_an_overflowing_gap_overflows(tmp_path, capsys):
+    # both knots are finite and increasing; their gap is not a float
+    knots = tmp_path / "k.csv"
+    knots.write_text("-1e308\n1e308\n")
+    out = tmp_path / "w.json"
+    assert cli.run(["witness", "sawtooth", "--knots", str(knots), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "need finite x_1 < x_2 < ..., but the gap from -1e+308 to 1e+308 overflows" in err
+    assert "RuntimeWarning" not in err
     assert not out.exists()
 
 

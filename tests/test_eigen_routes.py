@@ -512,6 +512,25 @@ def test_the_verdict_survives_a_one_ulp_perturbation(kind):
             assert _verdict(kf.cholesky, h) == _verdict(kf.alt_cholesky_eigs, h) == verdict
 
 
+@pytest.mark.parametrize("n", [30, 40, 60])
+def test_an_lr_step_that_fails_after_cholesky_accepts_raises(n):
+    # G = L L^T with L = I minus the strictly lower ones: every pivot is 1,
+    # but lambda_min / max|G_ii| is below 1e-15, so an LR step's own LAPACK
+    # rule can fail by rounding.  Whether it does is not pinned; that the
+    # route then raises, and never returns an unconverged diagonal as the
+    # spectrum, is
+    lower = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    g = lower @ lower.T
+    kf.cholesky(g)  # accepts
+    try:
+        res = kf.alt_cholesky_eigs(g)
+    except kf.NotPositiveDefiniteError:
+        return
+    assert res.converged
+    ref = kf.jacobi_eigs(g).eigenvalues
+    np.testing.assert_allclose(res.eigenvalues, ref, rtol=0, atol=1e-8 * np.abs(g).max())
+
+
 # a converged LR spectrum against LAPACK's, in units of max|G|
 EIG_AGREE = 1e-12
 

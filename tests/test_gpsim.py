@@ -489,7 +489,7 @@ def _feature_row(self, x, reps: np.ndarray) -> np.ndarray:
         (gpsim.pair_ex1(), []),
         (gpsim.pair_ex3(trunc=3), []),
         (gpsim.pair_ex1(kf.cantor4()), []),
-        (gpsim.pair_ex2(kf.cantor4()), [0.5j, -0.25, 0.0]),
+        (gpsim.FactorizationPair("szego", kf.cantor4()), [0.5j, -0.25, 0.0]),
         (gpsim.pair_ex3(trunc=1), []),
     ],
 )

@@ -305,7 +305,7 @@ def test_mu4_fourier_comparison_report_at_one():
     # the report carries both readings; they use different frequency
     # conventions and are not reconciled, so only the fields themselves
     # are pinned here
-    rep = kf.mu4_fourier(1.0, trunc=12, oracle_depth=10)
+    rep = kf.mu4_fourier(1.0, trunc=12)
     quad = kf.integrate(kf.cantor4(), lambda x: np.exp(2j * np.pi * x), 10)
     assert rep.quadrature_value == pytest.approx(quad, abs=1e-12)
     assert rep.difference == abs(rep.product_value - rep.quadrature_value)

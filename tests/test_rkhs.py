@@ -13,14 +13,19 @@ from kernel_forge import factorize, kernels
 from kernel_forge.kernels import point_key
 
 
+def _k(spec, x, y):
+    """K(x, y): the one entry of a 1 x 1 `cross_gram`."""
+    return kf.cross_gram(spec, [x], [y])[0, 0]
+
+
 def test_project_fixes_kernel_sections():
     spec = kf.brownian_min()
     pts = [1.0, 2.0, 4.0]
     y0 = 2.0
-    h = [kf.eval_kernel(spec, p, y0) for p in pts]
+    h = [_k(spec, p, y0) for p in pts]
     t = [0.5, 1.5, 3.0, 4.0]
     got = kf.project(spec, pts, h, t)
-    expected = [kf.eval_kernel(spec, x, y0) for x in t]
+    expected = [_k(spec, x, y0) for x in t]
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -169,6 +174,13 @@ def test_min_norm_interpolant_rejects_an_infinite_abscissa():
     for data in ([(0.5, 1.0), (float("inf"), 2.0)], [(float("inf"), 1.0)]):
         with pytest.raises(kf.NotIncreasingError, match="got inf after"):
             kf.min_norm_interpolant(data)
+
+
+def test_min_norm_interpolant_rejects_a_decreasing_abscissa_whose_gap_overflows():
+    # -1e308 - 1e308 overflows to -inf, which numpy warned of (an error
+    # under the tier-1 filter) before the abscissa check saw it
+    with pytest.raises(kf.NotIncreasingError, match="got -1e\\+308 after 1e\\+308"):
+        kf.min_norm_interpolant([(1e308, 1.0), (-1e308, 2.0)])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

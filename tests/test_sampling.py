@@ -8,6 +8,11 @@ import pytest
 import kernel_forge as kf
 
 
+def _k(spec, x, y):
+    """K(x, y): the one entry of a 1 x 1 `cross_gram`."""
+    return kf.cross_gram(spec, [x], [y])[0, 0]
+
+
 def test_parseval_exact_at_integer():
     # at an integer only one sinc term survives, so the deficit is zero bitwise
     rep = kf.parseval_check(kf.shannon(), "integers", [3.0], truncation=20)
@@ -62,10 +67,10 @@ def test_reconstruct_kernel_section_exact():
     spec = kf.shannon()
     s = [float(n) for n in range(0, 6)]
     s0 = 2.0
-    samples = [kf.eval_kernel(spec, p, s0) for p in s]
+    samples = [_k(spec, p, s0) for p in s]
     evals = [0.3, 1.7, 4.9]
     got = kf.frame_reconstruct(spec, s, samples, evals)
-    expected = [kf.eval_kernel(spec, x, s0) for x in evals]
+    expected = [_k(spec, x, s0) for x in evals]
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
@@ -138,7 +143,7 @@ def test_sawtooth_validates_knots():
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-@pytest.mark.parametrize("option", ["tol", "bound_tol"])
+@pytest.mark.parametrize("option", ["tol"])
 def test_parseval_tolerances_outside_their_domain_raise(option, bad):
     with pytest.raises(ValueError, match=f"{option} must be finite and >= 0"):
         kf.parseval_check(kf.shannon(), "integers", [0.5], 20, **{option: bad})
@@ -149,10 +154,29 @@ def test_sawtooth_rejects_a_nan_knot():
         kf.sawtooth_witness([1.0, float("nan"), 3.0])
 
 
-@pytest.mark.parametrize("knots", [[0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0]])
+# the last two have a gap inf - inf, which is NaN: numpy's warning of it
+# is an error under the RuntimeWarning filter
+@pytest.mark.parametrize(
+    "knots",
+    [
+        [0.0, 1.0, math.inf],
+        [-math.inf, 0.0, 1.0],
+        [1.0, math.inf, math.inf],
+        [-math.inf, -math.inf, 0.0],
+    ],
+)
 def test_sawtooth_rejects_an_infinite_knot(knots):
     with pytest.raises(kf.NotIncreasingError, match="need finite"):
         kf.sawtooth_witness(knots)
+
+
+def test_sawtooth_says_that_an_overflowing_gap_overflows():
+    # both knots are finite and increasing; only their gap is not finite
+    with pytest.raises(
+        kf.NotIncreasingError,
+        match=r"need finite x_1 < x_2 < \.\.\., but the gap from -1e\+308 to 1e\+308 overflows",
+    ):
+        kf.sawtooth_witness([-1e308, 1e308])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
