@@ -189,6 +189,19 @@ def _increments_from_zero(xs) -> np.ndarray:
     return _increments(x, "0 < x_1 < x_2 < ...")
 
 
+def _energy(terms, roots) -> float:
+    """sum(terms()), a sum of squares, with the bits of its own formula
+    where that is finite, else summed from roots(), the terms' square
+    roots; ValueError, and no RuntimeWarning, when the energy overflows."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(terms()))
+        if total == math.inf:
+            total = float(np.sum(roots() ** 2))
+    if total == math.inf:
+        raise ValueError("the energy overflows: it exceeds the float range")
+    return total
+
+
 def invertible_cholesky(g) -> CholeskyFactor:
     """`cholesky` of a Gram matrix that must be invertible.
 

@@ -315,15 +315,13 @@ def _mix_paths(policy: RngSeedPolicy, n_paths: int, mixer: np.ndarray) -> np.nda
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """P sample paths over a fixed evaluation grid.
+    """P sample paths, one row per path and one column per grid point.
 
     Path p depends on the seed, p and the synthesizer's other inputs
     alone: not on P, the worker count or the execution order.
     """
 
-    grid: list
     paths: np.ndarray
-    seed: int
     partition_resolution: int
 
     @property
@@ -419,21 +417,18 @@ def ito_synthesize(
     result materializes.
     """
     part = cells(pair.measure, resolution)
-    grid = list(x_grid)
-    phi = pair.feature_matrix(grid, part.reps)
-    return _ito_ensemble(phi, part.masses, grid, resolution, n_paths, seed)
+    phi = pair.feature_matrix(x_grid, part.reps)
+    return _ito_ensemble(phi, part.masses, resolution, n_paths, seed)
 
 
-def _ito_ensemble(phi, masses, grid, resolution, n_paths, seed) -> PathEnsemble:
+def _ito_ensemble(phi, masses, resolution, n_paths, seed) -> PathEnsemble:
     """The Ito sum's paths from its grid x cells feature matrix phi."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     policy = RngSeedPolicy(seed)
     mixer = (phi * np.sqrt(masses)).T  # cells x grid: z @ mixer = sum k(s_i) sqrt(m_i) z_i
     out = _mix_paths(policy, n_paths, mixer)
-    return PathEnsemble(
-        grid=grid, paths=out, seed=policy.master_seed, partition_resolution=resolution
-    )
+    return PathEnsemble(paths=out, partition_resolution=resolution)
 
 
 def empirical_covariance(e: PathEnsemble) -> np.ndarray:
@@ -459,15 +454,10 @@ class DualityReport:
 
     quad_error: max |quadrature of conj(k_x) k_y - K(x, y)| (deterministic).
     mc_error:   max |empirical covariance - K| (stochastic).
-    Tolerances ride along; `passed` requires both halves.
+    Each half carries its tolerance; `passed` requires both halves.
     """
 
-    pair_kind: str
     kernel_family: str
-    grid: list
-    resolution: int
-    n_paths: int
-    seed: int
     quad_error: float
     quad_tol: float
     mc_error: float
@@ -515,19 +505,14 @@ def duality_check(
     phi = pair.feature_matrix(grid, part.reps)
     with _one_blas_thread():  # the Monte Carlo half's rule, for all three products
         quad = (phi.conj() * part.masses) @ phi.T
-        ensemble = _ito_ensemble(phi, part.masses, grid, resolution, n_paths, seed)
+        ensemble = _ito_ensemble(phi, part.masses, resolution, n_paths, seed)
         emp = empirical_covariance(ensemble)
     quad_error = float(np.max(np.abs(quad - target))) if len(grid) else 0.0
     mc_error = float(np.max(np.abs(emp - target))) if len(grid) else 0.0
 
     max_k = float(np.max(np.abs(target))) if len(grid) else 1.0
     return DualityReport(
-        pair_kind=pair.kind,
         kernel_family=spec.family,
-        grid=grid,
-        resolution=resolution,
-        n_paths=n_paths,
-        seed=ensemble.seed,
         quad_error=quad_error,
         quad_tol=float(quad_tol) if quad_tol is not None else 2.0 ** (-resolution),
         mc_error=mc_error,
@@ -539,21 +524,18 @@ def duality_check(
 class QuadraticVariationReport:
     """Per-resolution quadratic variation of Wiener increments over A.
 
-    Each row reports the empirical mean of Q = sum W_{A_i}^2 (targets
-    mu(A)), the empirical E|mu(A) - Q|^2 and its expectation
-    2 sum m_i^2 (the chi-square fluctuation, halving per dyadic
-    refinement).
+    mu is mu(A).  Per resolution, the lists hold the empirical mean of
+    Q = sum W_{A_i}^2 (which targets mu(A)), the empirical E|mu(A) - Q|^2,
+    its expectation 2 sum m_i^2 (the chi-square fluctuation, halving per
+    dyadic refinement) and the number of cells inside A.
     """
 
-    interval: tuple
     mu: float
     resolutions: list
     mean_q: list
     e_sq: list
     expected_e_sq: list
     n_cells: list
-    n_paths: int
-    seed: int
 
 
 def quadratic_variation(
@@ -611,14 +593,11 @@ def quadratic_variation(
             total[k] += float(np.sum(row))
             total_sq[k] += float(np.sum((mu - row) ** 2))
     return QuadraticVariationReport(
-        interval=(a, b),
         mu=mu,
         resolutions=resolutions,
         mean_q=[t / n_paths for t in total],
         e_sq=[t / n_paths for t in total_sq],
         expected_e_sq=expected,
         n_cells=[int(len(idx)) for idx in indices],
-        n_paths=n_paths,
-        seed=policy.master_seed,
     )
 

@@ -390,7 +390,7 @@ def as_sample_set(points) -> SampleSet:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """n x n Hermitian kernel matrix over a SampleSet.
+    """n x n Hermitian kernel matrix over n distinct points.
 
     entries is float64 for real families and complex128 otherwise.  The
     family formula is evaluated once over the n x n broadcast of the
@@ -399,9 +399,11 @@ class GramMatrix:
     with its real part, so Hermitian symmetry is bitwise exact.
     """
 
-    n: int
     entries: np.ndarray
-    points: SampleSet
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
 
 
 def _check_tag(spec: KernelSpec, tag: Optional[str]):
@@ -436,8 +438,8 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     the formulas; any residual rounding in their imaginary parts is
     dropped.
     """
-    ss = as_sample_set(points)
-    return GramMatrix(n=len(ss), entries=_gram_array(spec, ss.points, ss.domain), points=ss)
+    ss = as_sample_set(points)  # rejects duplicate points; carries the domain tag
+    return GramMatrix(entries=_gram_array(spec, ss.points, ss.domain))
 
 
 def _gram_array(spec: KernelSpec, points, tag: Optional[str]) -> np.ndarray:

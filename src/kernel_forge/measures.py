@@ -305,7 +305,6 @@ class Mu4Fourier:
     generic t; the pair is reported as-is rather than reconciled.
     """
 
-    t: float
     product_value: complex
     quadrature_value: complex
 
@@ -328,33 +327,18 @@ def mu4_fourier(t: float, trunc: int) -> Mu4Fourier:
     for k in range(1, trunc + 1):
         prod *= 0.5 * (1.0 + cmath.exp(1j * math.pi * t / 4 ** k))
     quad = integrate(cantor4(), lambda x: np.exp(2j * np.pi * t * x), _ORACLE_DEPTH)
-    return Mu4Fourier(t=float(t), product_value=prod, quadrature_value=complex(quad))
+    return Mu4Fourier(product_value=prod, quadrature_value=complex(quad))
 
 
 def integrate(m: MeasureModel, f, resolution: int):
     """Left-endpoint quadrature: sum of mass_i * f(rep_i) over the cells.
 
-    `f` is called once with the vector of representatives; a scalar-only
-    callable is handled by an elementwise fallback.  Summation is numpy's
+    `f` is called once with the vector of representatives, so it must be
+    vectorized (a constant it returns broadcasts).  Summation is numpy's
     fixed pairwise reduction, so results are deterministic.
     """
     c = cells(m, resolution)
-    return np.sum(c.masses * _values_at(f, c.reps))
-
-
-def _values_at(f, xs: np.ndarray) -> np.ndarray:
-    """f on the vector xs: one call on the array, else one call per entry.
-
-    The fallback serves a scalar-only callable (such as `math.sin`): one
-    that raises TypeError on an array or returns a value of another shape.
-    """
-    try:
-        vals = np.asarray(f(xs))
-        if vals.shape == xs.shape:
-            return vals
-    except TypeError:
-        pass
-    return np.array([f(x) for x in xs])
+    return np.sum(c.masses * f(c.reps))
 
 
 def fourier_gram(lams, resolution: int, allow_any: bool = False):
@@ -367,9 +351,9 @@ def fourier_gram(lams, resolution: int, allow_any: bool = False):
     (useful to demonstrate the failure of orthogonality off the spectrum).
 
     Diagonal entries are the total mass, exactly 1.0.  Returns a
-    GramMatrix whose points record the frequencies.
+    GramMatrix in the order of lams.
     """
-    from .kernels import GramMatrix, SampleSet
+    from .kernels import GramMatrix
 
     lams = np.asarray(list(lams), dtype=np.int64)
     if not allow_any:
@@ -385,5 +369,4 @@ def fourier_gram(lams, resolution: int, allow_any: bool = False):
     g = np.triu(g, 1)
     g = g + g.conj().T
     np.fill_diagonal(g, complex(np.sum(c.masses)))
-    pts = SampleSet(points=[float(v) for v in lams], domain="real-line")
-    return GramMatrix(n=lams.size, entries=g, points=pts)
+    return GramMatrix(entries=g)

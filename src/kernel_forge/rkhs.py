@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .errors import ChainError, OutOfDomainError
 from .factorize import (
-    _increments_from_zero, _nonnegative, invertible_cholesky, inverse_gram, solve_gram,
+    _energy, _increments_from_zero, _nonnegative, invertible_cholesky, inverse_gram, solve_gram,
 )
 from .kernels import KernelSpec, SampleSet, as_sample_set, cross_gram, gram
 
@@ -161,10 +161,9 @@ class InducedGraph:
     """Graph induced by the inverse Gram: weights D = K_S^{-1}.
 
     Edges are the off-diagonal pairs with |D_xy| above the threshold,
-    stored as index pairs (i, j) with i < j into `vertices.points`.
+    stored as index pairs (i, j) with i < j into the sample's points.
     """
 
-    vertices: SampleSet
     weights: np.ndarray
     edges: list
     threshold: float
@@ -180,15 +179,12 @@ def induced_graph(
     >= 0.
     """
     _nonnegative(threshold=threshold)
-    sample = as_sample_set(sample)
     weights = inverse_gram(gram(spec, sample))
     if threshold is None:
         threshold = 1e-8 * float(np.max(np.abs(weights))) if weights.size else 0.0
     rows, cols = np.nonzero(np.triu(np.abs(weights) > threshold, 1))  # row-major
     edges = list(zip(rows.tolist(), cols.tolist()))
-    return InducedGraph(
-        vertices=sample, weights=weights, edges=edges, threshold=float(threshold)
-    )
+    return InducedGraph(weights=weights, edges=edges, threshold=float(threshold))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +212,8 @@ def min_norm_interpolant(data):
     norm_sq = sum (y_{j+1} - y_j)^2 / (x_{j+1} - x_j) with (x_0,y_0)=(0,0).
     Among all interpolants of the data in the min-kernel space this energy
     is minimal: straight segments minimise the Dirichlet integral.  A NaN
-    or infinite y raises ValueError.
+    or infinite y raises ValueError, as does an energy beyond the float
+    range; one within it is returned finite (`factorize._energy`).
     """
     pairs = [(0.0, 0.0)] + [(float(x), float(y)) for x, y in data]
     if len(pairs) == 1:
@@ -225,5 +222,7 @@ def min_norm_interpolant(data):
     finite = np.isfinite(ys)
     if not finite.all():
         raise ValueError(f"interpolant data needs finite y, got {ys[finite.argmin()]}")
-    norm_sq = float(np.sum(np.diff(ys) ** 2 / _increments_from_zero(xs[1:])))
+    dx = _increments_from_zero(xs[1:])
+    # roots from halved y differences, which cannot overflow
+    norm_sq = _energy(lambda: np.diff(ys) ** 2 / dx, lambda: 2 * np.diff(ys / 2) / np.sqrt(dx))
     return PiecewiseLinearSpline(knots_x=xs, knots_y=ys), norm_sq

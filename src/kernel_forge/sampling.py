@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import OutOfDomainError, SingularMatrixError
-from .factorize import _increments, _nonnegative, eig_range, matrix_scale
+from .factorize import _energy, _increments, _nonnegative, eig_range, matrix_scale
 from .kernels import KernelSpec, as_sample_set, cross_gram, gram, kernel_diagonal
 
 __all__ = [
@@ -63,7 +63,6 @@ class FrameReport:
     a: float
     b: float
     parseval_deficit: float
-    truncation: int
     deficits: list
     test_points: list
     tail_bound: Optional[float]
@@ -112,7 +111,6 @@ def parseval_check(
         a=a,
         b=b,
         parseval_deficit=deficit,
-        truncation=int(truncation),
         deficits=[float(d) for d in deficits],
         test_points=tests,
         tail_bound=tail,
@@ -204,7 +202,8 @@ def sawtooth_witness(knots, slope_rule: Union[str, list] = "harmonic") -> Sawtoo
     finite slopes (one per interval) may be given instead.  Every gap
     between knots must be finite and > 0 (`factorize._increments`), so a
     NaN or infinite knot, or two knots whose gap overflows, raises
-    NotIncreasingError; a NaN or infinite slope raises ValueError.
+    NotIncreasingError; a NaN or infinite slope raises ValueError, as does
+    an energy beyond the float range; one within it is returned finite.
     The existence of such a witness for every discrete knot set shows the
     knots cannot determine functions of the min-kernel space.
     """
@@ -234,7 +233,7 @@ def sawtooth_witness(knots, slope_rule: Union[str, list] = "harmonic") -> Sawtoo
     return SawtoothWitness(
         knots=xs,
         slopes=slopes,
-        norm_sq=float(np.sum(slopes ** 2 * dx)),
+        norm_sq=_energy(lambda: slopes ** 2 * dx, lambda: np.abs(slopes) * np.sqrt(dx)),
         breakpoints=breakpoints,
         heights=heights,
     )

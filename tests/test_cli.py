@@ -330,6 +330,18 @@ def test_interpolate_rejects_a_decreasing_abscissa_whose_gap_overflows(tmp_path,
     assert not out.exists()
 
 
+def test_interpolate_says_that_an_overflowing_energy_overflows(tmp_path, capsys):
+    # 1e308 - (-1e308) overflows, and so does the energy it carries
+    data = tmp_path / "data.csv"
+    data.write_text("1.0,1e308\n2.0,-1e308\n")
+    out = tmp_path / "out.json"
+    assert cli.run(["interpolate", "--data", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "the energy overflows" in err
+    assert "RuntimeWarning" not in err
+    assert not out.exists()
+
+
 def test_interpolate_rejects_a_nan_eval_point(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("1.0,1.0\n2.0,3.0\n")
@@ -591,6 +603,31 @@ def test_witness_says_that_an_overflowing_gap_overflows(tmp_path, capsys):
     assert cli.run(["witness", "sawtooth", "--knots", str(knots), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "need finite x_1 < x_2 < ..., but the gap from -1e+308 to 1e+308 overflows" in err
+    assert "RuntimeWarning" not in err
+    assert not out.exists()
+
+
+def test_witness_accepts_a_subnormal_gap(tmp_path):
+    # the harmonic slope 1 / sqrt(1e-310) squares past the float range, but
+    # the energy is 1 + 1/4
+    knots = tmp_path / "k.csv"
+    knots.write_text("0\n1e-310\n1\n")
+    code, raw = run_to_file(tmp_path, ["witness", "sawtooth", "--knots", str(knots)])
+    assert code == 0
+    assert json.loads(raw)["norm_sq"] == pytest.approx(1.25)
+
+
+def test_witness_says_that_an_overflowing_energy_overflows(tmp_path, capsys):
+    knots = tmp_path / "k.csv"
+    knots.write_text("0\n1\n2\n")
+    slopes = tmp_path / "s.csv"
+    slopes.write_text("1e200\n1\n")
+    out = tmp_path / "w.json"
+    argv = ["witness", "sawtooth", "--knots", str(knots), "--rule", "custom",
+            "--slopes", str(slopes), "--out", str(out)]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert "the energy overflows" in err
     assert "RuntimeWarning" not in err
     assert not out.exists()
 

@@ -398,10 +398,3 @@ def test_fourier_gram_off_diag_decreases_with_resolution():
             assert off <= prev + 1e-14
         prev = off
     assert prev <= 1e-14  # fully annihilated at depth 12
-
-
-@pytest.mark.parametrize("measure", [kf.lebesgue, kf.cantor4])
-def test_scalar_only_callables_fall_back_elementwise(measure):
-    # math.sin raises TypeError on an array; np.sin is the vectorized twin
-    m = measure()
-    assert kf.integrate(m, math.sin, 3) == kf.integrate(m, np.sin, 3)

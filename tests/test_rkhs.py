@@ -183,6 +183,20 @@ def test_min_norm_interpolant_rejects_a_decreasing_abscissa_whose_gap_overflows(
         kf.min_norm_interpolant([(1e308, 1.0), (-1e308, 2.0)])
 
 
+def test_min_norm_interpolant_energy_is_finite_when_a_square_overflows():
+    # (1e200)^2 / 1e100 = 1e300 fits in a float, though (1e200)^2 does not
+    assert kf.min_norm_interpolant([(1e100, 1e200)])[1] == pytest.approx(1e300)
+
+
+@pytest.mark.parametrize("data", [
+    [(1.0, 1e308), (2.0, -1e308)],  # the difference overflows
+    [(1.0, 1e200), (2.0, 0.0)],  # each square overflows
+], ids=["difference", "square"])
+def test_min_norm_interpolant_says_that_an_overflowing_energy_overflows(data):
+    with pytest.raises(ValueError, match="the energy overflows"):
+        kf.min_norm_interpolant(data)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_min_norm_interpolant_rejects_a_non_finite_value(bad):
     with pytest.raises(ValueError, match="finite y"):

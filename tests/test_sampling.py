@@ -179,6 +179,20 @@ def test_sawtooth_says_that_an_overflowing_gap_overflows():
         kf.sawtooth_witness([-1e308, 1e308])
 
 
+@pytest.mark.parametrize("knots, slopes, norm_sq", [
+    # a subnormal gap: 1 / sqrt(1e-310) squared overflows, yet its term is 1
+    ([0.0, 1e-310, 1.0], "harmonic", 1.25),
+    ([0.0, 1e-300, 1.0], [1e200, 1.0], 1e100 + 1.0),
+], ids=["harmonic", "custom"])
+def test_sawtooth_energy_is_finite_when_a_square_overflows(knots, slopes, norm_sq):
+    assert kf.sawtooth_witness(knots, slopes).norm_sq == pytest.approx(norm_sq)
+
+
+def test_sawtooth_says_that_an_overflowing_energy_overflows():
+    with pytest.raises(ValueError, match="the energy overflows"):
+        kf.sawtooth_witness([0.0, 1.0, 2.0], slope_rule=[1e200, 1.0])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sawtooth_rejects_a_non_finite_slope(bad):
     with pytest.raises(ValueError, match="slopes must be finite"):
